@@ -13,9 +13,10 @@ override config scalars.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
-import random
+import operator
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -194,25 +195,30 @@ def dominant_tuples(n: int, bound: int) -> list[tuple[int, ...]]:
 def parse_unit(spec: str) -> tuple[int, int]:
     """Character value spec 'order,index' -> (order, index)."""
     try:
-        order, index = spec.split(",")
-        return int(order), int(index)
+        order, index = (int(x) for x in spec.split(","))
     except ValueError:
         raise ConfigError(f"bad root-of-unity spec {spec!r}; expected 'order,index'") from None
+    if order < 1:
+        raise ConfigError(f"bad root-of-unity spec {spec!r}; the order must be at least 1")
+    return order, index
 
 
 # -- subcommands ------------------------------------------------------------------
+#
+# Handlers take the parsed flags.  For the commands that need a field, main
+# has already set args.cfg, args.tower, args.precision (the working digits)
+# and args.emb; for those that take --n/--eta also args.w, the weight system
+# with that eta.
 
 
 def cmd_field_check(args) -> Report:
-    cfg = load_config(args.config)
-    tower, precision = tower_from_config(cfg, args.precision)
+    cfg, tower, emb = args.cfg, args.tower, args.emb
     report = Report("field-check", {
         "d": tower.base_disc,
         "extension_poly": list(tower.extension_poly),
-        "precision": precision,
+        "precision": args.precision,
         "k1_maximality_asserted": tower.k1_maximality_asserted,
     })
-    emb = cmfield.build_field(tower, precision)
     report.add("embedding_count", tower.degree_over_q, emb.degree)
     invol = all(emb.conj(emb.conj(i)) == i and emb.conj(i) != i for i in range(emb.degree))
     report.add("conjugation_fixed_point_free_involution", True, invol)
@@ -242,10 +248,7 @@ def cmd_field_check(args) -> Report:
 
 
 def cmd_balanced(args) -> Report:
-    cfg = load_config(args.config)
-    tower, precision = tower_from_config(cfg, args.precision)
-    emb = cmfield.build_field(tower, precision)
-    points = weight_points(cfg)
+    points = weight_points(args.cfg)
     report = Report("balanced", {
         "n": points[0].n if points else None,
         "points": len(points),
@@ -254,8 +257,8 @@ def cmd_balanced(args) -> Report:
     for idx, w in enumerate(points):
         eta = w.eta()
         regular = weights.is_regular_algebraic(eta, w.n)
-        two_sided = weights.is_case_pm(eta, w.n, emb)
-        fast = weights.is_balanced(w, emb)
+        two_sided = weights.is_case_pm(eta, w.n, args.emb)
+        fast = weights.is_balanced(w, args.emb)
         if args.oracle:
             if regular and two_sided:
                 oracle = all(
@@ -271,15 +274,10 @@ def cmd_balanced(args) -> Report:
 
 
 def cmd_kostant(args) -> Report:
-    cfg = load_config(args.config)
-    tower, precision = tower_from_config(cfg, args.precision)
-    emb = cmfield.build_field(tower, precision)
-    n = args.n
-    eta = _eta_from_args(args, emb, n)
-    w = weights.weight_system_from_eta(n, eta)
-    report = Report("kostant", {"n": n, "eta": eta, "degree": args.p})
+    w, emb = args.w, args.emb
+    report = Report("kostant", {"n": w.n, "eta": w.eta(), "degree": args.p})
     lines = weylkostant.kostant_lines(w, emb, args.p)
-    gen = weylkostant.length_generating_function(n, emb.degree)
+    gen = weylkostant.length_generating_function(w.n, emb.degree)
     expected = gen[args.p] if args.p < len(gen) else 0
     report.add("line_count", expected, len(lines))
     for i, line in enumerate(lines):
@@ -294,7 +292,8 @@ def cmd_kostant(args) -> Report:
     return report
 
 
-def _eta_from_args(args, emb, n) -> dict[int, int]:
+def _eta_from_args(args) -> dict[int, int]:
+    emb, n = args.emb, args.n
     if args.eta is None:
         # default: 0 on the chosen half, n on conjugates
         return {i: (0 if i in emb.cm_type else n) for i in range(emb.degree)}
@@ -310,15 +309,10 @@ def _eta_from_args(args, emb, n) -> dict[int, int]:
 
 
 def cmd_find_wk(args) -> Report:
-    cfg = load_config(args.config)
-    tower, precision = tower_from_config(cfg, args.precision)
-    emb = cmfield.build_field(tower, precision)
-    n = args.n
-    eta = _eta_from_args(args, emb, n)
-    w = weights.weight_system_from_eta(n, eta)
-    report = Report("find-wk", {"n": n, "k": args.k, "eta": eta, "full_scan": args.full_scan})
+    w = args.w
+    report = Report("find-wk", {"n": w.n, "k": args.k, "eta": w.eta(), "full_scan": args.full_scan})
     try:
-        element, cert = weylkostant.distinguished_weyl(w, emb, args.k, full_scan=args.full_scan)
+        element, cert = weylkostant.distinguished_weyl(w, args.emb, args.k, full_scan=args.full_scan)
         report.add("element", element.describe(), element.describe())
         report.add("length", cert["bottom_degree"], cert["length"])
         report.add("unique_match", 1, cert["matches"])
@@ -328,14 +322,9 @@ def cmd_find_wk(args) -> Report:
 
 
 def cmd_wedge_sign(args) -> Report:
-    cfg = load_config(args.config)
-    tower, precision = tower_from_config(cfg, args.precision)
-    emb = cmfield.build_field(tower, precision)
-    n = args.n
-    eta = _eta_from_args(args, emb, n)
-    w = weights.weight_system_from_eta(n, eta)
+    w, emb, n = args.w, args.emb, args.n
     g = _permutation_from_args(args, emb)
-    report = Report("wedge-sign", {"n": n, "k": args.k, "eta": eta, "g": list(g.perm)})
+    report = Report("wedge-sign", {"n": n, "k": args.k, "eta": w.eta(), "g": list(g.perm)})
     m = weylkostant.omega_monomial(w, emb, args.k)
     parity = weylkostant.wedge_sigma_sign(m, g, emb)
     transfer = weylkostant.omega_transfer_sign(w, emb, args.k, g)
@@ -379,8 +368,6 @@ def cmd_lratio(args) -> Report:
     report = Report("lratio", {"n": args.n, "k": args.k, "a": [order, index], "q": args.q})
     ratio = lfactors.unramified_lratio(args.n, args.k, a, args.q)
     report.add("ratio", repr(ratio), repr(ratio))
-    import functools
-    import operator
     steps = [
         lfactors.single_step_ratio(args.n, i, a, args.q)
         for i in range(args.k, args.n)
@@ -425,10 +412,8 @@ def cmd_intertwine_arch(args) -> Report:
 
 
 def cmd_constant_term(args) -> Report:
-    cfg = load_config(args.config)
-    tower, precision = tower_from_config(cfg, args.precision)
-    emb = cmfield.build_field(tower, precision)
-    big, _ = cmfield.disc_constant_lower(tower)
+    emb = args.emb
+    big, _ = cmfield.disc_constant_lower(args.tower)
     token = lfactors.VanishingToken(order_zero=0 if args.ord0 == "0" else 1)
     report = Report(
         "constant-term",
@@ -457,6 +442,52 @@ def cmd_constant_term(args) -> Report:
 
 # -- driver ----------------------------------------------------------------------
 
+# What main derives from the flags before the handler runs (see above).
+NO_FIELD, FIELD, WEIGHTS = 0, 1, 2
+
+INT = {"type": int, "required": True}
+ETA = {"default": None, "help": "comma list per embedding, or one pair"}
+UNIT = {"required": True, "help": "root of unity 'order,index'"}
+FLAG = {"action": "store_true"}
+
+# subcommand: (handler, prologue, help, {flag: add_argument keywords})
+COMMANDS = {
+    "field-check": (cmd_field_check, FIELD, "tower invariants and the discriminant identity", {}),
+    "balanced": (cmd_balanced, FIELD, "balanced predicate over a weight grid", {
+        "--oracle": dict(FLAG, help="compare with character peeling"),
+    }),
+    "kostant": (cmd_kostant, WEIGHTS, "cohomology lines in a given degree", {
+        "--n": INT, "--p": INT, "--eta": ETA,
+    }),
+    "find-wk": (cmd_find_wk, WEIGHTS, "distinguished bottom-degree element", {
+        "--n": INT, "--k": INT, "--eta": ETA, "--full-scan": FLAG,
+    }),
+    "wedge-sign": (cmd_wedge_sign, WEIGHTS, "Galois relabeling signs of generator monomials", {
+        "--n": INT, "--k": INT, "--eta": ETA,
+        "--g": {"required": True, "help": "'id', 'conj' or 0-based permutation list"},
+    }),
+    "gauss": (cmd_gauss, NO_FIELD, "finite-field Gauss sum", {
+        "--q": INT, "--chi-order": INT, "--chi-index": {"type": int, "default": 1},
+    }),
+    "lratio": (cmd_lratio, NO_FIELD, "unramified local L-factor ratio", {
+        "--n": INT, "--k": INT, "--a": UNIT, "--q": INT,
+    }),
+    "intertwine-nonarch": (cmd_intertwine_nonarch, NO_FIELD, "shell sum vs product formula", {
+        "--n": INT, "--k": INT, "--a": UNIT, "--q": INT,
+    }),
+    "intertwine-arch": (cmd_intertwine_arch, NO_FIELD, "numerical intertwining integral", {
+        "--n": INT, "--k": INT,
+        "--eta": {"required": True, "help": "pair 'low,high'"},
+        "--beta": {"required": True, "help": "comma list of exponents"},
+        "--s": {"required": True, "help": "'re,im' or 're'"},
+    }),
+    "constant-term": (cmd_constant_term, FIELD, "symbolic expansion with holomorphy audit", {
+        "--n": INT,
+        "--ord0": {"choices": ("0", "pos"), "required": True},
+        "--flip-branch": dict(FLAG, help="deliberately select the wrong normalizing branch"),
+    }),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="periodlab", description=__doc__)
@@ -464,83 +495,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--precision", type=int, default=None, help="working decimal digits")
     p.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.add_argument("--max-den", type=int, default=cmfield.DEFAULT_MAX_DENOMINATOR,
                    help="denominator bound for rational reconstruction")
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("field-check", help="tower invariants and the discriminant identity")
-    s.set_defaults(func=cmd_field_check)
-
-    s = sub.add_parser("balanced", help="balanced predicate over a weight grid")
-    s.add_argument("--oracle", action="store_true", help="compare with character peeling")
-    s.set_defaults(func=cmd_balanced)
-
-    s = sub.add_parser("kostant", help="cohomology lines in a given degree")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--eta", default=None, help="comma list per embedding, or one pair")
-    s.set_defaults(func=cmd_kostant)
-
-    s = sub.add_parser("find-wk", help="distinguished bottom-degree element")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--eta", default=None)
-    s.add_argument("--full-scan", action="store_true")
-    s.set_defaults(func=cmd_find_wk)
-
-    s = sub.add_parser("wedge-sign", help="Galois relabeling signs of generator monomials")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--eta", default=None)
-    s.add_argument("--g", required=True, help="'id', 'conj' or 0-based permutation list")
-    s.set_defaults(func=cmd_wedge_sign)
-
-    s = sub.add_parser("gauss", help="finite-field Gauss sum")
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--chi-order", type=int, required=True)
-    s.add_argument("--chi-index", type=int, default=1)
-    s.set_defaults(func=cmd_gauss)
-
-    s = sub.add_parser("lratio", help="unramified local L-factor ratio")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--a", required=True, help="root of unity 'order,index'")
-    s.add_argument("--q", type=int, required=True)
-    s.set_defaults(func=cmd_lratio)
-
-    s = sub.add_parser("intertwine-nonarch", help="shell sum vs product formula")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--a", required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.set_defaults(func=cmd_intertwine_nonarch)
-
-    s = sub.add_parser("intertwine-arch", help="numerical intertwining integral")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--eta", required=True, help="pair 'low,high'")
-    s.add_argument("--beta", required=True, help="comma list of exponents")
-    s.add_argument("--s", required=True, help="'re,im' or 're'")
-    s.set_defaults(func=cmd_intertwine_arch)
-
-    s = sub.add_parser("constant-term", help="symbolic expansion with holomorphy audit")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--ord0", choices=("0", "pos"), required=True)
-    s.add_argument("--flip-branch", action="store_true",
-                   help="deliberately select the wrong normalizing branch")
-    s.set_defaults(func=cmd_constant_term)
-
+    for name, (_, _, help_text, flags) in COMMANDS.items():
+        s = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags.items():
+            s.add_argument(flag, **keywords)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    random.seed(args.seed)
+    args = build_parser().parse_args(argv)
+    handler, prologue, _, _ = COMMANDS[args.command]
     try:
-        report = args.func(args)
-    except (PeriodLabError, ConfigError) as exc:
+        if prologue >= FIELD:
+            args.cfg = load_config(args.config)
+            args.tower, args.precision = tower_from_config(args.cfg, args.precision)
+            args.emb = cmfield.build_field(args.tower, args.precision)
+        if prologue == WEIGHTS:
+            args.w = weights.weight_system_from_eta(args.n, _eta_from_args(args))
+        report = handler(args)
+    except PeriodLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     sys.stdout.write(render(report, args.format))

@@ -60,6 +60,16 @@ def _squarefree(n: int) -> bool:
     return True
 
 
+def inversions(seq) -> int:
+    """Number of pairs a < b with seq[a] > seq[b]; its parity is the sign
+    of the permutation that sorts ``seq``."""
+    count = 0
+    for a, x in enumerate(seq):
+        for y in seq[a + 1:]:
+            count += x > y
+    return count
+
+
 def mpf_to_fraction(x) -> Fraction:
     """Exact Fraction equal to a finite mpf (dyadic rational)."""
     sign, man, exp, _ = mpf(x)._mpf_
@@ -280,20 +290,7 @@ class GaloisPermutation:
         return flip if flip is not None else 1
 
     def sign(self) -> int:
-        seen = [False] * len(self.perm)
-        sgn = 1
-        for i in range(len(self.perm)):
-            if seen[i]:
-                continue
-            ln = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.perm[j]
-                ln += 1
-            if ln % 2 == 0:
-                sgn = -sgn
-        return sgn
+        return (-1) ** inversions(self.perm)
 
 
 def identity_permutation(emb: EmbeddingSet) -> GaloisPermutation:
@@ -423,11 +420,6 @@ def build_field(tower: FieldTower, precision: int = DEFAULT_PRECISION) -> Embedd
 
 # -- discriminants ------------------------------------------------------------
 
-def _det(gram) -> mpc:
-    m = mp.matrix(gram)
-    return mp.det(m)
-
-
 def _trace_values(emb: EmbeddingSet, values: list[list[mpc]], indices) -> list[list[mpc]]:
     """Gram matrix Tr(x_i x_j) summed over the given embedding indices."""
     size = len(values)
@@ -488,7 +480,7 @@ def relative_discriminant(
         if over == "Q":
             if len(basis) != emb.degree:
                 raise ValueError("basis over Q must have [k:Q] elements")
-            det = _det(_trace_values(emb, values, range(emb.degree)))
+            det = mp.det(_trace_values(emb, values, range(emb.degree)))
             if abs(mp.im(det)) > tol:
                 raise ReconstructionFailed("discriminant over Q is not real")
             frac, residual = reconstruct_fraction(mp.re(det), max_denominator, tol)
@@ -505,7 +497,7 @@ def relative_discriminant(
         fibers = emb.fibers()
         dets = {}
         for t_idx, indices in fibers.items():
-            dets[t_idx] = _det(_trace_values(emb, values, indices))
+            dets[t_idx] = mp.det(_trace_values(emb, values, indices))
         # For Z[x] power bases the determinant is rational; otherwise it is
         # a genuine k1 element and we solve the conjugate pair for (a, b).
         plus = [t for t, (w, s) in enumerate(emb.k1_labels) if s > 0]
@@ -610,7 +602,7 @@ def disc_over_q(
                         v *= e.theta_image ** c_exp
                         row.append(v)
                     values.append(row)
-        det = _det(_trace_values(emb, values, range(emb.degree)))
+        det = mp.det(_trace_values(emb, values, range(emb.degree)))
         if abs(mp.im(det)) > tol:
             raise ReconstructionFailed("discriminant over Q is not real")
         frac, residual = reconstruct_fraction(mp.re(det), max_denominator, tol)

@@ -75,10 +75,6 @@ class SingularMatrix(PeriodLabError):
     """Section evaluated at a non-invertible matrix."""
 
 
-class DivergentSeries(PeriodLabError):
-    """Shell sum probed outside its region of absolute convergence."""
-
-
 class ConvergenceRegionViolated(PeriodLabError):
     """Archimedean integral requested outside the enforced region."""
 

@@ -145,28 +145,19 @@ def shell_sum(n: int, k: int, a: Cyc, q: int) -> LaurentRatio:
     rational functions regardless of convergence.
     """
     m = n - k
-    field_order = a.n
-    one = LaurentRatio.one(field_order)
+    one = LaurentRatio.one(a.n)
     if m == 0:
         return one
     # sum_{t>=1} q^{mt} (aX)^t  and  sum_{t>=1} q^{m(t-1)} (aX)^t
-    big = _geometric(a * Fraction(q) ** m, field_order)
-    small = _geometric_scaled(a, q, m, field_order)
-    return one + big - small
+    scaled = a * Fraction(q) ** m
+    return one + _geometric(scaled, scaled) - _geometric(a, scaled)
 
 
-def _geometric(coeff: Cyc, field_order: int) -> LaurentRatio:
-    term = XPoly.monomial(field_order, 1, coeff)
-    one = XPoly.const(field_order, 1)
-    return LaurentRatio(term, one - term)
-
-
-def _geometric_scaled(a: Cyc, q: int, m: int, field_order: int) -> LaurentRatio:
-    # sum_{t>=1} q^{m(t-1)} (aX)^t = aX / (1 - a q^m X)
-    num = XPoly.monomial(field_order, 1, a)
-    den = XPoly.const(field_order, 1) - XPoly.monomial(
-        field_order, 1, a * Fraction(q) ** m
-    )
+def _geometric(num_coeff: Cyc, ratio_coeff: Cyc) -> LaurentRatio:
+    """c X / (1 - c' X) for c = num_coeff, c' = ratio_coeff."""
+    field_order = num_coeff.n
+    num = XPoly.monomial(field_order, 1, num_coeff)
+    den = XPoly.const(field_order, 1) - XPoly.monomial(field_order, 1, ratio_coeff)
     return LaurentRatio(num, den)
 
 

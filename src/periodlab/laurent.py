@@ -158,10 +158,6 @@ class LaurentRatio:
     def one(n: int = 1) -> "LaurentRatio":
         return LaurentRatio(XPoly.const(n, 1), XPoly.const(n, 1))
 
-    @staticmethod
-    def from_poly(p: XPoly) -> "LaurentRatio":
-        return LaurentRatio(p, XPoly.const(p.n, 1))
-
     def _reduce(self) -> None:
         if self.num.is_zero():
             self.den = XPoly.const(self.den.n, 1)
@@ -216,15 +212,3 @@ class LaurentRatio:
 
     def __repr__(self):
         return f"[{self.num!r}] / [{self.den!r}]"
-
-
-def geometric_series_sum(ratio_coeff: Cyc, ratio_deg: int, n: int) -> LaurentRatio:
-    """Closed form of sum_{t>=1} (c X^d)^t = cX^d / (1 - cX^d), exactly.
-
-    The summation is valid as an identity of rational functions; whether
-    the underlying series converges at a numeric point must be checked by
-    the caller.
-    """
-    term = XPoly.monomial(n, ratio_deg, ratio_coeff)
-    one = XPoly.const(n, 1)
-    return LaurentRatio(term, one - term)

@@ -18,11 +18,9 @@ over the units of a residue field, exact in Q(zeta_{lcm(q-1, p)}).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .cyclotomic import Cyc
 from .laurent import LaurentRatio, XPoly
@@ -30,33 +28,6 @@ from .errors import NotEntire, PoleHit
 
 
 # -- unramified ratios ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UnitSpec:
-    """Root of unity zeta_order^index times an integer power of q.
-
-    Half-integer powers of q occur in unitary decompositions; they are
-    recorded separately (``half_q_power``) for bookkeeping and floating
-    evaluation but do not enter the exact coefficient field.
-    """
-
-    order: int = 1
-    index: int = 0
-    q_power: int = 0
-    half_q_power: int = 0
-
-    def cyc(self, n: Optional[int] = None, q: int = 1) -> Cyc:
-        if self.half_q_power:
-            raise ValueError("exact arithmetic requires an integer q-power")
-        n = n or self.order
-        if n % self.order:
-            raise ValueError("ambient cyclotomic order must be divisible")
-        return Cyc.zeta(n, self.index * (n // self.order)) * Fraction(q) ** self.q_power
-
-    def to_complex(self, q: int) -> complex:
-        z = cmath.exp(2j * cmath.pi * self.index / self.order)
-        return z * q ** (self.q_power + self.half_q_power / 2.0)
 
 
 def single_step_ratio(n: int, i: int, a: Cyc, q: int) -> LaurentRatio:
@@ -86,18 +57,6 @@ def sigma_twist_lratio(r: LaurentRatio, j: int) -> LaurentRatio:
 
 
 # -- archimedean shift ratios ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GammaShift:
-    """Marker for a complex-place factor proportional to Gamma_C(s + m).
-
-    Only ratios are exposed: Gamma_C(s) = 2 (2 pi)^{-s} Gamma(s) gives
-    value(s + m - 1)/value(s + m) steps equal to (s + m - 1)/(2 pi), i.e.
-    going down j steps multiplies by prod_t 2 pi / (s + m - t).
-    """
-
-    m: int
 
 
 def gamma_ratio(m: int, j: int, s: complex) -> complex:
@@ -182,6 +141,19 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     raise ValueError(f"{q} is not a prime power")
 
 
+def _prime_factors(m: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 class FiniteField:
     """GF(p^e) as F_p[x]/(f) for the first irreducible monic f in lex order.
 
@@ -198,15 +170,30 @@ class FiniteField:
         self.generator = self._find_generator()
 
     def _find_modulus(self) -> tuple[int, ...]:
-        p, e = self.p, self.e
+        e = self.e
         if e == 1:
             return (0, 1)
-        # degree 2 or 3: irreducible over F_p iff no roots
+        # irreducible iff no monic factor of degree 1..e//2 divides it
         for tail in self._tuples(e):
             coeffs = tail + (1,)
-            if all(self._poly_eval(coeffs, x) % p != 0 for x in range(p)):
+            if not any(
+                self._divides(factor + (1,), coeffs)
+                for d in range(1, e // 2 + 1)
+                for factor in self._tuples(d)
+            ):
                 return coeffs
         raise AssertionError("no irreducible polynomial found")
+
+    def _divides(self, g, f) -> bool:
+        """Whether the monic g divides f over F_p (both low-to-high)."""
+        p, d = self.p, len(g) - 1
+        rem = list(f)
+        for top in range(len(rem) - 1, d - 1, -1):
+            c = rem[top]
+            if c:
+                for j in range(d + 1):
+                    rem[top - d + j] = (rem[top - d + j] - c * g[j]) % p
+        return not any(rem)
 
     def _tuples(self, length: int):
         if length == 0:
@@ -215,13 +202,6 @@ class FiniteField:
         for rest in self._tuples(length - 1):
             for c in range(self.p):
                 yield rest + (c,)
-
-    @staticmethod
-    def _poly_eval(coeffs, x):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
 
     def elements(self):
         for t in self._tuples(self.e):
@@ -256,19 +236,19 @@ class FiniteField:
         return out
 
     def order(self, a) -> int:
-        if a == self.zero:
-            raise ValueError("zero has no multiplicative order")
-        x, k = a, 1
-        while x != self.one:
+        x = a
+        for k in range(1, self.q):
+            if x == self.one:
+                return k
             x = self.mul(x, a)
-            k += 1
-        return k
+        raise ValueError(f"{a} is not a unit")
 
     def _find_generator(self):
+        """First element, in enumeration order, with a^((q-1)/r) != 1 for
+        every prime r dividing q - 1."""
+        exponents = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
         for a in self.elements():
-            if a == self.zero:
-                continue
-            if self.order(a) == self.q - 1:
+            if a != self.zero and all(self.pow(a, x) != self.one for x in exponents):
                 return a
         raise AssertionError("no generator found")
 

@@ -6,13 +6,15 @@ The radial integrands here are smooth, rational-type and decaying on
 complex parameters are supported, after the substitution r = t/(1 - t)
 onto [0, 1).
 
-As an independent fallback/cross-check there is a self-contained
-double-exponential (exp-sinh) rule for [0, inf): nodes
+The fallback is a self-contained double-exponential (exp-sinh) rule for
+[0, inf): nodes
 
     x_k = exp((pi/2) * sinh(k h)),   dx = (pi/2) * cosh(k h) * x_k dt,
 
-with level doubling until two successive levels agree.  Both routes
-report their own error estimates; disagreement beyond tolerance raises.
+with level doubling until two successive levels agree.  It runs only
+when Gauss-Kronrod raises, returns a non-finite value or misses its error
+bound; the two routes are never run on the same integral to compare
+them.  Each route reports its own error estimate.
 """
 
 from __future__ import annotations

@@ -76,10 +76,6 @@ def weight_system_from_eta(n: int, eta: dict[int, int]) -> WeightSystem:
     return WeightSystem(n=n, mu=mu, nu=zero, chi={i: 0 for i in eta})
 
 
-def compute_eta(w: WeightSystem) -> dict[int, int]:
-    return w.eta()
-
-
 def is_regular_algebraic(eta: dict[int, int], n: int) -> bool:
     return all(e * (e - n) >= 0 for e in eta.values())
 

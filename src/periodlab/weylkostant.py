@@ -23,20 +23,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cmfield import EmbeddingSet, GaloisPermutation
+from .cmfield import EmbeddingSet, GaloisPermutation, inversions
 from .errors import NonDominant, UniquenessFailed
 from .weights import WeightSystem, highest_weight_from_eta, sigma_twist
 
 OneLine = tuple[int, ...]  # w(1), ..., w(n) with values in 1..n
-
-
-def inversions(w: OneLine) -> int:
-    return sum(
-        1
-        for i in range(len(w))
-        for j in range(i + 1, len(w))
-        if w[i] > w[j]
-    )
 
 
 def inverted_pairs(w: OneLine) -> list[tuple[int, int]]:
@@ -142,18 +133,9 @@ class WedgeMonomial:
         if len(set(labels)) != len(labels):
             raise ValueError("repeated covector label; wedge vanishes")
         keyed = [(e, i, j) for (i, j, e) in labels]
-        sgn = sign * _sort_parity(keyed)
+        sgn = sign * (-1) ** inversions(keyed)
         ordered = tuple((i, j, e) for (e, i, j) in sorted(keyed))
         return WedgeMonomial(sign=sgn, labels=ordered)
-
-
-def _sort_parity(seq) -> int:
-    inv = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -167,8 +149,11 @@ class KostantLine:
     wedge: WedgeMonomial
 
 
-def _line_weight_component(oneline: OneLine, eta_value: int, n: int) -> tuple[int, ...]:
-    """Torus weight of the line attached to w at one embedding.
+def _line_weight_component(
+    oneline: OneLine, pairs: list[tuple[int, int]], eta_value: int, n: int
+) -> tuple[int, ...]:
+    """Torus weight of the line attached to w at one embedding, given w's
+    inverted pairs.
 
     The line is spanned by the dual wedge of the covectors at w's
     inversions, tensored with w applied to the highest weight vector of
@@ -180,24 +165,27 @@ def _line_weight_component(oneline: OneLine, eta_value: int, n: int) -> tuple[in
     mu = highest_weight_from_eta(eta_value, n)
     base = tuple(-x for x in reversed(mu))
     weight = [base[oneline[i] - 1] for i in range(n)]
-    for (i, j) in inverted_pairs(oneline):
+    for (i, j) in pairs:
         weight[i - 1] -= 1
         weight[j - 1] += 1
     return tuple(weight)
 
 
 def make_line(element: WeylElement, w: WeightSystem, emb: EmbeddingSet) -> KostantLine:
+    """The line of ``element``: one pass over each component's inverted
+    pairs gives its degree, torus weight and wedge labels."""
     eta = w.eta()
     n = w.n
     weights = []
     labels = []
     for pos in range(emb.degree):
         comp = element.component(pos)
-        weights.append(_line_weight_component(comp, eta[pos], n))
-        labels.extend((i, j, pos) for (i, j) in inverted_pairs(comp))
+        pairs = inverted_pairs(comp)
+        weights.append(_line_weight_component(comp, pairs, eta[pos], n))
+        labels.extend((i, j, pos) for (i, j) in pairs)
     return KostantLine(
         element=element,
-        degree=element.length(),
+        degree=len(labels),
         torus_weight=tuple(weights),
         wedge=WedgeMonomial.from_labels(labels),
     )
@@ -401,7 +389,7 @@ def wedge_sigma_sign(m: WedgeMonomial, g: GaloisPermutation, emb: EmbeddingSet) 
     relabeled = [(g(e), i, j) for (i, j, e) in m.labels]
     if len(set(relabeled)) != len(relabeled):
         raise ValueError("relabeling collapsed labels")
-    return _sort_parity(relabeled)
+    return (-1) ** inversions(relabeled)
 
 
 def sigma_on_monomial(m: WedgeMonomial, g: GaloisPermutation, emb: EmbeddingSet) -> WedgeMonomial:
@@ -471,51 +459,3 @@ def weyl_dimension(weight: tuple[int, ...], n: int) -> int:
             dim *= Fraction(weight[i] - weight[j] + j - i, j - i)
     assert dim.denominator == 1
     return int(dim)
-
-
-@dataclass(frozen=True)
-class TorusCharacter:
-    """Descriptor of the induced torus character at level k of rank n.
-
-    The character multiplies the k-th torus coordinate by the inverse
-    Hecke character and |.|^{n-k-s}, and each later coordinate by |.|^{-1}.
-    ``eta_exponents`` records the +-1 pattern of the Hecke factor,
-    ``abs_constant`` the |.|-exponents at s = 0 and ``s_slope`` the linear
-    dependence on s.
-    """
-
-    n: int
-    k: int
-
-    @property
-    def eta_exponents(self) -> tuple[int, ...]:
-        return tuple(-1 if j == self.k else 0 for j in range(1, self.n + 1))
-
-    @property
-    def abs_constant(self) -> tuple[int, ...]:
-        out = []
-        for j in range(1, self.n + 1):
-            if j == self.k:
-                out.append(self.n - self.k)
-            elif j > self.k:
-                out.append(-1)
-            else:
-                out.append(0)
-        return tuple(out)
-
-    @property
-    def s_slope(self) -> tuple[int, ...]:
-        return tuple(-1 if j == self.k else 0 for j in range(1, self.n + 1))
-
-
-def half_sum_exponents(n: int) -> tuple[Fraction, ...]:
-    """|.|-exponents (n+1)/2 - i of the fixed normalizing character."""
-    return tuple(Fraction(n + 1, 2) - i for i in range(1, n + 1))
-
-
-def coroot_argument_shift(n: int, i: int) -> int:
-    """Argument shift of the local factor attached to the root e_i - e_n:
-    the composed character is the Hecke character times |.|^{s + shift}."""
-    if not 1 <= i < n:
-        raise ValueError("root index out of range")
-    return i - n

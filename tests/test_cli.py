@@ -50,8 +50,8 @@ def test_field_check_qi(config_file, capsys):
 
 
 def test_determinism(config_file, capsys):
-    _, out1 = run_cli(["--config", config_file, "--seed", "5", "balanced", "--oracle"], capsys)
-    _, out2 = run_cli(["--config", config_file, "--seed", "5", "balanced", "--oracle"], capsys)
+    _, out1 = run_cli(["--config", config_file, "balanced", "--oracle"], capsys)
+    _, out2 = run_cli(["--config", config_file, "balanced", "--oracle"], capsys)
     assert out1.encode() == out2.encode()
 
 
@@ -91,6 +91,21 @@ def test_config_error(tmp_path, capsys):
     p.write_text("{not json")
     code = main(["--config", str(p), "field-check"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["intertwine-nonarch", "lratio"])
+def test_root_of_unity_order_zero_is_a_config_error(command, capsys):
+    code = main([command, "--n", "2", "--k", "1", "--a", "0,1", "--q", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "5", "gauss", "--q", "7", "--chi-order", "6"])
+    assert exc.value.code == 2
 
 
 def test_gauss_subcommand(capsys):

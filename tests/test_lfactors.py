@@ -10,7 +10,6 @@ from periodlab.cyclotomic import Cyc
 from periodlab.errors import NotEntire, PoleHit
 from periodlab.lfactors import (
     FiniteField,
-    GammaShift,
     GaussSumSpec,
     VanishingToken,
     gamma_ratio,
@@ -83,7 +82,6 @@ def test_gamma_ratio_values():
     assert gamma_ratio(2, 0, 1.0) == 1
     assert abs(gamma_ratio(2, 1, 1.0) - math.pi) < 1e-14
     assert abs(gamma_ratio(2, 2, 3.0) - math.pi**2 / 3) < 1e-14
-    assert GammaShift(2).m == 2
 
 
 def test_gamma_ratio_pole():
@@ -161,6 +159,15 @@ def test_finite_field_structure():
     f8 = FiniteField(8)
     assert f8.p == 2 and f8.e == 3
     assert f8.order(f8.generator) == 7
+
+
+@pytest.mark.parametrize("q", [16, 32, 64, 81, 128, 243, 256])
+def test_prime_power_fields(q):
+    """Only a field has an element of order q - 1; the Gauss sum over it
+    has |G|^2 = q exactly."""
+    field = FiniteField(q)
+    assert field.order(field.generator) == q - 1
+    assert gauss_sum_norm_check(GaussSumSpec(q=q, chi_order=q - 1, chi_index=1))
 
 
 def test_character_validation():

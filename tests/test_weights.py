@@ -14,7 +14,6 @@ from periodlab.weights import (
     arch_unit_value,
     archimedean_constant,
     balanced_at,
-    compute_eta,
     highest_weight_from_eta,
     in_b_plus,
     is_balanced,
@@ -43,14 +42,14 @@ def ws(n, mu0, mu1, nu0, nu1, chi0, chi1):
 
 def test_eta_examples():
     w = ws(2, (0, 0), (0, 0), (0, 0), (0, 0), 0, 0)
-    assert compute_eta(w) == {0: 0, 1: 0}
+    assert w.eta() == {0: 0, 1: 0}
     w = ws(2, (1, 0), (1, 0), (0, -1), (0, -1), 1, 1)
-    assert compute_eta(w) == {0: 2, 1: 2}
+    assert w.eta() == {0: 2, 1: 2}
     w3 = WeightSystem(
         n=3, mu={0: (2, 1, 0), 1: (2, 1, 0)}, nu={0: (0, 0, 0), 1: (0, 0, 0)},
         chi={0: -1, 1: -1},
     )
-    assert compute_eta(w3) == {0: 0, 1: 0}
+    assert w3.eta() == {0: 0, 1: 0}
 
 
 @given(
@@ -128,7 +127,7 @@ def test_balanced_trivial(emb2):
 
 def test_balanced_char_twist_point(emb2):
     w = ws(2, (0, 0), (0, 0), (0, 0), (0, 0), 0, 1)
-    assert compute_eta(w) == {0: 0, 1: 2}
+    assert w.eta() == {0: 0, 1: 2}
     assert is_balanced(w, emb2)
     assert in_b_plus(w, emb2)
 
@@ -167,7 +166,7 @@ def test_in_b_plus(emb2, emb4):
     assert in_b_plus(w, emb2)
     # eta (-1, 2): sum 1 < 2, balanced or not it is out
     w2 = ws(2, (0, -1), (0, 0), (0, 0), (0, 0), 0, 1)
-    assert compute_eta(w2) == {0: -1, 1: 2}
+    assert w2.eta() == {0: -1, 1: 2}
     assert not in_b_plus(w2, emb2)
     # coexisting pairs (0,3) and (-1,4): sums equal -> no error (deg-4 field)
     w3 = WeightSystem(
@@ -176,7 +175,7 @@ def test_in_b_plus(emb2, emb4):
         nu={i: (0, 0, 0) for i in range(4)},
         chi={i: 0 for i in range(4)},
     )
-    eta = compute_eta(w3)
+    eta = w3.eta()
     assert eta == {0: 0, 1: -1, 2: 3, 3: 4}
     in_b_plus(w3, emb4)  # consistent sums: must not raise
     # inconsistent sums raise

@@ -10,13 +10,11 @@ from periodlab.cmfield import (
 )
 from periodlab.weights import weight_system_from_eta
 from periodlab.weylkostant import (
-    TorusCharacter,
     WedgeMonomial,
     coset_reps,
     cycle_oneline,
     cycles_str,
     distinguished_weyl,
-    half_sum_exponents,
     inversions,
     invert_oneline,
     kostant_lines,
@@ -277,11 +275,3 @@ def test_weyl_dimension():
     assert weyl_dimension((1, 0), 2) == 2
     assert weyl_dimension((2, 1, 0), 3) == 8
     assert weyl_dimension((1, 1, 1), 3) == 1
-
-
-def test_torus_character_descriptor():
-    ch = TorusCharacter(n=4, k=2)
-    assert ch.eta_exponents == (0, -1, 0, 0)
-    assert ch.abs_constant == (0, 2, -1, -1)
-    assert ch.s_slope == (0, -1, 0, 0)
-    assert half_sum_exponents(3) == (1, 0, -1)
