@@ -13,9 +13,11 @@ override config scalars.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import itertools
 import json
+import math
 import operator
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -203,6 +205,44 @@ def parse_unit(spec: str) -> tuple[int, int]:
     return order, index
 
 
+def parse_ints(spec: str, flag: str) -> tuple[int, ...]:
+    """Comma list of integers, e.g. '0,2'."""
+    try:
+        return tuple(int(x) for x in spec.split(","))
+    except ValueError:
+        raise ConfigError(f"bad {flag} {spec!r}; expected a comma list of integers") from None
+
+
+def parse_s(spec: str) -> complex:
+    """Finite complex number written 're' or 're,im'."""
+    parts = spec.split(",")
+    try:
+        if len(parts) > 2:
+            raise ValueError(spec)
+        s = complex(*(float(x) for x in parts))
+    except ValueError:
+        raise ConfigError(f"bad --s {spec!r}; expected 're' or 're,im'") from None
+    if not cmath.isfinite(s):
+        raise ConfigError(f"bad --s {spec!r}; s must be finite")
+    return s
+
+
+# Smallest accepted value of each integer flag; --k must also lie in 1..n.
+LOWER_BOUNDS = {"n": 1, "p": 0, "q": 2, "chi_order": 1, "max_den": 1}
+
+
+def check_flags(args) -> None:
+    """Reject out-of-range numeric flags before any work is done."""
+    for name, low in LOWER_BOUNDS.items():
+        value = getattr(args, name, low)
+        if value < low:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+    if hasattr(args, "k") and not 1 <= args.k <= args.n:
+        raise ConfigError(f"--k must lie in 1..{args.n}, got {args.k}")
+    if not 0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be a positive number, got {args.tol}")
+
+
 # -- subcommands ------------------------------------------------------------------
 #
 # Handlers take the parsed flags.  For the commands that need a field, main
@@ -297,7 +337,7 @@ def _eta_from_args(args) -> dict[int, int]:
     if args.eta is None:
         # default: 0 on the chosen half, n on conjugates
         return {i: (0 if i in emb.cm_type else n) for i in range(emb.degree)}
-    vals = [int(x) for x in args.eta.split(",")]
+    vals = parse_ints(args.eta, "--eta")
     if len(vals) == 2 and emb.degree > 2:
         eta = {}
         for iv, ivb in emb.pairs():
@@ -351,7 +391,10 @@ def _permutation_from_args(args, emb) -> cmfield.GaloisPermutation:
 
 
 def cmd_gauss(args) -> Report:
-    spec = lfactors.GaussSumSpec(q=args.q, chi_order=args.chi_order, chi_index=args.chi_index)
+    try:
+        spec = lfactors.GaussSumSpec(q=args.q, chi_order=args.chi_order, chi_index=args.chi_index)
+    except ValueError as exc:
+        raise ConfigError(f"bad Gauss sum spec: {exc}") from None
     report = Report("gauss", {"q": args.q, "chi_order": args.chi_order, "chi_index": args.chi_index})
     exact, approx = lfactors.gauss_sum(spec)
     report.add("value_float", fmt_value(approx), fmt_value(approx))
@@ -390,10 +433,15 @@ def cmd_intertwine_nonarch(args) -> Report:
 
 
 def cmd_intertwine_arch(args) -> Report:
-    eta_pair = tuple(int(x) for x in args.eta.split(","))
-    beta = tuple(int(x) for x in args.beta.split(","))
-    s_re, _, s_im = args.s.partition(",")
-    s = complex(float(s_re), float(s_im or 0))
+    eta_pair = parse_ints(args.eta, "--eta")
+    beta = parse_ints(args.beta, "--beta")
+    s = parse_s(args.s)
+    if len(eta_pair) != 2:
+        raise ConfigError(f"bad --eta {args.eta!r}; expected the pair 'low,high'")
+    try:
+        intertwine.arch_section(args.n, eta_pair, beta, s)
+    except ValueError as exc:
+        raise ConfigError(f"bad section: {exc}") from None
     report = Report(
         "intertwine-arch",
         {"n": args.n, "k": args.k, "eta": list(eta_pair), "beta": list(beta), "s": fmt_value(s)},
@@ -509,12 +557,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, prologue, _, _ = COMMANDS[args.command]
     try:
+        check_flags(args)
         if prologue >= FIELD:
             args.cfg = load_config(args.config)
             args.tower, args.precision = tower_from_config(args.cfg, args.precision)
             args.emb = cmfield.build_field(args.tower, args.precision)
         if prologue == WEIGHTS:
-            args.w = weights.weight_system_from_eta(args.n, _eta_from_args(args))
+            try:
+                args.w = weights.weight_system_from_eta(args.n, _eta_from_args(args))
+            except ValueError as exc:
+                raise ConfigError(f"bad weights: {exc}") from None
         report = handler(args)
     except PeriodLabError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -80,7 +80,7 @@ class ConvergenceRegionViolated(PeriodLabError):
 
 
 class QuadratureNotConverged(PeriodLabError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Quadrature missed its tolerance or node budget, or its cross-check disagreed."""
 
 
 class AuditFailed(PeriodLabError):

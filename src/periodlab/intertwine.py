@@ -19,8 +19,11 @@ Complex places: the minimal-type basis sections
 are integrated numerically over the same slice with the twice-Lebesgue
 measure per complex coordinate (local constant c_v = 1).  Angular
 integrals are trigonometric-monomial circle integrals (evaluated with an
-exact-for-trig trapezoid rule), radial integrals use adaptive quadrature;
-the target is c_v^{n-k} times the Gamma_C shift-ratio product
+exact-for-trig trapezoid rule); the radial integral over [0, inf)^(n-k)
+is one tensor-product double-exponential sum in complex arithmetic,
+cross-checked on sampled one-dimensional slices by an independent scalar
+rule (see ``quadrature``).  The target is c_v^{n-k} times the Gamma_C
+shift-ratio product
 
     prod_{t=1..n-k} 2*pi / (s + eta_bar - t)
 
@@ -35,7 +38,6 @@ required when the global value at 0 vanishes, and audits pole orders.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -201,6 +203,15 @@ def _convergence_bound(n: int, k: int, eta_high: int, beta_sum_inner: int) -> fl
     return (n - k) + beta_sum_inner / 2.0 - eta_high
 
 
+def arch_section(n: int, eta_pair: tuple[int, int], beta: tuple[int, ...], s: complex) -> SectionSpec:
+    """The section an archimedean integral integrates; raises ValueError
+    unless eta_low <= 0, eta_high >= n and beta fits the pair."""
+    eta_low, eta_high = eta_pair
+    if eta_low > 0 or eta_high < n:
+        raise ValueError("eta pair must satisfy eta_low <= 0 and eta_high >= n")
+    return SectionSpec(n=n, beta=tuple(beta), eta_low=eta_low, eta_high=eta_high, s=s)
+
+
 def arch_intertwining(
     n: int,
     k: int,
@@ -214,12 +225,13 @@ def arch_intertwining(
     The slice matrix has last row (0, ..., 0, u_k, ..., u_{n-1}, 1); the
     integrand's angular dependence in each coordinate is a pure phase
     e^{i beta_j theta_j}, so the integral factors into circle integrals
-    times one radial integral computed adaptively.
+    times one (n-k)-dimensional radial integral, which
+    ``quadrature.halfline_with_fallback`` evaluates in one call.
     """
-    eta_low, eta_high = eta_pair
-    if eta_low > 0 or eta_high < n:
-        raise ValueError("eta pair must satisfy eta_low <= 0 and eta_high >= n")
-    spec = SectionSpec(n=n, beta=tuple(beta), eta_low=eta_low, eta_high=eta_high, s=s)
+    if not 1 <= k <= n:
+        raise ValueError("k out of range")
+    spec = arch_section(n, eta_pair, beta, s)
+    eta_high = spec.eta_high
     m = n - k
     is_beta0 = tuple(beta) == spec.beta0
 
@@ -256,24 +268,14 @@ def arch_intertwining(
     for b in inner:
         angular *= quadrature.trapezoid_circle(b, config.angular_points)
 
-    exponent = eta_high + s
-
-    def radial_nested(level: int, radii_sq_sum: float):
-        """Integral over r_level..r_{m-1} of prod r^{beta+1} 2 dr / (1+sum r^2)^E."""
-        if level == m:
-            return cmath.exp(-exponent * math.log(1.0 + radii_sq_sum)), 0.0
-
-        errs = [0.0]
-
-        def integrand(r):
-            val, err = radial_nested(level + 1, radii_sq_sum + r * r)
-            errs[0] = max(errs[0], err)
-            return val * (r ** (inner[level] + 1)) * 2.0
-
-        val, err = quadrature.halfline_with_fallback(integrand, config.tol)
-        return val, err + errs[0]
-
-    radial, radial_err = radial_nested(0, 0.0)
+    # (1 + |u|^2)^-(eta_high + s) as a function of |u|^2; a real power when s is real
+    power = -(eta_high + s) if s.imag else -(eta_high + s.real)
+    radial, radial_err = quadrature.halfline_with_fallback(
+        lambda u: (1.0 + u) ** power, [b + 1 for b in inner], config.tol
+    )
+    # each coordinate's twice-Lebesgue measure gives r^(beta+1) * 2 dr
+    radial *= 2.0 ** m
+    radial_err *= 2.0 ** m
     value = (config.local_constant ** m) * angular * radial
 
     if is_beta0:

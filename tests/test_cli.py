@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from datetime import timedelta
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodlab.cli import main, parse_report
+
+QI_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "qi.json")
 
 
 CONFIG = {
@@ -93,13 +101,82 @@ def test_config_error(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["intertwine-nonarch", "lratio"])
-def test_root_of_unity_order_zero_is_a_config_error(command, capsys):
-    code = main([command, "--n", "2", "--k", "1", "--a", "0,1", "--q", "2"])
+ARCH = ["intertwine-arch", "--n", "2", "--k", "1", "--eta", "0,2"]
+ARGUMENT_ERRORS = [
+    ["intertwine-nonarch", "--n", "2", "--k", "1", "--a", "0,1", "--q", "2"],
+    ["lratio", "--n", "2", "--k", "1", "--a", "0,1", "--q", "2"],
+    ["--config", QI_CONFIG, "kostant", "--n", "1", "--p", "0"],
+    ["--config", QI_CONFIG, "kostant", "--n", "2", "--p", "-1"],
+    ["gauss", "--q", "6", "--chi-order", "5"],
+    ["gauss", "--q", "7", "--chi-order", "4"],
+    ["gauss", "--q", "7", "--chi-order", "0"],
+    ["--config", QI_CONFIG, "find-wk", "--n", "2", "--k", "5"],
+    ["--config", QI_CONFIG, "find-wk", "--n", "2", "--k", "1", "--eta", "a,b"],
+    ["--config", QI_CONFIG, "wedge-sign", "--n", "2", "--k", "3", "--g", "conj"],
+    ["lratio", "--n", "3", "--k", "0", "--a", "12,5", "--q", "2"],
+    ["lratio", "--n", "3", "--k", "1", "--a", "12,5", "--q", "1"],
+    ARCH + ["--beta", "0,2", "--s", "abc"],
+    ARCH + ["--beta", "0,2", "--s", "nan"],
+    ARCH + ["--beta", "0,2", "--s", "1,2,3"],
+    ARCH + ["--beta", "0,3", "--s", "1"],
+    ARCH + ["--beta", "0,2,0", "--s", "1"],
+    ["intertwine-arch", "--n", "2", "--k", "1", "--eta", "0", "--beta", "0,2", "--s", "1"],
+    ["intertwine-arch", "--n", "2", "--k", "1", "--eta", "1,2", "--beta", "0,1", "--s", "1"],
+    ["intertwine-arch", "--n", "2", "--k", "3", "--eta", "0,2", "--beta", "0,2", "--s", "1"],
+    ["--tol", "0"] + ARCH + ["--beta", "0,2", "--s", "1"],
+    ["--config", QI_CONFIG, "constant-term", "--n", "0", "--ord0", "pos"],
+    ["--max-den", "0", "--config", QI_CONFIG, "field-check"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGUMENT_ERRORS, ids=" ".join)
+def test_argument_error_exits_2(argv, capsys):
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+@st.composite
+def arch_argv(draw):
+    """intertwine-arch flag values (n, k, eta, beta, s): a well-formed
+    section with a random s, then at most one field replaced by junk."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    lo, hi = draw(st.integers(-3, 0)), draw(st.integers(n, n + 4))
+    cuts = sorted(draw(st.lists(st.integers(0, hi - lo), min_size=n - 1, max_size=n - 1)))
+    beta = [b - a for a, b in zip([0] + cuts, cuts + [hi - lo])]
+    s = f"{draw(st.floats(-2, 12))!r},{draw(st.floats(-20, 20))!r}"
+    fields = [str(n), str(k), f"{lo},{hi}", ",".join(map(str, beta)), s]
+    junk = st.one_of(st.text(max_size=5), st.integers(-2, 9).map(str),
+                     st.lists(st.integers(-2, 9), max_size=6).map(lambda b: ",".join(map(str, b))))
+    spoiled = draw(st.integers(0, 2 * len(fields) - 1))
+    if spoiled < len(fields):
+        fields[spoiled] = draw(junk)
+    return fields
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=20), derandomize=True)
+@given(arch_argv())
+def test_intertwine_arch_fuzz(argv):
+    n, k, eta, beta, s = argv
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            # --flag=value, since argparse reads a separate '-1,3' as a flag
+            code = main(["intertwine-arch", f"--n={n}", f"--k={k}", f"--eta={eta}",
+                         f"--beta={beta}", f"--s={s}"])
+        except SystemExit as exc:  # argparse rejects a non-integer --n or --k
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_cli_import_leaves_out_scipy_and_numpy():
+    code = "import sys, periodlab.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_seed_flag_is_gone(capsys):

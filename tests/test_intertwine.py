@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from periodlab.cyclotomic import Cyc
 from periodlab.errors import (
     AuditFailed,
     ConvergenceRegionViolated,
+    QuadratureNotConverged,
     SingularMatrix,
 )
 from periodlab.intertwine import (
@@ -157,17 +159,61 @@ def test_arch_transitivity_cocycle():
     assert abs(v21 - step1 * step2) < 1e-6 * abs(v21)
 
 
+@pytest.mark.parametrize("s", [2.0, 1.5 + 0.5j])
+@pytest.mark.parametrize("beta", [(0, 0, 0, 4), (0, 1, 0, 3)])
+def test_arch_slice_dimension_3(beta, s):
+    t0 = time.perf_counter()
+    res = arch_intertwining(4, 1, (0, 4), beta, s)
+    elapsed = time.perf_counter() - t0
+    target = gamma_ratio(4, 3, s)
+    if beta == (0, 0, 0, 4):
+        assert abs(res.value - target) < 1e-6 * abs(target)
+    else:
+        assert abs(res.value) < 1e-8 * abs(target)
+    assert res.verdict
+    assert elapsed < 5.0
+
+
+def test_arch_k_out_of_range():
+    for k in (0, 3):
+        with pytest.raises(ValueError):
+            arch_intertwining(2, k, (0, 2), (0, 2), 1.0)
+
+
 def test_arch_region_enforced():
     with pytest.raises(ConvergenceRegionViolated):
         arch_intertwining(2, 1, (0, 2), (0, 2), -2.0)
 
 
 def test_quadrature_cross_check():
-    f = lambda r: cmath.exp(-3.0 * math.log(1 + r * r)) * 2 * r
-    a, _ = quadrature.integrate_halfline(f, 1e-10)
-    b, _ = quadrature.exp_sinh_halfline(f, 1e-10)
+    g = lambda u: 2.0 * cmath.exp(-3.0 * math.log1p(u))
+    a, _, _ = quadrature.quad(g, [1], 1e-10)
+    b, _ = quadrature.exp_sinh_halfline(lambda r: g(r * r) * r, 1e-10)
     assert abs(a - b) < 1e-8
     assert abs(a - 0.5) < 1e-10  # integral of 2r/(1+r^2)^3 = 1/2
+
+
+def test_tensor_rule_two_dimensions():
+    # int int x y (1 + x^2 + y^2)^-E dx dy = 1 / (4 (E - 1)(E - 2))
+    for e in (3.0, 4.5 + 2j):
+        value, _, _ = quadrature.quad(lambda u: (1.0 + u) ** -e, [1, 1], 1e-10)
+        exact = 1 / (4 * (e - 1) * (e - 2))
+        assert abs(value - exact) < 1e-10 * abs(exact)
+
+
+def test_cross_check_disagreement_raises(monkeypatch):
+    exp_sinh = quadrature.exp_sinh_halfline
+
+    def off_by_1e6(f, tol):
+        value, err = exp_sinh(f, tol)
+        return value * (1 + 1e-6), err
+
+    g = lambda u: (1.0 + u) ** -4.0
+    quadrature.halfline_with_fallback(g, [1, 1], 1e-10)
+    monkeypatch.setattr(quadrature, "exp_sinh_halfline", off_by_1e6)
+    for powers in ([1], [1, 1]):
+        with pytest.raises(QuadratureNotConverged):
+            quadrature.halfline_with_fallback(g, powers, 1e-10)
 
 
 def test_trapezoid_circle():
