@@ -119,11 +119,6 @@ def render(report: Report, fmt: str = "records") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_report(text: str) -> dict:
-    """Round-trip helper for the structured format."""
-    return json.loads(text)
-
-
 # -- config ---------------------------------------------------------------------
 
 
@@ -143,50 +138,74 @@ def tower_from_config(cfg: dict, precision_override=None) -> tuple[cmfield.Field
     fc = cfg["field"]
     try:
         tower = cmfield.FieldTower.from_config(fc)
-    except (KeyError, ValueError) as exc:
+        precision = int(fc.get("precision_digits", cmfield.DEFAULT_PRECISION))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad field config: {exc}") from None
-    precision = precision_override or fc.get("precision_digits", cmfield.DEFAULT_PRECISION)
-    return tower, int(precision)
+    if precision_override is not None:
+        precision = precision_override
+    return tower, precision
 
 
-def weight_points(cfg: dict) -> list[weights.WeightSystem]:
-    """Explicit points or a rectangular dominant grid from the config."""
+def check_precision(precision: int, max_den: int) -> None:
+    """Require 2 * max_den^2 * 10^-(precision // 2) < 1, so that the
+    reconstruction tolerance 10^-(precision // 2) is below half the gap
+    1/max_den^2 between two rationals with denominators up to max_den.
+
+    2 * max_den^2 is never a power of 10, so the least admissible
+    precision // 2 is its number of digits.
+    """
+    least = 2 * len(str(2 * max_den * max_den))
+    if precision < least:
+        raise ConfigError(
+            f"precision {precision} is below {least}, the least that separates "
+            f"rationals with denominators up to --max-den {max_den}"
+        )
+
+
+def weight_points(cfg: dict, degree: int) -> list[weights.WeightSystem]:
+    """Explicit points, or the dominant grid over all ``degree`` embeddings
+    of the field, from the config."""
     wc = cfg.get("weights")
     if wc is None:
         raise ConfigError("config lacks a 'weights' section")
-    n = int(wc["n"])
-    if "points" in wc:
-        out = []
-        for pt in wc["points"]:
-            out.append(
+    try:
+        n = int(wc["n"])
+        if "points" in wc:
+            points = [
                 weights.WeightSystem(
                     n=n,
                     mu={int(i): tuple(v) for i, v in pt["mu"].items()},
                     nu={int(i): tuple(v) for i, v in pt["nu"].items()},
                     chi={int(i): int(v) for i, v in pt["chi"].items()},
                 )
-            )
-        return out
-    if "grid" in wc:
-        bound = int(wc["grid"]["entry_bound"])
-        emb_indices = list(range(int(wc["grid"]["embeddings"])))
-        doms = dominant_tuples(n, bound)
-        chis = range(-bound, bound + 1)
-        out = []
-        per_emb = [
-            (mu, nu, chi) for mu in doms for nu in doms for chi in chis
-        ]
-        for combo in itertools.product(per_emb, repeat=len(emb_indices)):
-            out.append(
+                for pt in wc["points"]
+            ]
+            if any(w.embeddings() != list(range(degree)) for w in points):
+                raise ConfigError(f"each weight point must be keyed by the embeddings 0..{degree - 1}")
+        elif "grid" in wc:
+            grid = wc["grid"]
+            if grid.get("embeddings") != degree:
+                raise ConfigError(
+                    f"weights.grid.embeddings must equal the field degree {degree}, "
+                    f"got {grid.get('embeddings')!r}"
+                )
+            bound = int(grid["entry_bound"])
+            doms = dominant_tuples(n, bound)
+            per_emb = [(mu, nu, chi) for mu in doms for nu in doms for chi in range(-bound, bound + 1)]
+            points = [
                 weights.WeightSystem(
                     n=n,
-                    mu={i: combo[i][0] for i in emb_indices},
-                    nu={i: combo[i][1] for i in emb_indices},
-                    chi={i: combo[i][2] for i in emb_indices},
+                    mu={i: c[0] for i, c in enumerate(combo)},
+                    nu={i: c[1] for i, c in enumerate(combo)},
+                    chi={i: c[2] for i, c in enumerate(combo)},
                 )
-            )
-        return out
-    raise ConfigError("weights section needs 'points' or 'grid'")
+                for combo in itertools.product(per_emb, repeat=degree)
+            ]
+        else:
+            raise ConfigError("weights section needs 'points' or 'grid'")
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"bad weights: {type(exc).__name__}: {exc}") from None
+    return points
 
 
 def dominant_tuples(n: int, bound: int) -> list[tuple[int, ...]]:
@@ -288,7 +307,7 @@ def cmd_field_check(args) -> Report:
 
 
 def cmd_balanced(args) -> Report:
-    points = weight_points(args.cfg)
+    points = weight_points(args.cfg, args.emb.degree)
     report = Report("balanced", {
         "n": points[0].n if points else None,
         "points": len(points),
@@ -446,8 +465,7 @@ def cmd_intertwine_arch(args) -> Report:
         "intertwine-arch",
         {"n": args.n, "k": args.k, "eta": list(eta_pair), "beta": list(beta), "s": fmt_value(s)},
     )
-    cfgq = intertwine.QuadratureConfig(tol=args.tol)
-    res = intertwine.arch_intertwining(args.n, args.k, eta_pair, beta, s, cfgq)
+    res = intertwine.arch_intertwining(args.n, args.k, eta_pair, beta, s, args.tol)
     report.add(
         "integral",
         fmt_value(res.target),
@@ -561,6 +579,7 @@ def main(argv=None) -> int:
         if prologue >= FIELD:
             args.cfg = load_config(args.config)
             args.tower, args.precision = tower_from_config(args.cfg, args.precision)
+            check_precision(args.precision, args.max_den)
             args.emb = cmfield.build_field(args.tower, args.precision)
         if prologue == WEIGHTS:
             try:

@@ -22,7 +22,7 @@ each reconstruction ships a certificate (value, residual, bound).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -463,6 +463,22 @@ def product_basis(emb: EmbeddingSet) -> list[KElement]:
     return out
 
 
+def _rational_det(emb: EmbeddingSet, values: list[list[mpc]], max_denominator: int):
+    """det[Tr_{k/Q}(x_i x_j)] for basis images ``values``, reconstructed
+    as a Fraction; returns (value, certificate)."""
+    tol = emb.tolerance()
+    det = mp.det(_trace_values(emb, values, range(emb.degree)))
+    if abs(mp.im(det)) > tol:
+        raise ReconstructionFailed("discriminant over Q is not real")
+    frac, residual = reconstruct_fraction(mp.re(det), max_denominator, tol)
+    cert = {
+        "numeric": mp.nstr(mp.re(det), 20),
+        "residual": mp.nstr(residual, 5),
+        "max_denominator": max_denominator,
+    }
+    return frac, cert
+
+
 def relative_discriminant(
     emb: EmbeddingSet,
     basis: Sequence[KElement],
@@ -480,16 +496,7 @@ def relative_discriminant(
         if over == "Q":
             if len(basis) != emb.degree:
                 raise ValueError("basis over Q must have [k:Q] elements")
-            det = mp.det(_trace_values(emb, values, range(emb.degree)))
-            if abs(mp.im(det)) > tol:
-                raise ReconstructionFailed("discriminant over Q is not real")
-            frac, residual = reconstruct_fraction(mp.re(det), max_denominator, tol)
-            cert = {
-                "numeric": mp.nstr(mp.re(det), 20),
-                "residual": mp.nstr(residual, 5),
-                "max_denominator": max_denominator,
-            }
-            return frac, cert
+            return _rational_det(emb, values, max_denominator)
         if over != "k1":
             raise ValueError("over must be 'Q' or 'k1'")
         if len(basis) != emb.tower.theta_degree:
@@ -574,44 +581,24 @@ def disc_constant_upper(
     return value, {"disc_k_over_k1": (a, b), "norm_to_q": norm, "certificate": cert}
 
 
-def disc_over_q(
-    emb: EmbeddingSet,
-    basis: Optional[Sequence[KElement]] = None,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-):
-    """Discriminant of k over Q for the given (default: product) basis."""
+def disc_over_q(emb: EmbeddingSet, max_denominator: int = DEFAULT_MAX_DENOMINATOR):
+    """Discriminant of k over Q for the product basis: powers of the k0
+    generator times the declared k1 basis times powers of theta."""
     tower = emb.tower
     with mp.workdps(emb.precision + 15):
-        tol = emb.tolerance()
-        if basis is not None or tower.declared_k0_poly is None:
-            if basis is None:
-                basis = product_basis(emb)
-            return relative_discriminant(emb, basis, over="Q", max_denominator=max_denominator)
-        # numeric product basis for declared k0: w^a * sqrt(-d)^b * theta^c
         values = []
-        r0 = tower.k0_degree
-        for a_exp in range(r0):
-            for b_exp in range(2):
+        for a_exp in range(tower.k0_degree):
+            for a, b in tower.k1_basis:
                 for c_exp in range(tower.theta_degree):
                     row = []
                     for e in emb.embeddings:
-                        v = mpc(1)
-                        if e.k0_image is not None:
+                        v = (mpf(a.numerator) / a.denominator
+                             + mpf(b.numerator) / b.denominator * e.sqrt_image)
+                        if a_exp:
                             v *= e.k0_image ** a_exp
-                        v *= e.sqrt_image ** b_exp
-                        v *= e.theta_image ** c_exp
-                        row.append(v)
+                        row.append(v * e.theta_image ** c_exp)
                     values.append(row)
-        det = mp.det(_trace_values(emb, values, range(emb.degree)))
-        if abs(mp.im(det)) > tol:
-            raise ReconstructionFailed("discriminant over Q is not real")
-        frac, residual = reconstruct_fraction(mp.re(det), max_denominator, tol)
-        cert = {
-            "numeric": mp.nstr(mp.re(det), 20),
-            "residual": mp.nstr(residual, 5),
-            "max_denominator": max_denominator,
-        }
-        return frac, cert
+        return _rational_det(emb, values, max_denominator)
 
 
 def check_discriminant_identity(

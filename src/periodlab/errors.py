@@ -65,15 +65,7 @@ class PoleHit(PeriodLabError):
     """Gamma shift ratio evaluated at a pole."""
 
 
-class NotEntire(PeriodLabError):
-    """Normalization requested for a token that is not flagged entire."""
-
-
 # -- intertwining ------------------------------------------------------------
-
-class SingularMatrix(PeriodLabError):
-    """Section evaluated at a non-invertible matrix."""
-
 
 class ConvergenceRegionViolated(PeriodLabError):
     """Archimedean integral requested outside the enforced region."""

@@ -22,13 +22,14 @@ integrals are trigonometric-monomial circle integrals (evaluated with an
 exact-for-trig trapezoid rule); the radial integral over [0, inf)^(n-k)
 is one tensor-product double-exponential sum in complex arithmetic,
 cross-checked on sampled one-dimensional slices by an independent scalar
-rule (see ``quadrature``).  The target is c_v^{n-k} times the Gamma_C
-shift-ratio product
+rule (see ``quadrature``).  The target is the Gamma_C shift-ratio product
 
     prod_{t=1..n-k} 2*pi / (s + eta_bar - t)
 
 for the distinguished multi-index beta0 = (0, ..., 0, eta_bar - eta),
-and 0 otherwise.
+and 0 otherwise.  When k = n there is no integral: the value is the
+section at the identity, whose last row is e_n, so it is 1 for beta0 and
+0 otherwise.
 
 The symbolic constant-term assembly lists one summand per k with its
 global L-ratio token, its normalizing prefactor and the extra factor
@@ -37,19 +38,14 @@ required when the global value at 0 vanishes, and audits pole orders.
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .cyclotomic import Cyc
 from .laurent import LaurentRatio, XPoly
 from .lfactors import VanishingToken, gamma_ratio, normalizing_factor, unramified_lratio
-from .errors import (
-    AuditFailed,
-    ConvergenceRegionViolated,
-    SingularMatrix,
-)
+from .errors import AuditFailed, ConvergenceRegionViolated
 from . import quadrature
 
 
@@ -83,41 +79,6 @@ class SectionSpec:
         return (0,) * (self.n - 1) + (self.eta_high - self.eta_low,)
 
 
-def section_value(spec: SectionSpec, g) -> complex:
-    """Evaluate phi_beta at an invertible complex matrix g."""
-    n = spec.n
-    det = _det(g)
-    if abs(det) < 1e-12:
-        raise SingularMatrix("section evaluated at a singular matrix")
-    last = g[n - 1]
-    numerator = complex(1)
-    for j in range(n):
-        if spec.beta[j]:
-            numerator *= complex(last[j]) ** spec.beta[j]
-    denom_base = sum(abs(complex(x)) ** 2 for x in last)
-    exponent = spec.eta_high + spec.s
-    return numerator * cmath.exp(-exponent * cmath.log(denom_base))
-
-
-def _det(g) -> complex:
-    n = len(g)
-    m = [[complex(x) for x in row] for row in g]
-    det = complex(1)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) == 0:
-            return 0j
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
-
-
 # -- results ----------------------------------------------------------------------
 
 
@@ -130,7 +91,6 @@ class IntertwineResult:
     verdict: bool
     tolerance: float = 0.0
     error_estimate: float = 0.0
-    notes: dict = field(default_factory=dict)
 
 
 # -- non-archimedean shell sums ----------------------------------------------------
@@ -163,38 +123,16 @@ def _geometric(num_coeff: Cyc, ratio_coeff: Cyc) -> LaurentRatio:
     return LaurentRatio(num, den)
 
 
-def nonarch_intertwining(
-    n: int, k: int, a: Cyc, q: int, s_probe: Optional[complex] = None
-) -> IntertwineResult:
+def nonarch_intertwining(n: int, k: int, a: Cyc, q: int) -> IntertwineResult:
     """Shell-sum evaluation against the product-formula target, exactly."""
     if not 1 <= k <= n:
         raise ValueError("k out of range")
     value = shell_sum(n, k, a, q)
     target = unramified_lratio(n, k, a, q)
-    notes = {}
-    if s_probe is not None:
-        # |a q^{n-k} X| < 1 at X = q^{-s} is the region of absolute convergence
-        radius = abs(a.to_complex()) * q ** (n - k) * abs(q ** (-s_probe))
-        notes["abs_convergent_at_probe"] = bool(radius < 1)
-        if radius >= 1:
-            notes["divergent_series_flag"] = True
-    return IntertwineResult(
-        value=value,
-        target=target,
-        verdict=(value == target),
-        tolerance=0.0,
-        notes=notes,
-    )
+    return IntertwineResult(value=value, target=target, verdict=(value == target))
 
 
 # -- archimedean numerical integrals ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    tol: float = 1e-9
-    angular_points: int = 256
-    local_constant: float = 1.0  # c_v; default measure is twice-Lebesgue
 
 
 def _convergence_bound(n: int, k: int, eta_high: int, beta_sum_inner: int) -> float:
@@ -218,7 +156,7 @@ def arch_intertwining(
     eta_pair: tuple[int, int],
     beta: tuple[int, ...],
     s: complex,
-    config: QuadratureConfig = QuadratureConfig(),
+    tol: float = 1e-9,
 ) -> IntertwineResult:
     """Numerically integrate the section over the rank n-k slice.
 
@@ -236,26 +174,14 @@ def arch_intertwining(
     is_beta0 = tuple(beta) == spec.beta0
 
     if m == 0:
-        # no integral: evaluate the section at the identity
-        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        val = section_value(spec, ident)
-        target = complex(1) if is_beta0 else complex(0)
-        return IntertwineResult(
-            value=val,
-            target=target,
-            verdict=abs(val - target) <= 1e-12,
-            tolerance=1e-12,
-            error_estimate=0.0,
-        )
+        # no integral: the section at the identity, whose last row is e_n
+        value = complex(1) if is_beta0 else 0j
+        return IntertwineResult(value=value, target=value, verdict=True)
 
     # positions 1..k-1 of the last row are zero: a positive beta there
     # kills the integrand identically
     if any(beta[j] > 0 for j in range(k - 1)):
-        target = complex(0)
-        return IntertwineResult(
-            value=0j, target=target, verdict=True, tolerance=0.0,
-            error_estimate=0.0, notes={"identically_zero": True},
-        )
+        return IntertwineResult(value=0j, target=0j, verdict=True)
 
     inner = [beta[j] for j in range(k - 1, n - 1)]  # exponents on u_k..u_{n-1}
     bound = _convergence_bound(n, k, eta_high, sum(inner))
@@ -266,33 +192,31 @@ def arch_intertwining(
 
     angular = complex(1)
     for b in inner:
-        angular *= quadrature.trapezoid_circle(b, config.angular_points)
+        angular *= quadrature.trapezoid_circle(b)
 
     # (1 + |u|^2)^-(eta_high + s) as a function of |u|^2; a real power when s is real
     power = -(eta_high + s) if s.imag else -(eta_high + s.real)
     radial, radial_err = quadrature.halfline_with_fallback(
-        lambda u: (1.0 + u) ** power, [b + 1 for b in inner], config.tol
+        lambda u: (1.0 + u) ** power, [b + 1 for b in inner], tol
     )
     # each coordinate's twice-Lebesgue measure gives r^(beta+1) * 2 dr
     radial *= 2.0 ** m
     radial_err *= 2.0 ** m
-    value = (config.local_constant ** m) * angular * radial
+    value = angular * radial
 
+    shift_product = gamma_ratio(eta_high, m, s)
     if is_beta0:
-        target = (config.local_constant ** m) * gamma_ratio(eta_high, m, s)
-        tol = 1e-6 * abs(target)
+        target = shift_product
+        verdict_tol = 1e-6 * abs(target)
     else:
         target = complex(0)
-        reference = abs((config.local_constant ** m) * gamma_ratio(eta_high, m, s))
-        tol = 1e-8 * reference
-    verdict = abs(value - target) <= tol
+        verdict_tol = 1e-8 * abs(shift_product)
     return IntertwineResult(
         value=value,
         target=target,
-        verdict=verdict,
-        tolerance=tol,
-        error_estimate=(config.local_constant ** m) * abs(angular) * radial_err,
-        notes={"convergence_bound": bound},
+        verdict=abs(value - target) <= verdict_tol,
+        tolerance=verdict_tol,
+        error_estimate=abs(angular) * radial_err,
     )
 
 
@@ -303,29 +227,16 @@ def arch_intertwining(
 class ConstantTermEntry:
     k: int
     lratio_token: str
-    shift: int                      # numerator argument offset k - n
-    prefactor_symbol: str
-    prefactor: complex
+    prefactor: complex              # (i^{deg/2} * Delta)^{k - n}
     delta_symbol: str
     pole_order: int                 # residual pole order at s = 0 after all factors
 
 
 @dataclass
 class ConstantTermReport:
-    n: int
-    order_zero: int
     delta_branch: str
     entries: list[ConstantTermEntry]
     holomorphic: bool
-
-    def summary(self) -> dict:
-        return {
-            "n": self.n,
-            "order_zero": self.order_zero,
-            "delta_branch": self.delta_branch,
-            "holomorphic": self.holomorphic,
-            "terms": len(self.entries),
-        }
 
 
 def assemble_constant_term(
@@ -345,7 +256,7 @@ def assemble_constant_term(
     branch contributes a zero of the same order.  The audit fails if any
     term retains a pole or if the chosen branch contradicts the token.
     """
-    factor = normalizing_factor(token, degree_over_q, delta_constant)
+    factor = normalizing_factor(token, degree_over_q)
     branch = delta_branch if delta_branch is not None else factor.branch
     expected_branch = "one" if token.order_zero == 0 else "compensated"
     branch_zero_order = 0 if branch == "one" else token.order_zero
@@ -362,8 +273,6 @@ def assemble_constant_term(
             ConstantTermEntry(
                 k=k,
                 lratio_token=tok,
-                shift=shift,
-                prefactor_symbol=f"(i^{degree_over_q // 2} * Delta)^{k - n}",
                 prefactor=prefactor,
                 delta_symbol=factor.symbol if branch == "compensated" else "1",
                 pole_order=residual_pole,
@@ -380,8 +289,6 @@ def assemble_constant_term(
     if not all_holomorphic:
         raise AuditFailed("a constant-term summand retains a pole at s = 0")
     return ConstantTermReport(
-        n=n,
-        order_zero=token.order_zero,
         delta_branch=branch,
         entries=entries,
         holomorphic=all_holomorphic,

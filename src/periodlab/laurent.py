@@ -3,8 +3,8 @@
 ``X`` plays the role of q^{-s} in unramified local L-factor ratios, so a
 ratio of two polynomials in X with cyclotomic coefficients stores an
 L-factor quotient exactly.  Equality of ratios is decided by cross
-multiplication; ``reduce`` performs a genuine gcd reduction over the
-field of coefficients and renders the denominator monic.
+multiplication; every ratio is built gcd-reduced over the field of
+coefficients, with a normalized denominator.
 """
 
 from __future__ import annotations
@@ -138,21 +138,20 @@ class XPoly:
 class LaurentRatio:
     """A quotient of two ``XPoly`` values; the denominator is nonzero.
 
-    Ratios created through the public constructors are gcd-reduced with a
-    monic denominator, making the representation canonical.
+    Every ratio is gcd-reduced on construction, with a normalized
+    denominator, making the representation canonical.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: XPoly, den: XPoly, reduce: bool = True) -> None:
+    def __init__(self, num: XPoly, den: XPoly) -> None:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.n != den.n:
             raise ValueError("mixed coefficient fields")
         self.num = num
         self.den = den
-        if reduce:
-            self._reduce()
+        self._reduce()
 
     @staticmethod
     def one(n: int = 1) -> "LaurentRatio":
@@ -181,7 +180,10 @@ class LaurentRatio:
         )
 
     def __sub__(self, other: "LaurentRatio") -> "LaurentRatio":
-        return self + LaurentRatio(-other.num, other.den, reduce=False)
+        # negate the factor, not the product: fewer coefficients to negate
+        return LaurentRatio(
+            self.num * other.den + (-other.num) * self.den, self.den * other.den
+        )
 
     def inverse(self) -> "LaurentRatio":
         if self.num.is_zero():

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc
 from .laurent import LaurentRatio, XPoly
-from .errors import NotEntire, PoleHit
+from .errors import PoleHit
 
 
 # -- unramified ratios ---------------------------------------------------------
@@ -79,13 +79,12 @@ def gamma_ratio(m: int, j: int, s: complex) -> complex:
 class VanishingToken:
     """Declared order of vanishing of the global character L-value at 0.
 
-    ``order_zero`` is 0 (nonvanishing) or 1 (vanishing to order >= 1);
-    ``entire`` records that the global function has no pole (true in the
-    two-sided case).  Actual L-values are never computed here.
+    ``order_zero`` is 0 (nonvanishing) or 1 (vanishing to order >= 1).
+    The global function is taken to be entire (true in the two-sided
+    case).  Actual L-values are never computed here.
     """
 
     order_zero: int
-    entire: bool = True
 
     def __post_init__(self):
         if self.order_zero not in (0, 1):
@@ -98,30 +97,19 @@ class NormalizingFactor:
 
     branch: str  # "one" or "compensated"
     symbol: str
-    scalar: complex  # prefactor i^{deg/2} * Delta when compensated, else 1
-    zero_order_at_zero: int  # order of zero the factor contributes at s = 0
 
 
-def normalizing_factor(token: VanishingToken, deg: int, delta_constant: complex) -> NormalizingFactor:
+def normalizing_factor(token: VanishingToken, deg: int) -> NormalizingFactor:
     """Choose the holomorphy-restoring factor from the vanishing token.
 
     Nonvanishing: the factor is 1.  Vanishing: the factor is
-    i^{deg/2} * Delta * L(s)/L(s-1), carried symbolically; its scalar
-    prefactor is recorded numerically.
+    i^{deg/2} * Delta * L(s)/L(s-1), carried symbolically.
     """
-    if not token.entire:
-        raise NotEntire("normalization defined only for entire tokens")
     if token.order_zero == 0:
-        return NormalizingFactor(branch="one", symbol="1", scalar=1.0 + 0j, zero_order_at_zero=0)
+        return NormalizingFactor(branch="one", symbol="1")
     if deg % 2:
         raise ValueError("field degree must be even")
-    scalar = (1j) ** (deg // 2) * complex(delta_constant)
-    return NormalizingFactor(
-        branch="compensated",
-        symbol=f"i^{deg // 2} * Delta * L(s)/L(s-1)",
-        scalar=scalar,
-        zero_order_at_zero=token.order_zero,
-    )
+    return NormalizingFactor(branch="compensated", symbol=f"i^{deg // 2} * Delta * L(s)/L(s-1)")
 
 
 # -- finite fields and Gauss sums -------------------------------------------------
@@ -292,17 +280,18 @@ def gauss_sum(spec: GaussSumSpec) -> tuple[Cyc, complex]:
     field = FiniteField(spec.q)
     p, q = field.p, field.q
     ncyc = (q - 1) * p // math.gcd(q - 1, p)
-    total = Cyc.rational(0, ncyc)
     # chi(gen) is a (q-1)-th root of unity: rewrite it as zeta_{q-1}^j
     j = (spec.chi_index * (q - 1)) // spec.chi_order
     step = (j * (ncyc // (q - 1))) % ncyc
+    # how often each zeta_ncyc^e occurs; reduced once at the end
+    counts: dict[int, int] = {}
     x = field.one
     for t in range(q - 1):
         tr = field.trace(x)
-        exponent = (-step * t) % ncyc
-        psi_exp = (tr * (ncyc // p)) % ncyc
-        total = total + Cyc.zeta(ncyc, (exponent + psi_exp) % ncyc)
+        e = (-step * t + tr * (ncyc // p)) % ncyc
+        counts[e] = counts.get(e, 0) + 1
         x = field.mul(x, field.generator)
+    total = Cyc._from_exponent_dict(ncyc, counts)
     return total, total.to_complex()
 
 

@@ -47,6 +47,8 @@ MAX_POINTS = 2_000_000  # bound on the grid points of one tensor level
 LOG_NEGLIGIBLE = math.log(1e-17)
 XCHECK_TOL = 10.0  # cross-check agreement, in units of the requested tolerance
 XCHECK_T = (-1.0, 0.0)  # t of the sampled outer node, x = exp((pi/2) sinh t)
+XCHECK_LEVELS = 12  # step halvings of the scalar exp-sinh rule, from h = 1
+CIRCLE_POINTS = 256  # trapezoid nodes on the circle
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,12 +192,12 @@ def halfline_with_fallback(g, powers, tol: float = 1e-10) -> tuple[complex, floa
     return value, err
 
 
-def exp_sinh_halfline(f, tol: float = 1e-10, max_level: int = 12) -> tuple[complex, float]:
+def exp_sinh_halfline(f, tol: float = 1e-10) -> tuple[complex, float]:
     """Double-exponential quadrature on [0, inf); independent of ``quad``."""
     h = 1.0
     previous = None
     value = 0j
-    for level in range(max_level):
+    for level in range(XCHECK_LEVELS):
         total = 0j
         k = 0
         # sum outwards in both directions until terms are negligible
@@ -230,15 +232,16 @@ def exp_sinh_halfline(f, tol: float = 1e-10, max_level: int = 12) -> tuple[compl
     raise QuadratureNotConverged("exp-sinh failed to reach tolerance")
 
 
-def trapezoid_circle(exponent: int, points: int = 256) -> complex:
+def trapezoid_circle(exponent: int) -> complex:
     """Trapezoid rule for the full-circle integral of e^{i * exponent * t}.
 
-    The rule is exact for trigonometric polynomials of degree < points,
-    so the result is 2*pi for exponent 0 and numerically zero otherwise;
-    it is used to keep the angular factors an honest numerical statement.
+    The rule is exact for trigonometric polynomials of degree below
+    CIRCLE_POINTS, so the result is 2*pi for exponent 0 and numerically
+    zero otherwise; it is used to keep the angular factors an honest
+    numerical statement.
     """
     total = 0j
-    for k in range(points):
-        theta = 2 * math.pi * k / points
+    for k in range(CIRCLE_POINTS):
+        theta = 2 * math.pi * k / CIRCLE_POINTS
         total += complex(math.cos(exponent * theta), math.sin(exponent * theta))
-    return total * (2 * math.pi / points)
+    return total * (2 * math.pi / CIRCLE_POINTS)

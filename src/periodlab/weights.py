@@ -136,19 +136,14 @@ def balanced_at(
     return _is_horizontal_strip(lam, base)
 
 
-def is_balanced(w: WeightSystem, emb: EmbeddingSet, strict: bool = False) -> bool:
+def is_balanced(w: WeightSystem, emb: EmbeddingSet) -> bool:
     """True iff the balanced condition holds at every embedding.
 
-    Requires regular-algebraicity and the two-sided condition; with
-    ``strict`` these raise NotRegularAlgebraic instead of returning False.
+    Requires regular-algebraicity and the two-sided condition; without
+    them the result is False.
     """
     eta = w.eta()
-    ok = is_regular_algebraic(eta, w.n) and is_case_pm(eta, w.n, emb)
-    if not ok:
-        if strict:
-            raise NotRegularAlgebraic(
-                "balanced test requires a regular two-sided eta"
-            )
+    if not (is_regular_algebraic(eta, w.n) and is_case_pm(eta, w.n, emb)):
         return False
     return all(
         balanced_at(w.mu[i], w.nu[i], w.chi[i], eta[i], w.n)

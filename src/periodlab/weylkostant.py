@@ -257,37 +257,19 @@ def bottom_degree(n: int, emb: EmbeddingSet) -> int:
     return (n - 1) * (emb.degree // 2)
 
 
-def _restricted_target(w: WeightSystem, emb: EmbeddingSet, k: int):
-    """Expected (iota, iota-bar)-bigraded weight per place and variable.
+def _restricted_target(w: WeightSystem, emb: EmbeddingSet, k: int) -> tuple[tuple[int, ...], ...]:
+    """Expected torus weight per embedding, in embedding order.
 
-    Variable t_k carries (eta - (n-k)) at each embedding of the place,
-    variables past k carry (1, 1), earlier ones (0, 0); this is minus the
-    algebraic part of the induced torus character at s = 0.
+    Variable t_k carries eta - (n-k) at the embedding, variables past k
+    carry 1 and earlier ones 0; this is minus the algebraic part of the
+    induced torus character at s = 0.
     """
     eta = w.eta()
     n = w.n
-    target = {}
-    for iv, ivb in emb.pairs():
-        rows = []
-        for j in range(1, n + 1):
-            if j < k:
-                rows.append((0, 0))
-            elif j == k:
-                rows.append((eta[iv] - (n - k), eta[ivb] - (n - k)))
-            else:
-                rows.append((1, 1))
-        target[(iv, ivb)] = tuple(rows)
-    return target
-
-
-def _line_matches_target(line: KostantLine, target, emb: EmbeddingSet, n: int) -> bool:
-    for (iv, ivb), rows in target.items():
-        wt_iv = line.torus_weight[iv]
-        wt_ivb = line.torus_weight[ivb]
-        for j in range(n):
-            if (wt_iv[j], wt_ivb[j]) != rows[j]:
-                return False
-    return True
+    return tuple(
+        (0,) * (k - 1) + (eta[pos] - (n - k),) + (1,) * (n - k)
+        for pos in range(emb.degree)
+    )
 
 
 def distinguished_weyl(
@@ -298,8 +280,8 @@ def distinguished_weyl(
     Per embedding the element is the inverse cycle (k ... n) where eta <= 0
     and the cycle (1 ... k) where eta >= n.  The certificate scans all
     absolute Weyl elements of bottom degree (or the full group when
-    ``full_scan``) and checks that exactly one line's torus weight,
-    restricted per conjugate pair, matches the induced character target.
+    ``full_scan``) and checks that exactly one line's torus weight matches
+    the induced character target at every embedding.
     """
     n = w.n
     if not 1 <= k <= n:
@@ -332,8 +314,7 @@ def distinguished_weyl(
         )
     for cand in candidates:
         scanned += 1
-        line = make_line(cand, w, emb)
-        if _line_matches_target(line, target, emb, n):
+        if make_line(cand, w, emb).torus_weight == target:
             matches.append(cand)
     if len(matches) != 1:
         raise UniquenessFailed(

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodlab.cli import main, parse_report
+from periodlab.cli import main
 
 QI_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "qi.json")
 
@@ -51,7 +52,7 @@ def run_cli(args, capsys):
 def test_field_check_qi(config_file, capsys):
     code, out = run_cli(["--config", config_file, "field-check"], capsys)
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     by_name = {r["name"]: r for r in doc["records"]}
     assert by_name["identity_constant"]["got"] == "-1"
     assert doc["summary"]["fail"] == 0
@@ -65,7 +66,7 @@ def test_determinism(config_file, capsys):
 
 def test_round_trip(config_file, capsys):
     _, out = run_cli(["--config", config_file, "field-check"], capsys)
-    doc = parse_report(out)
+    doc = json.loads(out)
     assert doc["command"] == "field-check"
     assert doc["summary"]["total"] == len(doc["records"])
 
@@ -75,7 +76,7 @@ def test_empty_grid_passes(tmp_path, capsys):
     p.write_text(json.dumps(EMPTY_GRID))
     code, out = run_cli(["--config", str(p), "balanced"], capsys)
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     assert doc["summary"]["total"] == 0
 
 
@@ -126,6 +127,11 @@ ARGUMENT_ERRORS = [
     ["--tol", "0"] + ARCH + ["--beta", "0,2", "--s", "1"],
     ["--config", QI_CONFIG, "constant-term", "--n", "0", "--ord0", "pos"],
     ["--max-den", "0", "--config", QI_CONFIG, "field-check"],
+    ["--precision", "0", "--config", QI_CONFIG, "field-check"],
+    ["--precision", "1", "--config", QI_CONFIG, "field-check"],
+    ["--precision", "4", "--config", QI_CONFIG, "field-check"],
+    ["--precision", "17", "--config", QI_CONFIG, "balanced"],
+    ["--precision", "25", "--max-den", "10000000", "--config", QI_CONFIG, "field-check"],
 ]
 
 
@@ -136,6 +142,40 @@ def test_argument_error_exits_2(argv, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def _qi_config(**weights):
+    return {"field": {"d": 1, "extension_poly": [0, 1]}, "weights": weights}
+
+
+POINT = CONFIG["weights"]["points"][0]
+CONFIG_ERRORS = {
+    "grid-embeddings-1": _qi_config(n=2, grid={"entry_bound": 1, "embeddings": 1}),
+    "grid-embeddings-3": _qi_config(n=2, grid={"entry_bound": 1, "embeddings": 3}),
+    "grid-embeddings-4": _qi_config(n=2, grid={"entry_bound": 1, "embeddings": 4}),
+    "mu-length-1": _qi_config(n=2, points=[dict(POINT, mu={"0": [0], "1": [0, 0]})]),
+    "point-without-nu": _qi_config(n=2, points=[{"mu": POINT["mu"], "chi": POINT["chi"]}]),
+    "weights-without-n": _qi_config(points=[POINT]),
+    "point-on-one-embedding": _qi_config(n=2, points=[{"mu": {"0": [0, 0]}, "nu": {"0": [0, 0]},
+                                                       "chi": {"0": 0}}]),
+    "n-1": _qi_config(n=1, points=[{"mu": {"0": [0], "1": [0]}, "nu": {"0": [0], "1": [0]},
+                                     "chi": {"0": 0, "1": 1}}]),
+    "precision-digits-4": dict(CONFIG, field=dict(CONFIG["field"], precision_digits=4)),
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_ERRORS)
+def test_config_error_exits_2(name, tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(CONFIG_ERRORS[name]))
+    t0 = time.perf_counter()
+    code = main(["--config", str(p), "balanced"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert elapsed < 1.0
 
 
 @st.composite
@@ -188,14 +228,14 @@ def test_seed_flag_is_gone(capsys):
 def test_gauss_subcommand(capsys):
     code, out = run_cli(["gauss", "--q", "7", "--chi-order", "6", "--chi-index", "2"], capsys)
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     assert {r["name"] for r in doc["records"]} == {"value_float", "norm_squared_equals_q"}
 
 
 def test_lratio_subcommand(capsys):
     code, out = run_cli(["lratio", "--n", "3", "--k", "1", "--a", "12,5", "--q", "2"], capsys)
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     by_name = {r["name"]: r for r in doc["records"]}
     assert by_name["telescoping_product_matches"]["verdict"] == "pass"
 
@@ -215,7 +255,7 @@ def test_wedge_sign_subcommand(config_file, capsys):
         ["--config", config_file, "wedge-sign", "--n", "3", "--k", "2", "--g", "conj"], capsys
     )
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     by_name = {r["name"]: r for r in doc["records"]}
     assert by_name["epsilon_sigma2"]["got"] == 1
 
@@ -229,7 +269,7 @@ def test_grid_mode(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     code, out = run_cli(["--config", str(p), "balanced"], capsys)
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     # 6 dominant pairs x 6 x 3 chi values per embedding, squared
     assert doc["summary"]["total"] == (6 * 6 * 3) ** 2
 
@@ -247,7 +287,7 @@ def test_field_check_user_basis(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     code, out = run_cli(["--config", str(p), "field-check"], capsys)
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     by_name = {r["name"]: r for r in doc["records"]}
     # disc(k/k1) for {1, 2 theta} is 4 * 8 = 32; norm 1024; sqrt = 32
     assert by_name["nabla_constant"]["got"] == "32+0i"
@@ -258,7 +298,7 @@ def test_kostant_count_record(capsys, tmp_path):
     p.write_text(json.dumps(CONFIG))
     code, out = run_cli(["--config", str(p), "kostant", "--n", "3", "--p", "2", "--eta", "0,3"], capsys)
     assert code == 0
-    doc = parse_report(out)
+    doc = json.loads(out)
     by_name = {r["name"]: r for r in doc["records"]}
     assert by_name["line_count"]["expected"] == 8
     assert by_name["line_count"]["got"] == 8

@@ -13,6 +13,7 @@ from periodlab.cmfield import (
     conjugation_permutation,
     disc_constant_lower,
     disc_constant_upper,
+    disc_over_q,
     identity_permutation,
     power_basis,
     product_basis,
@@ -83,6 +84,14 @@ def test_relative_discriminant_examples(built):
     assert d == Fraction(-4)
     d3, _ = relative_discriminant(built[QS3], product_basis(built[QS3]), over="Q")
     assert d3 == Fraction(-12)
+
+
+def test_disc_over_q_matches_exact_product_basis(built):
+    """The numeric product-basis route against the exact-element route."""
+    for emb in built.values():
+        d, _ = disc_over_q(emb)
+        oracle, _ = relative_discriminant(emb, product_basis(emb), over="Q")
+        assert d == oracle
 
 
 def _int_det(m):
@@ -228,3 +237,4 @@ def test_declared_k0_tower():
     assert len(emb.pairs()) == 2
     c, cert = check_discriminant_identity(emb)
     assert c != 0
+    assert disc_over_q(emb)[0] == 2304

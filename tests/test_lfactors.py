@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodlab.cyclotomic import Cyc
-from periodlab.errors import NotEntire, PoleHit
+from periodlab.errors import PoleHit
 from periodlab.lfactors import (
     FiniteField,
     GaussSumSpec,
@@ -186,11 +186,7 @@ def test_vanishing_token_validation():
 
 
 def test_normalizing_factor_branches():
-    one = normalizing_factor(VanishingToken(order_zero=0), 2, 2j)
-    assert one.branch == "one" and one.scalar == 1
-    comp = normalizing_factor(VanishingToken(order_zero=1), 2, 2j)
+    one = normalizing_factor(VanishingToken(order_zero=0), 2)
+    assert one.branch == "one"
+    comp = normalizing_factor(VanishingToken(order_zero=1), 2)
     assert comp.branch == "compensated"
-    # i^1 * 2i = -2
-    assert abs(comp.scalar - (-2)) < 1e-12
-    with pytest.raises(NotEntire):
-        normalizing_factor(VanishingToken(order_zero=1, entire=False), 2, 2j)
