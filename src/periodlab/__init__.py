@@ -10,15 +10,24 @@ convolutions over fields containing a CM subfield:
 * ``weights``     -- integer calculus on dominant weights and character
                      infinity types (regularity, the two-sided sign
                      condition, the balanced predicate, archimedean units);
+* ``charpeel``    -- the slow independent oracle for the balanced
+                     predicate, by peeling product characters;
 * ``weylkostant`` -- Weyl-group combinatorics: parabolic coset
                      representatives, nilpotent-cohomology lines, the
                      distinguished bottom-degree element, wedge monomials
                      and Galois relabeling signs;
+* ``cyclotomic``  -- exact arithmetic in cyclotomic fields Q(zeta_N);
+* ``laurent``     -- polynomials and ratios in X = q^{-s} over Q(zeta_N);
+                     equality is cross multiplication, and the reduced
+                     form is computed only to print a ratio;
 * ``lfactors``    -- exact local L-factor ratios, Gamma_C shift ratios,
                      finite-field Gauss sums, vanishing-order tokens;
 * ``intertwine``  -- spherical shell sums (non-archimedean), numerical
                      intertwining integrals (complex places) and the
                      symbolic constant-term assembly with holomorphy audit;
+* ``quadrature``  -- the double-exponential rules behind the complex-place
+                     integrals, with an independent cross-check;
+* ``errors``      -- the package's exception classes, all under PeriodLabError;
 * ``cli``         -- command-line front end emitting verification reports.
 """
 

@@ -7,7 +7,9 @@ summary counts.  Output is deterministic: stable key order, floats try
 every record passes and no error occurred.
 
 Structured configs are JSON files; see README for the schema.  Flags
-override config scalars.
+override config scalars.  The global flags (--format, --config,
+--precision, --tol, --max-den) may come before or after the subcommand;
+one written after it wins.
 """
 
 from __future__ import annotations
@@ -46,10 +48,7 @@ def fmt_value(v) -> object:
         return [fmt_value(x) for x in v]
     if isinstance(v, dict):
         return {str(k): fmt_value(x) for k, x in sorted(v.items(), key=lambda kv: str(kv[0]))}
-    try:  # mpmath values
-        return f"{complex(v).real:.15g}{complex(v).imag:+.15g}i"
-    except Exception:
-        return repr(v)
+    raise TypeError(f"no report rendering for {type(v).__name__}")
 
 
 @dataclass
@@ -162,6 +161,25 @@ def check_precision(precision: int, max_den: int) -> None:
         )
 
 
+# Most points a weights.grid may have; balanced builds every point in memory.
+MAX_GRID_POINTS = 10**5
+
+
+def check_grid_size(n: int, bound: int, degree: int) -> None:
+    """Refuse a grid of more than MAX_GRID_POINTS points before building it.
+
+    With B = bound there are C(n + 2B, n) dominant n-tuples with entries in
+    -B..B, so the grid has (C(n + 2B, n)^2 (2B + 1))^degree points.
+    """
+    values = max(2 * bound + 1, 0)
+    if min(n, values - 1) > MAX_GRID_POINTS.bit_length():
+        # C(n + values - 1, n) >= 2^min(n, values - 1): no need for the huge binomial
+        raise ConfigError(f"weights.grid has more than {MAX_GRID_POINTS} points, the limit")
+    count = (math.comb(n + values - 1, n) ** 2 * values) ** degree
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"weights.grid has {count} points, above the limit of {MAX_GRID_POINTS}")
+
+
 def weight_points(cfg: dict, degree: int) -> list[weights.WeightSystem]:
     """Explicit points, or the dominant grid over all ``degree`` embeddings
     of the field, from the config."""
@@ -190,6 +208,7 @@ def weight_points(cfg: dict, degree: int) -> list[weights.WeightSystem]:
                     f"got {grid.get('embeddings')!r}"
                 )
             bound = int(grid["entry_bound"])
+            check_grid_size(n, bound, degree)
             doms = dominant_tuples(n, bound)
             per_emb = [(mu, nu, chi) for mu in doms for nu in doms for chi in range(-bound, bound + 1)]
             points = [
@@ -290,17 +309,17 @@ def cmd_field_check(args) -> Report:
     )
     report.add("restriction_commutes_with_conjugation", True, commutes)
     big, lower = cmfield.disc_constant_lower(tower)
-    report.add("delta_constant", fmt_value(complex(big)), fmt_value(complex(big)))
+    report.add("delta_constant", complex(big), complex(big))
     k_basis = None
     if cfg.get("field", {}).get("k_basis") is not None:
         k_basis = [cmfield.parse_element(e) for e in cfg["field"]["k_basis"]]
     nab, upper = cmfield.disc_constant_upper(emb, basis=k_basis, max_denominator=args.max_den)
-    report.add("nabla_constant", fmt_value(complex(nab)), fmt_value(complex(nab)))
+    report.add("nabla_constant", complex(nab), complex(nab))
     try:
         c, cert = cmfield.check_discriminant_identity(emb, max_denominator=args.max_den)
         report.add("identity_constant_rational", True, True)
-        report.add("identity_constant", fmt_value(c), fmt_value(c))
-        report.add("disc_over_q", fmt_value(cert["disc_k"]), fmt_value(cert["disc_k"]))
+        report.add("identity_constant", c, c)
+        report.add("disc_over_q", cert["disc_k"], cert["disc_k"])
     except PeriodLabError as exc:
         report.add("identity_constant_rational", True, f"error: {exc}", verdict=False)
     return report
@@ -416,7 +435,7 @@ def cmd_gauss(args) -> Report:
         raise ConfigError(f"bad Gauss sum spec: {exc}") from None
     report = Report("gauss", {"q": args.q, "chi_order": args.chi_order, "chi_index": args.chi_index})
     exact, approx = lfactors.gauss_sum(spec)
-    report.add("value_float", fmt_value(approx), fmt_value(approx))
+    report.add("value_float", approx, approx)
     if spec.is_trivial():
         report.add("trivial_is_minus_one", True, exact.is_rational() and exact.rational_value() == -1)
     else:
@@ -458,22 +477,16 @@ def cmd_intertwine_arch(args) -> Report:
     if len(eta_pair) != 2:
         raise ConfigError(f"bad --eta {args.eta!r}; expected the pair 'low,high'")
     try:
-        intertwine.arch_section(args.n, eta_pair, beta, s)
+        intertwine.arch_section(args.n, eta_pair, beta)
     except ValueError as exc:
         raise ConfigError(f"bad section: {exc}") from None
     report = Report(
         "intertwine-arch",
-        {"n": args.n, "k": args.k, "eta": list(eta_pair), "beta": list(beta), "s": fmt_value(s)},
+        {"n": args.n, "k": args.k, "eta": list(eta_pair), "beta": list(beta), "s": s},
     )
     res = intertwine.arch_intertwining(args.n, args.k, eta_pair, beta, s, args.tol)
-    report.add(
-        "integral",
-        fmt_value(res.target),
-        fmt_value(res.value),
-        tolerance=fmt_value(res.tolerance),
-        verdict=res.verdict,
-    )
-    report.add("error_estimate", fmt_value(res.error_estimate), fmt_value(res.error_estimate))
+    report.add("integral", res.target, res.value, tolerance=res.tolerance, verdict=res.verdict)
+    report.add("error_estimate", res.error_estimate, res.error_estimate)
     return report
 
 
@@ -496,7 +509,7 @@ def cmd_constant_term(args) -> Report:
         for e in rep.entries:
             desc = {
                 "lratio": e.lratio_token,
-                "prefactor": fmt_value(e.prefactor),
+                "prefactor": e.prefactor,
                 "delta": e.delta_symbol,
                 "pole_order": e.pole_order,
             }
@@ -555,17 +568,27 @@ COMMANDS = {
 }
 
 
+# Flags every subcommand reads, written before or after its name.
+GLOBAL_FLAGS = {
+    "--format": {"choices": ("records", "table"), "default": "records"},
+    "--config": {"default": None, "help": "JSON config file"},
+    "--precision": {"type": int, "default": None, "help": "working decimal digits"},
+    "--tol": {"type": float, "default": 1e-9, "help": "quadrature tolerance"},
+    "--max-den": {"type": int, "default": cmfield.DEFAULT_MAX_DENOMINATOR,
+                  "help": "denominator bound for rational reconstruction"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="periodlab", description=__doc__)
-    p.add_argument("--format", choices=("records", "table"), default="records")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--precision", type=int, default=None, help="working decimal digits")
-    p.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance")
-    p.add_argument("--max-den", type=int, default=cmfield.DEFAULT_MAX_DENOMINATOR,
-                   help="denominator bound for rational reconstruction")
+    for flag, keywords in GLOBAL_FLAGS.items():
+        p.add_argument(flag, **keywords)
     sub = p.add_subparsers(dest="command", required=True)
     for name, (_, _, help_text, flags) in COMMANDS.items():
         s = sub.add_parser(name, help=help_text)
+        for flag, keywords in GLOBAL_FLAGS.items():
+            # own action objects; SUPPRESS keeps a value given before the name
+            s.add_argument(flag, **dict(keywords, default=argparse.SUPPRESS))
         for flag, keywords in flags.items():
             s.add_argument(flag, **keywords)
     return p

@@ -56,15 +56,13 @@ from . import quadrature
 class SectionSpec:
     """Archimedean minimal-type section: exponents beta and the eta pair.
 
-    beta has nonnegative entries summing to eta_bar - eta; s is the
-    complex deformation parameter.
+    beta has nonnegative entries summing to eta_bar - eta.
     """
 
     n: int
     beta: tuple[int, ...]
     eta_low: int   # value <= 0 at the chosen embedding
     eta_high: int  # value >= n at the conjugate embedding
-    s: complex = 0j
 
     def __post_init__(self):
         if len(self.beta) != self.n:
@@ -141,13 +139,13 @@ def _convergence_bound(n: int, k: int, eta_high: int, beta_sum_inner: int) -> fl
     return (n - k) + beta_sum_inner / 2.0 - eta_high
 
 
-def arch_section(n: int, eta_pair: tuple[int, int], beta: tuple[int, ...], s: complex) -> SectionSpec:
+def arch_section(n: int, eta_pair: tuple[int, int], beta: tuple[int, ...]) -> SectionSpec:
     """The section an archimedean integral integrates; raises ValueError
     unless eta_low <= 0, eta_high >= n and beta fits the pair."""
     eta_low, eta_high = eta_pair
     if eta_low > 0 or eta_high < n:
         raise ValueError("eta pair must satisfy eta_low <= 0 and eta_high >= n")
-    return SectionSpec(n=n, beta=tuple(beta), eta_low=eta_low, eta_high=eta_high, s=s)
+    return SectionSpec(n=n, beta=tuple(beta), eta_low=eta_low, eta_high=eta_high)
 
 
 def arch_intertwining(
@@ -168,7 +166,7 @@ def arch_intertwining(
     """
     if not 1 <= k <= n:
         raise ValueError("k out of range")
-    spec = arch_section(n, eta_pair, beta, s)
+    spec = arch_section(n, eta_pair, beta)
     eta_high = spec.eta_high
     m = n - k
     is_beta0 = tuple(beta) == spec.beta0

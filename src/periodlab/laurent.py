@@ -2,9 +2,10 @@
 
 ``X`` plays the role of q^{-s} in unramified local L-factor ratios, so a
 ratio of two polynomials in X with cyclotomic coefficients stores an
-L-factor quotient exactly.  Equality of ratios is decided by cross
-multiplication; every ratio is built gcd-reduced over the field of
-coefficients, with a normalized denominator.
+L-factor quotient exactly.  A ratio keeps the numerator and denominator
+it was built from, and equality of ratios is decided by cross
+multiplication.  The gcd-reduced form over the field of coefficients,
+with a normalized denominator, is computed only to print a ratio.
 """
 
 from __future__ import annotations
@@ -138,8 +139,9 @@ class XPoly:
 class LaurentRatio:
     """A quotient of two ``XPoly`` values; the denominator is nonzero.
 
-    Every ratio is gcd-reduced on construction, with a normalized
-    denominator, making the representation canonical.
+    The stored pair is not reduced, so two ratios of one rational
+    function may store different pairs; ``==`` compares them by cross
+    multiplication and ``repr`` prints the unique reduced form.
     """
 
     __slots__ = ("num", "den")
@@ -151,25 +153,23 @@ class LaurentRatio:
             raise ValueError("mixed coefficient fields")
         self.num = num
         self.den = den
-        self._reduce()
 
     @staticmethod
     def one(n: int = 1) -> "LaurentRatio":
         return LaurentRatio(XPoly.const(n, 1), XPoly.const(n, 1))
 
-    def _reduce(self) -> None:
-        if self.num.is_zero():
-            self.den = XPoly.const(self.den.n, 1)
-            return
-        g = self.num.gcd(self.den)
+    def _reduced(self) -> tuple[XPoly, XPoly]:
+        """The coprime pair with den(0) = 1 when possible, else a monic den."""
+        num, den = self.num, self.den
+        if num.is_zero():
+            return num, XPoly.const(den.n, 1)
+        g = num.gcd(den)
         if g.degree() > 0:
-            self.num = self.num.divmod(g)[0]
-            self.den = self.den.divmod(g)[0]
-        # canonical scaling: den(0) = 1 when possible, else monic
-        const = self.den.coeffs.get(0)
-        inv = const.inverse() if const is not None else self.den.leading().inverse()
-        self.num = self.num * inv
-        self.den = self.den * inv
+            num = num.divmod(g)[0]
+            den = den.divmod(g)[0]
+        const = den.coeffs.get(0)
+        inv = const.inverse() if const is not None else den.leading().inverse()
+        return num * inv, den * inv
 
     def __mul__(self, other: "LaurentRatio") -> "LaurentRatio":
         return LaurentRatio(self.num * other.num, self.den * other.den)
@@ -185,24 +185,18 @@ class LaurentRatio:
             self.num * other.den + (-other.num) * self.den, self.den * other.den
         )
 
-    def inverse(self) -> "LaurentRatio":
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverse of zero ratio")
-        return LaurentRatio(self.den, self.num)
-
     def __eq__(self, other):
         if not isinstance(other, LaurentRatio):
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def galois(self, j: int) -> "LaurentRatio":
         """Coefficientwise Galois twist; X is fixed."""
         return LaurentRatio(self.num.galois(j), self.den.galois(j))
 
     def evaluate(self, x: complex) -> complex:
+        """num(x) / den(x) of the stored pair, so a common zero of the two
+        raises ZeroDivisionError."""
         return self.num.evaluate(x) / self.den.evaluate(x)
 
     def evaluate_at_s(self, q: int, s: complex) -> complex:
@@ -213,4 +207,5 @@ class LaurentRatio:
         return self.num == self.den
 
     def __repr__(self):
-        return f"[{self.num!r}] / [{self.den!r}]"
+        num, den = self._reduced()
+        return f"[{num!r}] / [{den!r}]"

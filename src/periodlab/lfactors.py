@@ -41,7 +41,7 @@ def single_step_ratio(n: int, i: int, a: Cyc, q: int) -> LaurentRatio:
 
 def unramified_lratio(n: int, k: int, a: Cyc, q: int) -> LaurentRatio:
     """L(s - n + k)/L(s) for the unramified character with value a at a
-    uniformizer of residue size q: (1 - aX)/(1 - a q^{n-k} X), reduced."""
+    uniformizer of residue size q: (1 - aX)/(1 - a q^{n-k} X)."""
     if not 1 <= k <= n:
         raise ValueError("k out of range")
     field = a.n

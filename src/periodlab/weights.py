@@ -173,9 +173,6 @@ class ArchConstant:
     exponents: dict[int, int]
     value: tuple[int, int]
 
-    def complex_value(self) -> complex:
-        return complex(self.value[0], self.value[1])
-
 
 def arch_exponent(w: WeightSystem, place_pair: tuple[int, int]) -> int:
     """sum over both embeddings of the place of

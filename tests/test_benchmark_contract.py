@@ -1,5 +1,6 @@
-"""The benchmark's traced run wraps periodlab functions by name; a rename
-in src/ would only show when that run is made.  Install the wrappers here."""
+"""The benchmark imports periodlab by name; a rename in src/ or an output
+its checker rejects would only show when the benchmark is run.  Install
+the traced run's wrappers, and run a few checks of every workload, here."""
 
 import os
 import subprocess
@@ -9,11 +10,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tracing_installs_on_every_patched_name():
+def run_with_perfbench(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with src/ and perfbench/ on the path."""
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run(
-        [sys.executable, "-c", "import tracing; tracing.install()"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
     )
+
+
+def test_tracing_installs_on_every_patched_name():
+    out = run_with_perfbench("import tracing; tracing.install()")
+    assert out.returncode == 0, out.stderr
+
+
+CHECK_EVERY_WORKLOAD = """
+import workloads
+for name, workload in workloads.WORKLOADS.items():
+    w = workload()
+    for inp in w.setup(1)[:3]:
+        assert w.check(inp, w.run(inp)), (name, inp)
+"""
+
+
+def test_every_workload_checker_accepts_the_first_outputs():
+    out = run_with_perfbench(CHECK_EVERY_WORKLOAD)
     assert out.returncode == 0, out.stderr

@@ -130,6 +130,7 @@ ARGUMENT_ERRORS = [
     ["--precision", "0", "--config", QI_CONFIG, "field-check"],
     ["--precision", "1", "--config", QI_CONFIG, "field-check"],
     ["--precision", "4", "--config", QI_CONFIG, "field-check"],
+    ["--config", QI_CONFIG, "field-check", "--precision", "5"],
     ["--precision", "17", "--config", QI_CONFIG, "balanced"],
     ["--precision", "25", "--max-den", "10000000", "--config", QI_CONFIG, "field-check"],
 ]
@@ -153,6 +154,8 @@ CONFIG_ERRORS = {
     "grid-embeddings-1": _qi_config(n=2, grid={"entry_bound": 1, "embeddings": 1}),
     "grid-embeddings-3": _qi_config(n=2, grid={"entry_bound": 1, "embeddings": 3}),
     "grid-embeddings-4": _qi_config(n=2, grid={"entry_bound": 1, "embeddings": 4}),
+    "grid-1265625-points": _qi_config(n=2, grid={"entry_bound": 2, "embeddings": 2}),
+    "grid-n-and-bound-1e6": _qi_config(n=10**6, grid={"entry_bound": 10**6, "embeddings": 2}),
     "mu-length-1": _qi_config(n=2, points=[dict(POINT, mu={"0": [0], "1": [0, 0]})]),
     "point-without-nu": _qi_config(n=2, points=[{"mu": POINT["mu"], "chi": POINT["chi"]}]),
     "weights-without-n": _qi_config(points=[POINT]),
@@ -217,6 +220,14 @@ def test_cli_import_leaves_out_scipy_and_numpy():
     code = "import sys, periodlab.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_format_after_subcommand_matches_format_before(capsys):
+    gauss = ["gauss", "--q", "7", "--chi-order", "6"]
+    after = run_cli(gauss + ["--format", "table"], capsys)
+    before = run_cli(["--format", "table"] + gauss, capsys)
+    assert after == before
+    assert after[1].startswith("# gauss")
 
 
 def test_seed_flag_is_gone(capsys):

@@ -22,9 +22,9 @@ from periodlab import quadrature
 
 def test_section_spec_validation():
     with pytest.raises(ValueError):
-        SectionSpec(n=2, beta=(0, 1), eta_low=0, eta_high=2, s=0)
+        SectionSpec(n=2, beta=(0, 1), eta_low=0, eta_high=2)
     with pytest.raises(ValueError):
-        SectionSpec(n=2, beta=(-1, 3), eta_low=0, eta_high=2, s=0)
+        SectionSpec(n=2, beta=(-1, 3), eta_low=0, eta_high=2)
 
 
 # -- shell sums ---------------------------------------------------------------------
