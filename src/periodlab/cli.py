@@ -180,6 +180,39 @@ def check_grid_size(n: int, bound: int, degree: int) -> None:
         raise ConfigError(f"weights.grid has {count} points, above the limit of {MAX_GRID_POINTS}")
 
 
+# Most Weyl group elements kostant or find-wk may enumerate.
+MAX_WEYL_CANDIDATES = 10**5
+
+
+def check_weyl_count(args) -> None:
+    """Refuse a kostant or find-wk run that would enumerate more than
+    MAX_WEYL_CANDIDATES elements of S_n^[k:Q], before any work is done.
+
+    Every route lists S_n first; the full scan then visits all n!^[k:Q]
+    elements, and a scan by length (kostant's --p, find-wk's bottom degree)
+    the coefficient of q^length in the length generating function.  n is
+    bounded through n! first, so a huge --n costs nothing.
+    """
+    if hasattr(args, "p"):
+        length = args.p
+    elif hasattr(args, "full_scan"):
+        length = None if args.full_scan else weylkostant.bottom_degree(args.n, args.emb)
+    else:
+        return  # wedge-sign enumerates nothing
+    size = 1
+    for i in range(2, args.n + 1):
+        size *= i
+        if size > MAX_WEYL_CANDIDATES:
+            raise ConfigError(f"--n {args.n}: S_{args.n} has more than {MAX_WEYL_CANDIDATES} elements, the limit")
+    if length is None:
+        count = size**args.emb.degree
+    else:
+        gen = weylkostant.length_generating_function(args.n, args.emb.degree)
+        count = gen[length] if length < len(gen) else 0
+    if count > MAX_WEYL_CANDIDATES:
+        raise ConfigError(f"the scan would visit {count} Weyl elements, above the limit of {MAX_WEYL_CANDIDATES}")
+
+
 def weight_points(cfg: dict, degree: int) -> list[weights.WeightSystem]:
     """Explicit points, or the dominant grid over all ``degree`` embeddings
     of the field, from the config."""
@@ -308,12 +341,15 @@ def cmd_field_check(args) -> Report:
         if emb.restriction_k1[i] == emb.restriction_k1[j]
     )
     report.add("restriction_commutes_with_conjugation", True, commutes)
-    big, lower = cmfield.disc_constant_lower(tower)
+    big, _ = cmfield.disc_constant_lower(tower)
     report.add("delta_constant", complex(big), complex(big))
-    k_basis = None
-    if cfg.get("field", {}).get("k_basis") is not None:
-        k_basis = [cmfield.parse_element(e) for e in cfg["field"]["k_basis"]]
-    nab, upper = cmfield.disc_constant_upper(emb, basis=k_basis, max_denominator=args.max_den)
+    k_basis = cfg["field"].get("k_basis")
+    try:
+        if k_basis is not None:
+            k_basis = [cmfield.parse_element(e) for e in k_basis]
+        nab, _ = cmfield.disc_constant_upper(emb, basis=k_basis, max_denominator=args.max_den)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad field.k_basis: {exc}") from None
     report.add("nabla_constant", complex(nab), complex(nab))
     try:
         c, cert = cmfield.check_discriminant_identity(emb, max_denominator=args.max_den)
@@ -605,6 +641,7 @@ def main(argv=None) -> int:
             check_precision(args.precision, args.max_den)
             args.emb = cmfield.build_field(args.tower, args.precision)
         if prologue == WEIGHTS:
+            check_weyl_count(args)
             try:
                 args.w = weights.weight_system_from_eta(args.n, _eta_from_args(args))
             except ValueError as exc:

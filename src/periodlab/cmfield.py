@@ -3,8 +3,9 @@
 A tower is declared by a squarefree d > 0 and a monic integer polynomial f:
 k1 = k0(sqrt(-d)) and k = k1(theta) for a root theta of f.  By default
 k0 = Q; an optional totally real k0 can be declared by its own integer
-polynomial (everything below except exact element arithmetic supports
-that case; elements in coordinates require k0 = Q).
+polynomial.  The tower constants read the images of the generators under
+each embedding, so they exist for every declared k0; exact elements in
+coordinates (user bases, ``evaluate``) require k0 = Q.
 
 Embeddings k -> C are represented numerically at a requested working
 precision.  The set carries its conjugation involution, the restriction
@@ -14,9 +15,11 @@ k1, fibers over the "+" half are sorted by the image of theta, and the
 conjugate fibers inherit the transported order, which makes conjugation
 order-preserving between paired fibers.
 
-Exact values (discriminants, the constant in the square-root identity)
-are obtained from high-precision numerics by rational reconstruction;
-each reconstruction ships a certificate (value, residual, bound).
+Exact values (disc(k/Q), the norm N_{k1/Q}(disc(k/k1)) as the product of
+the fiber determinants of the trace form, the constant in the
+square-root identity) are obtained from high-precision numerics by
+rational reconstruction; each reconstruction ships a certificate (value,
+residual, bound).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Optional, Sequence
 
 from mpmath import mp, mpc, mpf
 
+from .cyclotomic import factorize
 from .errors import (
     InvalidGaloisPermutation,
     NotRational,
@@ -45,19 +49,6 @@ KElement = tuple[K1Pair, ...]
 
 DEFAULT_PRECISION = 50
 DEFAULT_MAX_DENOMINATOR = 10**4
-
-
-def _squarefree(n: int) -> bool:
-    if n <= 0:
-        return False
-    m, p = n, 2
-    while p * p <= m:
-        if m % (p * p) == 0:
-            return False
-        if m % p == 0:
-            m //= p
-        p += 1
-    return True
 
 
 def inversions(seq) -> int:
@@ -118,7 +109,7 @@ class FieldTower:
     k1_maximality_asserted: bool = True
 
     def __post_init__(self):
-        if not _squarefree(self.base_disc):
+        if self.base_disc <= 0 or any(e > 1 for e in factorize(self.base_disc).values()):
             raise ValueError(f"d = {self.base_disc} must be a squarefree positive integer")
         if not self.extension_poly or self.extension_poly[-1] != 1:
             raise ValueError("extension polynomial must be monic (trailing coefficient 1)")
@@ -303,6 +294,18 @@ def conjugation_permutation(emb: EmbeddingSet) -> GaloisPermutation:
 
 # -- construction -------------------------------------------------------------
 
+def _sorted_roots(poly: tuple[int, ...], precision: int, tol, coincident: str) -> list:
+    """Roots of a monic integer polynomial (low-to-high), sorted by exact
+    (re, im); raises ReduciblePolynomial(coincident) if two are within tol."""
+    try:
+        roots = mp.polyroots([mpf(c) for c in reversed(poly)], maxsteps=400, extraprec=precision)
+    except mp.NoConvergence as exc:  # pragma: no cover - extreme inputs
+        raise PrecisionExhausted(str(exc)) from None
+    if any(abs(a - b) < tol for a, b in itertools.combinations(roots, 2)):
+        raise ReduciblePolynomial(coincident)
+    return sorted(roots, key=lambda r: (mpf_to_fraction(mp.re(r)), mpf_to_fraction(mp.im(r))))
+
+
 def build_field(tower: FieldTower, precision: int = DEFAULT_PRECISION) -> EmbeddingSet:
     """Compute all embeddings of k with conjugation, restriction and order.
 
@@ -313,20 +316,12 @@ def build_field(tower: FieldTower, precision: int = DEFAULT_PRECISION) -> Embedd
         tol = mpf(10) ** (-(precision // 2))
 
         if tower.declared_k0_poly is not None:
-            k0_coeffs = [mpf(c) for c in reversed(tower.declared_k0_poly)]
-            k0_roots = mp.polyroots(k0_coeffs, maxsteps=200, extraprec=precision)
-            for r in k0_roots:
-                if abs(mp.im(r)) > tol:
-                    raise NotTotallyImaginary(
-                        "declared k0 is not totally real at working precision"
-                    )
-            k0_roots = sorted((mp.re(r) for r in k0_roots), key=lambda r: mpf_to_fraction(r))
-            if len(k0_roots) > 1:
-                dmin = min(
-                    abs(a - b) for a, b in itertools.combinations(k0_roots, 2)
-                )
-                if dmin < tol:
-                    raise ReduciblePolynomial("k0 polynomial has coincident roots")
+            k0_roots = _sorted_roots(
+                tower.declared_k0_poly, precision, tol, "k0 polynomial has coincident roots"
+            )
+            if any(abs(mp.im(r)) > tol for r in k0_roots):
+                raise NotTotallyImaginary("declared k0 is not totally real at working precision")
+            k0_roots = [mp.re(r) for r in k0_roots]
         else:
             k0_roots = [None]
 
@@ -334,32 +329,10 @@ def build_field(tower: FieldTower, precision: int = DEFAULT_PRECISION) -> Embedd
         if abs(mp.im(sqrt_pos)) <= tol:
             raise NotTotallyImaginary("sqrt(-d) is numerically real; k1 not imaginary")
 
-        if tower.theta_degree == 0:
-            raise ReduciblePolynomial("extension polynomial is constant")
-        if tower.theta_degree == 1:
-            theta_roots = [mpc(-tower.extension_poly[0])]
-        else:
-            f_coeffs = [mpf(c) for c in reversed(tower.extension_poly)]
-            try:
-                theta_roots = [
-                    mpc(r)
-                    for r in mp.polyroots(f_coeffs, maxsteps=400, extraprec=precision)
-                ]
-            except mp.NoConvergence as exc:  # pragma: no cover - extreme inputs
-                raise PrecisionExhausted(str(exc)) from None
-            dmin = min(
-                abs(a - b) for a, b in itertools.combinations(theta_roots, 2)
-            )
-            if dmin < tol:
-                raise ReduciblePolynomial(
-                    "extension polynomial has coincident roots; "
-                    "embeddings would not be distinct"
-                )
-
-        def root_key(r):
-            return (mpf_to_fraction(mp.re(r)), mpf_to_fraction(mp.im(r)))
-
-        theta_sorted = sorted(theta_roots, key=root_key)
+        theta_sorted = _sorted_roots(
+            tower.extension_poly, precision, tol,
+            "extension polynomial has coincident roots; embeddings would not be distinct",
+        )
 
         # k1 embeddings ordered with the "+" member of each pair first.
         k1_labels: list[tuple[int, int]] = []
@@ -420,7 +393,7 @@ def build_field(tower: FieldTower, precision: int = DEFAULT_PRECISION) -> Embedd
 
 # -- discriminants ------------------------------------------------------------
 
-def _trace_values(emb: EmbeddingSet, values: list[list[mpc]], indices) -> list[list[mpc]]:
+def _trace_values(values: list[list[mpc]], indices) -> list[list[mpc]]:
     """Gram matrix Tr(x_i x_j) summed over the given embedding indices."""
     size = len(values)
     gram = [[mpc(0)] * size for _ in range(size)]
@@ -436,6 +409,40 @@ def _trace_values(emb: EmbeddingSet, values: list[list[mpc]], indices) -> list[l
 
 def _basis_values(emb: EmbeddingSet, basis: Sequence[KElement]) -> list[list[mpc]]:
     return [[emb.evaluate(x, e) for e in range(emb.degree)] for x in basis]
+
+
+def _product_values(emb: EmbeddingSet, k0_powers: int, k1_elements) -> list[list[mpc]]:
+    """Images at every embedding of g^a * x * theta^c for a < k0_powers,
+    x in ``k1_elements`` (pairs a + b*sqrt(-d)) and c < [k:k1], with g the
+    k0 generator; read from the generator images, so any k0 is allowed."""
+    rows = []
+    for a_exp in range(k0_powers):
+        for a, b in k1_elements:
+            for c_exp in range(emb.tower.theta_degree):
+                row = []
+                for e in emb.embeddings:
+                    v = (mpf(a.numerator) / a.denominator
+                         + mpf(b.numerator) / b.denominator * e.sqrt_image)
+                    if a_exp:
+                        v *= e.k0_image ** a_exp
+                    row.append(v * e.theta_image ** c_exp)
+                rows.append(row)
+    return rows
+
+
+def _rational(emb: EmbeddingSet, value, what: str, max_denominator: int):
+    """A numerically real ``value`` reconstructed as a Fraction; returns
+    (value, certificate)."""
+    tol = emb.tolerance()
+    if abs(mp.im(value)) > tol:
+        raise ReconstructionFailed(f"{what} is not real")
+    frac, residual = reconstruct_fraction(mp.re(value), max_denominator, tol)
+    cert = {
+        "numeric": mp.nstr(mp.re(value), 20),
+        "residual": mp.nstr(residual, 5),
+        "max_denominator": max_denominator,
+    }
+    return frac, cert
 
 
 def power_basis(emb: EmbeddingSet) -> list[KElement]:
@@ -463,74 +470,18 @@ def product_basis(emb: EmbeddingSet) -> list[KElement]:
     return out
 
 
-def _rational_det(emb: EmbeddingSet, values: list[list[mpc]], max_denominator: int):
-    """det[Tr_{k/Q}(x_i x_j)] for basis images ``values``, reconstructed
-    as a Fraction; returns (value, certificate)."""
-    tol = emb.tolerance()
-    det = mp.det(_trace_values(emb, values, range(emb.degree)))
-    if abs(mp.im(det)) > tol:
-        raise ReconstructionFailed("discriminant over Q is not real")
-    frac, residual = reconstruct_fraction(mp.re(det), max_denominator, tol)
-    cert = {
-        "numeric": mp.nstr(mp.re(det), 20),
-        "residual": mp.nstr(residual, 5),
-        "max_denominator": max_denominator,
-    }
-    return frac, cert
-
-
 def relative_discriminant(
     emb: EmbeddingSet,
     basis: Sequence[KElement],
-    over: str = "Q",
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
 ):
-    """det[Tr_{k/F}(x_i x_j)] for F = Q or k1, with reconstruction certificate.
-
-    Returns (value, certificate); value is a Fraction for F = Q and a pair
-    (a, b) <-> a + b*sqrt(-d) for F = k1.
-    """
+    """det[Tr_{k/Q}(x_i x_j)] for exact elements (k0 = Q), reconstructed
+    as a Fraction; returns (value, certificate)."""
+    if len(basis) != emb.degree:
+        raise ValueError("basis over Q must have [k:Q] elements")
     with mp.workdps(emb.precision + 15):
-        tol = emb.tolerance()
-        values = _basis_values(emb, basis)
-        if over == "Q":
-            if len(basis) != emb.degree:
-                raise ValueError("basis over Q must have [k:Q] elements")
-            return _rational_det(emb, values, max_denominator)
-        if over != "k1":
-            raise ValueError("over must be 'Q' or 'k1'")
-        if len(basis) != emb.tower.theta_degree:
-            raise ValueError("basis over k1 must have [k:k1] elements")
-        fibers = emb.fibers()
-        dets = {}
-        for t_idx, indices in fibers.items():
-            dets[t_idx] = mp.det(_trace_values(emb, values, indices))
-        # For Z[x] power bases the determinant is rational; otherwise it is
-        # a genuine k1 element and we solve the conjugate pair for (a, b).
-        plus = [t for t, (w, s) in enumerate(emb.k1_labels) if s > 0]
-        minus = [t for t, (w, s) in enumerate(emb.k1_labels) if s < 0]
-        d_plus = dets[plus[0]]
-        d_minus = dets[minus[0]]
-        if len(plus) > 1:
-            spread = max(abs(dets[t] - d_plus) for t in plus)
-            spread = max(spread, max(abs(dets[t] - d_minus) for t in minus))
-            if spread > tol:
-                raise UnsupportedTower(
-                    "k1-valued discriminant varies across real embeddings of k0"
-                )
-        sq = mpc(0, mp.sqrt(emb.tower.base_disc))
-        a_num = (d_plus + d_minus) / 2
-        b_num = (d_plus - d_minus) / (2 * sq)
-        if abs(mp.im(a_num)) > tol or abs(mp.im(b_num)) > tol:
-            raise ReconstructionFailed("discriminant over k1 has unexpected phase")
-        a_frac, ra = reconstruct_fraction(mp.re(a_num), max_denominator, tol)
-        b_frac, rb = reconstruct_fraction(mp.re(b_num), max_denominator, tol)
-        cert = {
-            "numeric": (mp.nstr(mp.re(a_num), 20), mp.nstr(mp.re(b_num), 20)),
-            "residual": mp.nstr(max(ra, rb), 5),
-            "max_denominator": max_denominator,
-        }
-        return (a_frac, b_frac), cert
+        det = mp.det(_trace_values(_basis_values(emb, basis), range(emb.degree)))
+        return _rational(emb, det, "discriminant over Q", max_denominator)
 
 
 def disc_constant_lower(tower: FieldTower, precision: int = DEFAULT_PRECISION):
@@ -563,22 +514,25 @@ def disc_constant_upper(
 ):
     """Principal square root of N_{k1/Q}(disc(k/k1)).
 
-    Defaults to the power basis in theta.  The norm of an imaginary
-    quadratic element a + b*sqrt(-d) is a^2 + d b^2 >= 0, so the value is
-    a nonnegative real.  Returns (mpf value, exact data dict).
+    disc(k/k1) at an embedding t of k1 is the determinant of the trace form
+    over the fiber of embeddings above t, so the norm is the product of
+    the fiber determinants; it is a nonnegative rational (a product of
+    conjugate pairs).  Defaults to the power basis in theta; exact
+    ``basis`` elements need k0 = Q.  Returns (mpf value, exact data dict).
     """
-    tower = emb.tower
-    if tower.theta_degree == 1:
-        return mpf(1), {"disc_k_over_k1": (Fraction(1), Fraction(0)), "norm_to_q": Fraction(1)}
-    if basis is None:
-        basis = power_basis(emb)
-    (a, b), cert = relative_discriminant(emb, basis, over="k1", max_denominator=max_denominator)
-    d = tower.base_disc
-    norm_k1_to_q = a * a + d * b * b
-    norm = norm_k1_to_q ** tower.k0_degree
     with mp.workdps(emb.precision + 15):
+        if basis is None:
+            values = _product_values(emb, 1, [(Fraction(1), Fraction(0))])
+        elif len(basis) != emb.tower.theta_degree:
+            raise ValueError("basis over k1 must have [k:k1] elements")
+        else:
+            values = _basis_values(emb, basis)
+        product = mpc(1)
+        for indices in emb.fibers().values():
+            product *= mp.det(_trace_values(values, indices))
+        norm, cert = _rational(emb, product, "norm of disc(k/k1)", max_denominator)
         value = mp.sqrt(mpf(norm.numerator) / norm.denominator)
-    return value, {"disc_k_over_k1": (a, b), "norm_to_q": norm, "certificate": cert}
+    return value, {"norm_to_q": norm, "certificate": cert}
 
 
 def disc_over_q(emb: EmbeddingSet, max_denominator: int = DEFAULT_MAX_DENOMINATOR):
@@ -586,19 +540,9 @@ def disc_over_q(emb: EmbeddingSet, max_denominator: int = DEFAULT_MAX_DENOMINATO
     generator times the declared k1 basis times powers of theta."""
     tower = emb.tower
     with mp.workdps(emb.precision + 15):
-        values = []
-        for a_exp in range(tower.k0_degree):
-            for a, b in tower.k1_basis:
-                for c_exp in range(tower.theta_degree):
-                    row = []
-                    for e in emb.embeddings:
-                        v = (mpf(a.numerator) / a.denominator
-                             + mpf(b.numerator) / b.denominator * e.sqrt_image)
-                        if a_exp:
-                            v *= e.k0_image ** a_exp
-                        row.append(v * e.theta_image ** c_exp)
-                    values.append(row)
-        return _rational_det(emb, values, max_denominator)
+        values = _product_values(emb, tower.k0_degree, tower.k1_basis)
+        det = mp.det(_trace_values(values, range(emb.degree)))
+        return _rational(emb, det, "discriminant over Q", max_denominator)
 
 
 def check_discriminant_identity(
@@ -616,12 +560,9 @@ def check_discriminant_identity(
     with mp.workdps(emb.precision + 15):
         tol = emb.tolerance()
         delta_k, cert_k = disc_over_q(emb, max_denominator=max_denominator)
-        big, lower_data = disc_constant_lower(tower, precision=emb.precision)
-        nabla, upper_data = disc_constant_upper(emb, max_denominator=max_denominator)
-        deg = emb.degree
-        if deg % 2 != 0:
-            raise NotRational("field degree over Q is odd; no CM structure")
-        i_pow = mpc(0, 1) ** (deg // 2)
+        big, _ = disc_constant_lower(tower, precision=emb.precision)
+        nabla, _ = disc_constant_upper(emb, max_denominator=max_denominator)
+        i_pow = mpc(0, 1) ** (emb.degree // 2)
         denom = i_pow * big * nabla
         if abs(denom) < tol:
             raise NotRational("degenerate normalizing constant")

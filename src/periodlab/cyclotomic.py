@@ -17,6 +17,20 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+def factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of an integer n >= 1, by trial division up to sqrt(n)."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Exact division of integer polynomials, ``den`` monic."""
     num = list(num)

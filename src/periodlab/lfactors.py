@@ -18,11 +18,12 @@ over the units of a residue field, exact in Q(zeta_{lcm(q-1, p)}).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, factorize
 from .laurent import LaurentRatio, XPoly
 from .errors import PoleHit
 
@@ -115,33 +116,6 @@ def normalizing_factor(token: VanishingToken, deg: int) -> NormalizingFactor:
 # -- finite fields and Gauss sums -------------------------------------------------
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
-
-
-def _prime_factors(m: int) -> list[int]:
-    out, p = [], 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 class FiniteField:
     """GF(p^e) as F_p[x]/(f) for the first irreducible monic f in lex order.
 
@@ -151,7 +125,7 @@ class FiniteField:
 
     def __init__(self, q: int) -> None:
         self.q = q
-        self.p, self.e = _factor_prime_power(q)
+        ((self.p, self.e),) = factorize(q).items()
         self.modulus = self._find_modulus()
         self.zero = (0,) * self.e
         self.one = (1,) + (0,) * (self.e - 1)
@@ -184,16 +158,8 @@ class FiniteField:
         return not any(rem)
 
     def _tuples(self, length: int):
-        if length == 0:
-            yield ()
-            return
-        for rest in self._tuples(length - 1):
-            for c in range(self.p):
-                yield rest + (c,)
-
-    def elements(self):
-        for t in self._tuples(self.e):
-            yield t
+        """Coefficient tuples in lex order, the last coordinate fastest."""
+        return itertools.product(range(self.p), repeat=length)
 
     def mul(self, a, b):
         p, e = self.p, self.e
@@ -234,8 +200,8 @@ class FiniteField:
     def _find_generator(self):
         """First element, in enumeration order, with a^((q-1)/r) != 1 for
         every prime r dividing q - 1."""
-        exponents = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
-        for a in self.elements():
+        exponents = [(self.q - 1) // r for r in factorize(self.q - 1)]
+        for a in self._tuples(self.e):
             if a != self.zero and all(self.pow(a, x) != self.one for x in exponents):
                 return a
         raise AssertionError("no generator found")
@@ -251,6 +217,11 @@ class FiniteField:
         return acc[0]
 
 
+# Largest cyclotomic order N = lcm(q - 1, p) of a Gauss sum over GF(q): the
+# exact check |G|^2 = q multiplies two elements of Q(zeta_N) in its power basis.
+MAX_GAUSS_ORDER = 2000
+
+
 @dataclass(frozen=True)
 class GaussSumSpec:
     """Multiplicative character by its value on the fixed generator of
@@ -261,7 +232,14 @@ class GaussSumSpec:
     chi_index: int = 1
 
     def __post_init__(self):
-        p, e = _factor_prime_power(self.q)
+        too_big = f"GF({self.q}) needs Q(zeta_N) with N = lcm(q - 1, p) above {MAX_GAUSS_ORDER}, the limit"
+        if self.q - 1 > MAX_GAUSS_ORDER:  # N >= q - 1: refuse before factoring q
+            raise ValueError(too_big)
+        factors = factorize(self.q)
+        if len(factors) != 1:
+            raise ValueError(f"{self.q} is not a prime power")
+        if math.lcm(self.q - 1, *factors) > MAX_GAUSS_ORDER:
+            raise ValueError(too_big)
         # chi(gen)^(q-1) must be 1
         if (self.chi_index * (self.q - 1)) % self.chi_order != 0:
             raise ValueError("character value is not well-defined on GF(q)^x")

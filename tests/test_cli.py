@@ -58,6 +58,33 @@ def test_field_check_qi(config_file, capsys):
     assert doc["summary"]["fail"] == 0
 
 
+@pytest.mark.parametrize("field, nabla, identity", [
+    ({"d": 1, "k0_poly": [-2, 0, 1], "extension_poly": [-3, 0, 1]}, "144+0i", "64"),
+    ({"d": 3, "k0_poly": [-5, 0, 1], "extension_poly": [-2, 0, 0, 1]}, "11664+0i", "-8000"),
+])
+def test_field_check_declared_k0(field, nabla, identity, tmp_path, capsys):
+    """Towers over k0 != Q with [k:k1] >= 2 get every tower constant."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"field": field}))
+    code, out = run_cli(["--config", str(p), "field-check"], capsys)
+    assert code == 0
+    by_name = {r["name"]: r["got"] for r in json.loads(out)["records"]}
+    assert by_name["nabla_constant"] == nabla
+    assert by_name["identity_constant"] == identity
+
+
+@pytest.mark.parametrize("k_basis", [[[[1, 0]]], [[[1, 0]], [[0, 0], [1, "x"]]], 5])
+def test_bad_k_basis_exits_2(k_basis, tmp_path, capsys):
+    """A k_basis of the wrong length or with a malformed entry is a config error."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"field": {"d": 1, "extension_poly": [-2, 0, 1], "k_basis": k_basis}}))
+    code = main(["--config", str(p), "field-check"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad field.k_basis: ") and captured.err.count("\n") == 1
+
+
 def test_determinism(config_file, capsys):
     _, out1 = run_cli(["--config", config_file, "balanced", "--oracle"], capsys)
     _, out2 = run_cli(["--config", config_file, "balanced", "--oracle"], capsys)
@@ -133,16 +160,27 @@ ARGUMENT_ERRORS = [
     ["--config", QI_CONFIG, "field-check", "--precision", "5"],
     ["--precision", "17", "--config", QI_CONFIG, "balanced"],
     ["--precision", "25", "--max-den", "10000000", "--config", QI_CONFIG, "field-check"],
+    # work bounds: Q(zeta_N) for N = lcm(q - 1, p), and the Weyl elements a scan visits
+    ["gauss", "--q", "101", "--chi-order", "2"],
+    ["gauss", "--q", "1000003", "--chi-order", "2"],
+    ["gauss", "--q", str(10**30 + 57), "--chi-order", "2"],
+    ["--config", QI_CONFIG, "kostant", "--n", "9", "--p", "30"],
+    ["--config", QI_CONFIG, "kostant", "--n", "1000000", "--p", "1"],
+    ["--config", QI_CONFIG, "find-wk", "--n", "7", "--k", "1", "--full-scan"],
+    ["--config", QI_CONFIG, "find-wk", "--n", "1000000", "--k", "1"],
 ]
 
 
 @pytest.mark.parametrize("argv", ARGUMENT_ERRORS, ids=" ".join)
 def test_argument_error_exits_2(argv, capsys):
+    t0 = time.perf_counter()
     code = main(argv)
+    elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert elapsed < 1.0
 
 
 def _qi_config(**weights):

@@ -80,9 +80,9 @@ def test_reducible_polynomial_rejected():
 
 
 def test_relative_discriminant_examples(built):
-    d, _ = relative_discriminant(built[QI], product_basis(built[QI]), over="Q")
+    d, _ = relative_discriminant(built[QI], product_basis(built[QI]))
     assert d == Fraction(-4)
-    d3, _ = relative_discriminant(built[QS3], product_basis(built[QS3]), over="Q")
+    d3, _ = relative_discriminant(built[QS3], product_basis(built[QS3]))
     assert d3 == Fraction(-12)
 
 
@@ -90,7 +90,7 @@ def test_disc_over_q_matches_exact_product_basis(built):
     """The numeric product-basis route against the exact-element route."""
     for emb in built.values():
         d, _ = disc_over_q(emb)
-        oracle, _ = relative_discriminant(emb, product_basis(emb), over="Q")
+        oracle, _ = relative_discriminant(emb, product_basis(emb))
         assert d == oracle
 
 
@@ -120,7 +120,7 @@ def test_discriminant_square_class_invariance(built):
     emb = built[QZ8]
     rng = random.Random(7)
     base = product_basis(emb)
-    d0, _ = relative_discriminant(emb, base, over="Q")
+    d0, _ = relative_discriminant(emb, base)
     trials = 0
     while trials < 3:
         m = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
@@ -138,7 +138,7 @@ def test_discriminant_square_class_invariance(built):
                 for p in range(len(base[0]))
             ]
             newbase.append(tuple(elem))
-        d1, _ = relative_discriminant(emb, newbase, over="Q", max_denominator=10**6)
+        d1, _ = relative_discriminant(emb, newbase, max_denominator=10**6)
         assert d1 == d0 * det**2
 
 
@@ -146,9 +146,34 @@ def test_scaling_square_class(built):
     emb = built[QI]
     base = product_basis(emb)
     scaled = [tuple((3 * a, 3 * b) for a, b in x) for x in base]
-    d0, _ = relative_discriminant(emb, base, over="Q")
-    d1, _ = relative_discriminant(emb, scaled, over="Q")
+    d0, _ = relative_discriminant(emb, base)
+    d1, _ = relative_discriminant(emb, scaled)
     assert d1 == d0 * Fraction(3) ** (2 * emb.degree)
+
+
+# Q(sqrt -3, sqrt 2) with the k1 basis {1, (1 + sqrt -3)/2}, the integers of k1
+QS3_HALF = FieldTower(base_disc=3, extension_poly=(-2, 0, 1),
+                      k1_basis=((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1, 2))))
+K0_SQRT2 = FieldTower(base_disc=1, extension_poly=(-3, 0, 1), declared_k0_poly=(-2, 0, 1))
+K0_SQRT5 = FieldTower(base_disc=3, extension_poly=(-2, 0, 0, 1), declared_k0_poly=(-5, 0, 1))
+
+
+@pytest.mark.parametrize("tower", TOWERS + [QS3_HALF, K0_SQRT2, K0_SQRT5])
+def test_tower_law(tower):
+    """disc(k/Q) = disc(k0)^[k:k0] * N(disc(k1/k0))^[k:k1] * N(disc(k/k1)),
+    with every factor exact."""
+    emb = build_field(tower, 60)
+    if tower.declared_k0_poly is None:
+        disc_k0 = 1
+    else:
+        c, b, _ = tower.declared_k0_poly  # quadratic k0: disc = b^2 - 4c
+        disc_k0 = b * b - 4 * c
+    _, lower = disc_constant_lower(tower)
+    _, upper = disc_constant_upper(emb)
+    k_over_k0 = 2 * tower.theta_degree
+    assert disc_over_q(emb)[0] == (
+        disc_k0**k_over_k0 * lower["norm_to_q"] ** tower.theta_degree * upper["norm_to_q"]
+    )
 
 
 def test_delta_constants(built):
@@ -196,8 +221,10 @@ def test_identity_constant_under_scaled_basis(built):
     emb = built[QZ8]
     base = [tuple((2 * a, 2 * b) for a, b in x) for x in power_basis(emb)]
     v, data = disc_constant_upper(emb, basis=base)
-    # scaling theta-basis by 2 multiplies the relative disc by 2^(2*2)=16
-    assert data["disc_k_over_k1"] == (Fraction(8 * 16), Fraction(0))
+    # scaling theta-basis by 2 multiplies the relative disc 8 by 2^(2*2) = 16,
+    # and its norm to Q by 16^2
+    assert data["norm_to_q"] == 128**2
+    assert abs(float(v) - 128) < 1e-10
 
 
 def test_apply_galois(built):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from periodlab.cyclotomic import Cyc, cyclotomic_polynomial
+from periodlab.cyclotomic import Cyc, cyclotomic_polynomial, factorize
 
 
 def test_cyclotomic_polynomials():
@@ -12,6 +12,20 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_factorize():
+    """The factorization multiplies back, with prime keys, for every n <= 2000."""
+    assert factorize(1) == {}
+    assert factorize(1000003) == {1000003: 1}
+    assert factorize(2**10 * 3**5 * 7) == {2: 10, 3: 5, 7: 1}
+    for n in range(1, 2001):
+        f = factorize(n)
+        assert all(p > 1 and all(p % d for d in range(2, p)) for p in f)
+        product = 1
+        for p, e in f.items():
+            product *= p**e
+        assert product == n
 
 
 def test_zeta_powers_and_reduction():

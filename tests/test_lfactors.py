@@ -175,6 +175,17 @@ def test_character_validation():
         GaussSumSpec(q=5, chi_order=3, chi_index=1)  # 3 does not divide 4
 
 
+def test_cyclotomic_order_bound():
+    """N = lcm(q - 1, p) is refused above MAX_GAUSS_ORDER, before any work."""
+    GaussSumSpec(q=43, chi_order=42)  # N = 1806
+    GaussSumSpec(q=512, chi_order=511)  # N = 1022
+    for q in (47, 1024, 1000003, 10**30 + 57):  # N = 2162, 2046, ...
+        with pytest.raises(ValueError, match="the limit"):
+            GaussSumSpec(q=q, chi_order=2)
+    with pytest.raises(ValueError, match="not a prime power"):
+        GaussSumSpec(q=6, chi_order=5)
+
+
 # -- tokens and normalization -----------------------------------------------------------
 
 
