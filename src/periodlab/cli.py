@@ -182,11 +182,14 @@ def check_grid_size(n: int, bound: int, degree: int) -> None:
 
 # Most Weyl group elements kostant or find-wk may enumerate.
 MAX_WEYL_CANDIDATES = 10**5
+# Largest wedge-sign --n: its work grows with the square of the label count.
+MAX_WEDGE_N = 1000
 
 
 def check_weyl_count(args) -> None:
     """Refuse a kostant or find-wk run that would enumerate more than
-    MAX_WEYL_CANDIDATES elements of S_n^[k:Q], before any work is done.
+    MAX_WEYL_CANDIDATES elements of S_n^[k:Q], and a wedge-sign run with
+    n above MAX_WEDGE_N, before any work is done.
 
     Every route lists S_n first; the full scan then visits all n!^[k:Q]
     elements, and a scan by length (kostant's --p, find-wk's bottom degree)
@@ -197,8 +200,10 @@ def check_weyl_count(args) -> None:
         length = args.p
     elif hasattr(args, "full_scan"):
         length = None if args.full_scan else weylkostant.bottom_degree(args.n, args.emb)
-    else:
-        return  # wedge-sign enumerates nothing
+    else:  # wedge-sign enumerates no Weyl elements
+        if args.n > MAX_WEDGE_N:
+            raise ConfigError(f"--n {args.n} is above the wedge-sign limit of {MAX_WEDGE_N}")
+        return
     size = 1
     for i in range(2, args.n + 1):
         size *= i
@@ -351,8 +356,12 @@ def cmd_field_check(args) -> Report:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad field.k_basis: {exc}") from None
     report.add("nabla_constant", complex(nab), complex(nab))
+    # the identity uses the power basis: hand over nab when it is that one
+    power_nabla = nab if k_basis is None else None
     try:
-        c, cert = cmfield.check_discriminant_identity(emb, max_denominator=args.max_den)
+        c, cert = cmfield.check_discriminant_identity(
+            emb, max_denominator=args.max_den, nabla=power_nabla
+        )
         report.add("identity_constant_rational", True, True)
         report.add("identity_constant", c, c)
         report.add("disc_over_q", cert["disc_k"], cert["disc_k"])

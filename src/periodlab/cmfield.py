@@ -49,6 +49,8 @@ KElement = tuple[K1Pair, ...]
 
 DEFAULT_PRECISION = 50
 DEFAULT_MAX_DENOMINATOR = 10**4
+# Largest accepted d: its squarefree test is trial division up to sqrt(d).
+MAX_BASE_DISC = 10**12
 
 
 def inversions(seq) -> int:
@@ -109,6 +111,8 @@ class FieldTower:
     k1_maximality_asserted: bool = True
 
     def __post_init__(self):
+        if self.base_disc > MAX_BASE_DISC:
+            raise ValueError(f"d = {self.base_disc} is above the limit of {MAX_BASE_DISC}")
         if self.base_disc <= 0 or any(e > 1 for e in factorize(self.base_disc).values()):
             raise ValueError(f"d = {self.base_disc} must be a squarefree positive integer")
         if not self.extension_poly or self.extension_poly[-1] != 1:
@@ -548,20 +552,24 @@ def disc_over_q(emb: EmbeddingSet, max_denominator: int = DEFAULT_MAX_DENOMINATO
 def check_discriminant_identity(
     emb: EmbeddingSet,
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
+    nabla=None,
 ):
     """Solve |disc(k)|^(1/2) = c * i^([k:Q]/2) * Delta * Nabla for rational c.
 
     Delta and Nabla are the two principal-branch square-root constants of
     the tower; disc(k) is computed from the product basis, so all three
     depend on basis choices and c is only canonical in Q^x, which is
-    exactly what is certified.
+    exactly what is certified.  ``nabla`` is the value of
+    ``disc_constant_upper(emb, max_denominator=max_denominator)`` when the
+    caller already has it; otherwise it is computed here.
     """
     tower = emb.tower
     with mp.workdps(emb.precision + 15):
         tol = emb.tolerance()
         delta_k, cert_k = disc_over_q(emb, max_denominator=max_denominator)
         big, _ = disc_constant_lower(tower, precision=emb.precision)
-        nabla, _ = disc_constant_upper(emb, max_denominator=max_denominator)
+        if nabla is None:
+            nabla, _ = disc_constant_upper(emb, max_denominator=max_denominator)
         i_pow = mpc(0, 1) ** (emb.degree // 2)
         denom = i_pow * big * nabla
         if abs(denom) < tol:

@@ -1,9 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-An element is a dense vector of Fractions in the power basis
+An element is a dense vector of integer numerators over one positive
+common denominator, in lowest terms, in the power basis
 1, zeta, ..., zeta^{phi(N)-1}, reduced modulo the N-th cyclotomic
-polynomial.  Equality is therefore exact.  Every element also carries a
-complex float shadow (``to_complex``) for cross-checks against numerics.
+polynomial.  The form is canonical, so equality is exact and compares
+integers.  Fractions appear only at the edges: the constructor from
+rational coefficients, printing, and the extended Euclid of ``inverse``.
+Every element also carries a complex float shadow (``to_complex``) for
+cross-checks against numerics.
 
 Supported structure maps: the Galois action zeta -> zeta^j for j coprime
 to N, complex conjugation, the norm-squared z * conj(z), and inversion.
@@ -67,22 +71,25 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row e-phi(n) is zeta^e written in the power basis, for phi(n) <= e < n."""
+def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row e-phi(n) is zeta^e in the power basis, as the (index, integer
+    coefficient) pairs with a nonzero coefficient, for every exponent
+    phi(n) <= e < n and every exponent e <= 2 phi(n) - 2 of a product of
+    two reduced elements (for prime n the latter pass n)."""
     phi_poly = cyclotomic_polynomial(n)
     deg = len(phi_poly) - 1
     rows = []
     # zeta^deg = -(lower part of Phi_n)
     current = [-c for c in phi_poly[:deg]]
     rows.append(tuple(current))
-    for _ in range(deg + 1, n):
+    for _ in range(deg + 1, max(n, 2 * deg - 1)):
         shifted = [0] + current[:-1]
         if current[-1]:
             top = current[-1]
             shifted = [s + top * r for s, r in zip(shifted, rows[0])]
         current = shifted
         rows.append(tuple(current))
-    return tuple(rows)
+    return tuple(tuple((i, r) for i, r in enumerate(row) if r) for row in rows)
 
 
 def _xgcd_fraction_poly(a: list[Fraction], b: list[Fraction]):
@@ -129,44 +136,76 @@ def _xgcd_fraction_poly(a: list[Fraction], b: list[Fraction]):
     return r0, u0, v0
 
 
-class Cyc:
-    """An element of Q(zeta_N), reduced mod the cyclotomic polynomial."""
+def _reduce_exponents(n: int, terms) -> list[int]:
+    """Integer coefficients of sum c * zeta^e over (e, c) in ``terms``."""
+    rows = _reduction_rows(n)
+    deg = len(cyclotomic_polynomial(n)) - 1
+    out = [0] * deg
+    for e, c in terms:
+        if not c:
+            continue
+        e %= n
+        if e < deg:
+            out[e] += c
+        else:
+            for i, r in rows[e - deg]:
+                out[i] += c * r
+    return out
 
-    __slots__ = ("n", "c")
+
+class Cyc:
+    """An element of Q(zeta_N), reduced mod the cyclotomic polynomial.
+
+    ``nums`` are the integer numerators of the power-basis coefficients
+    and ``den`` their positive common denominator, with
+    gcd(den, *nums) = 1, so every element has exactly one form.
+    """
+
+    __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, coeffs) -> None:
+        """From rational power-basis coefficients, zero-padded to phi(N)."""
         deg = len(cyclotomic_polynomial(n)) - 1
-        c = list(coeffs) + [Fraction(0)] * deg
+        fracs = [Fraction(x) for x in list(coeffs)[:deg]]
+        fracs += [Fraction(0)] * (deg - len(fracs))
+        # with each Fraction in lowest terms, their lcm is already coprime
+        # to the scaled numerators
+        den = math.lcm(*(f.denominator for f in fracs))
         self.n = n
-        self.c = tuple(Fraction(x) for x in c[:deg])
+        self.nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        self.den = den
+
+    @staticmethod
+    def _make(n: int, nums: list[int], den: int) -> "Cyc":
+        """The element nums / den (den > 0), brought to lowest terms."""
+        g = math.gcd(den, *nums) if den != 1 else 1
+        if g != 1:
+            nums = [a // g for a in nums]
+            den //= g
+        out = object.__new__(Cyc)
+        out.n = n
+        out.nums = tuple(nums)
+        out.den = den
+        return out
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def rational(r, n: int = 1) -> "Cyc":
+        r = Fraction(r)
         deg = len(cyclotomic_polynomial(n)) - 1
-        return Cyc(n, [Fraction(r)] + [0] * (deg - 1))
+        return Cyc._make(n, [r.numerator] + [0] * (deg - 1), r.denominator)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyc":
-        return Cyc._from_exponent_dict(n, {k % n: Fraction(1)})
+        return Cyc._from_exponent_dict(n, {k % n: 1})
 
     @staticmethod
     def _from_exponent_dict(n: int, d: dict[int, Fraction]) -> "Cyc":
-        deg = len(cyclotomic_polynomial(n)) - 1
-        rows = _reduction_rows(n)
-        out = [Fraction(0)] * deg
-        for e, coef in d.items():
-            if coef == 0:
-                continue
-            e %= n
-            if e < deg:
-                out[e] += coef
-            else:
-                for i, r in enumerate(rows[e - deg]):
-                    if r:
-                        out[i] += coef * r
-        return Cyc(n, out)
+        """sum d[e] * zeta^e for rational (int or Fraction) d[e]."""
+        den = math.lcm(*(c.denominator for c in d.values()))
+        terms = ((e, c.numerator * (den // c.denominator)) for e, c in d.items())
+        return Cyc._make(n, _reduce_exponents(n, terms), den)
 
     # -- ring operations -----------------------------------------------------
 
@@ -175,38 +214,51 @@ class Cyc:
             raise ValueError(f"mixed cyclotomic orders {self.n} and {other.n}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Cyc):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Cyc.rational(other, self.n)
         self._check(other)
-        return Cyc(self.n, [a + b for a, b in zip(self.c, other.c)])
+        if self.den == other.den:
+            return Cyc._make(self.n, [a + b for a, b in zip(self.nums, other.nums)], self.den)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return Cyc._make(
+            self.n, [a * sa + b * sb for a, b in zip(self.nums, other.nums)], den
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.n, [-a for a in self.c])
+        return Cyc._make(self.n, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyc.rational(other, self.n)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyc(self.n, [a * other for a in self.c])
+        if not isinstance(other, Cyc):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return Cyc._make(
+                self.n, [a * other.numerator for a in self.nums], self.den * other.denominator
+            )
         self._check(other)
-        deg = len(self.c)
-        conv: dict[int, Fraction] = {}
-        for i, a in enumerate(self.c):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.c):
-                if b == 0:
-                    continue
-                conv[i + j] = conv.get(i + j, Fraction(0)) + a * b
-        return Cyc._from_exponent_dict(self.n, conv)
+        deg = len(self.nums)
+        right = [(j, b) for j, b in enumerate(other.nums) if b]
+        conv = [0] * (2 * deg - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in right:
+                    conv[i + j] += a * b
+        out = conv[:deg]
+        for row, c in zip(_reduction_rows(self.n), conv[deg:]):
+            if c:
+                for i, r in row:
+                    out[i] += c * r
+        return Cyc._make(self.n, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -223,17 +275,17 @@ class Cyc:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyc.rational(other, self.n)
         if not isinstance(other, Cyc):
-            return NotImplemented
-        return self.n == other.n and self.c == other.c
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Cyc.rational(other, self.n)
+        return self.n == other.n and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.n, self.c))
+        return hash((self.n, self.nums, self.den))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.c)
+        return not any(self.nums)
 
     # -- field structure -------------------------------------------------------
 
@@ -241,20 +293,19 @@ class Cyc:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         phi = [Fraction(x) for x in cyclotomic_polynomial(self.n)]
-        g, u, _ = _xgcd_fraction_poly(list(self.c), phi)
+        # invert the integer vector nums, then multiply by den
+        g, u, _ = _xgcd_fraction_poly([Fraction(a) for a in self.nums], phi)
         if len(g) != 1:
             raise AssertionError("cyclotomic polynomial not coprime to element")
-        scale = 1 / g[0]
-        inv = {i: coef * scale for i, coef in enumerate(u)}
-        return Cyc._from_exponent_dict(self.n, inv)
+        scale = self.den / g[0]
+        return Cyc._from_exponent_dict(self.n, {i: coef * scale for i, coef in enumerate(u)})
 
     def galois(self, j: int) -> "Cyc":
         """Apply zeta -> zeta^j; requires gcd(j, N) = 1."""
         if math.gcd(j, self.n) != 1:
             raise ValueError(f"{j} not coprime to {self.n}")
-        return Cyc._from_exponent_dict(
-            self.n, {(i * j) % self.n: a for i, a in enumerate(self.c) if a != 0}
-        )
+        terms = ((i * j, a) for i, a in enumerate(self.nums))
+        return Cyc._make(self.n, _reduce_exponents(self.n, terms), self.den)
 
     def conj(self) -> "Cyc":
         return self.galois(self.n - 1) if self.n > 1 else self
@@ -265,22 +316,24 @@ class Cyc:
     # -- views ----------------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return all(a == 0 for a in self.c[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.c[0]
+        return Fraction(self.nums[0], self.den)
 
     def to_complex(self) -> complex:
+        # int true division is correctly rounded, so a / den is float(Fraction(a, den))
         z = cmath.exp(2j * cmath.pi / self.n)
-        return sum((complex(a) * z**i for i, a in enumerate(self.c)), 0j)
+        return sum((complex(a / self.den) * z**i for i, a in enumerate(self.nums)), 0j)
 
     def __repr__(self):
         terms = []
-        for i, a in enumerate(self.c):
-            if a == 0:
+        for i, num in enumerate(self.nums):
+            if num == 0:
                 continue
+            a = Fraction(num, self.den)
             if i == 0:
                 terms.append(str(a))
             elif i == 1:

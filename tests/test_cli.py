@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from periodlab import cmfield
 from periodlab.cli import main
 
 QI_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "qi.json")
@@ -49,13 +50,19 @@ def run_cli(args, capsys):
     return code, out
 
 
-def test_field_check_qi(config_file, capsys):
+def test_field_check_qi(config_file, capsys, monkeypatch):
+    """Without a k_basis, Nabla is computed once and serves both records."""
+    nabla_calls = []
+    upper = cmfield.disc_constant_upper
+    monkeypatch.setattr(cmfield, "disc_constant_upper",
+                        lambda *a, **kw: nabla_calls.append(a) or upper(*a, **kw))
     code, out = run_cli(["--config", config_file, "field-check"], capsys)
     assert code == 0
     doc = json.loads(out)
     by_name = {r["name"]: r for r in doc["records"]}
     assert by_name["identity_constant"]["got"] == "-1"
     assert doc["summary"]["fail"] == 0
+    assert len(nabla_calls) == 1
 
 
 @pytest.mark.parametrize("field, nabla, identity", [
@@ -168,6 +175,7 @@ ARGUMENT_ERRORS = [
     ["--config", QI_CONFIG, "kostant", "--n", "1000000", "--p", "1"],
     ["--config", QI_CONFIG, "find-wk", "--n", "7", "--k", "1", "--full-scan"],
     ["--config", QI_CONFIG, "find-wk", "--n", "1000000", "--k", "1"],
+    ["--config", QI_CONFIG, "wedge-sign", "--n", "1000000", "--k", "1", "--g", "conj"],
 ]
 
 
@@ -202,6 +210,7 @@ CONFIG_ERRORS = {
     "n-1": _qi_config(n=1, points=[{"mu": {"0": [0], "1": [0]}, "nu": {"0": [0], "1": [0]},
                                      "chi": {"0": 0, "1": 1}}]),
     "precision-digits-4": dict(CONFIG, field=dict(CONFIG["field"], precision_digits=4)),
+    "d-1e18-plus-3": dict(CONFIG, field=dict(CONFIG["field"], d=10**18 + 3)),
 }
 
 

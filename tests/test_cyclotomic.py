@@ -1,7 +1,10 @@
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodlab.cyclotomic import Cyc, cyclotomic_polynomial, factorize
 
@@ -66,3 +69,110 @@ def test_norm_squared_root_of_unity():
 def test_mixed_orders_rejected():
     with pytest.raises(ValueError):
         Cyc.zeta(12) * Cyc.zeta(8)
+
+
+def test_float_shadow_pinned():
+    """Values recorded from the Fraction-vector representation; each
+    element has a denominator other than 1, up to about 10^100."""
+    cases = [
+        (Cyc(12, [Fraction(1, 3), Fraction(-5, 7), 0, Fraction(2, 9)]),
+         "(-0.2852562407984086-0.13492063492063489j)"),
+        ((Cyc.rational(1, 7) - Cyc.zeta(7, 5) * 125).inverse(),
+         "(0.001837507728182676-0.007771257656775742j)"),
+        ((Cyc.zeta(336, 101) + Fraction(3, 11)).inverse(),
+         "(-0.04408130487453966-1.050899835687183j)"),
+        (Cyc.zeta(15, 4) * Fraction(22, 7) - Fraction(1, 13),
+         "(-0.40544110433570196+3.125640242586001j)"),
+    ]
+    for x, shadow in cases:
+        assert x.den > 1
+        assert repr(x.to_complex()) == shadow
+
+
+# -- independent oracle: Fraction polynomials reduced by long division --------------
+# The reference below shares no code with Cyc or its reduction rows: it
+# multiplies polynomials with Fraction coefficients and reduces them by
+# long division modulo the cyclotomic polynomial.
+
+ORACLE_ORDERS = [1, 3, 4, 7, 12, 15, 336]  # 7: a product's exponents pass N
+
+
+def ref_reduce(poly: list[Fraction], n: int) -> list[Fraction]:
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    rem = list(poly) + [Fraction(0)] * max(0, deg - len(poly))
+    phi_terms = [(i, p) for i, p in enumerate(phi) if p]
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = rem[top]
+        if c:
+            for i, p in phi_terms:
+                rem[top - deg + i] -= c * p
+    return rem[:deg]
+
+
+def ref_mul(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b_terms:
+                prod[i + j] += x * y
+    return ref_reduce(prod, n)
+
+
+def ref_galois(a: list[Fraction], j: int, n: int) -> list[Fraction]:
+    # Phi_n divides x^n - 1, so exponents may be taken mod n first
+    poly = [Fraction(0)] * n
+    for i, x in enumerate(a):
+        poly[(i * j) % n] += x
+    return ref_reduce(poly, n)
+
+
+def coefficients(x: Cyc) -> list[Fraction]:
+    """The power-basis coefficients of x, checking its canonical form."""
+    assert x.den > 0 and math.gcd(x.den, *x.nums) == 1
+    return [Fraction(a, x.den) for a in x.nums]
+
+
+@st.composite
+def oracle_case(draw):
+    n = draw(st.sampled_from(ORACLE_ORDERS))
+    deg = len(cyclotomic_polynomial(n)) - 1
+    entry = st.tuples(
+        st.integers(0, deg - 1),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    )
+
+    def vector():
+        v = [Fraction(0)] * deg
+        for i, c in draw(st.lists(entry, max_size=6)):
+            v[i] = c
+        return v
+
+    j = draw(st.sampled_from([j for j in range(1, n + 1) if math.gcd(j, n) == 1]))
+    return n, vector(), vector(), j
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(oracle_case())
+def test_cyc_against_fraction_polynomial_oracle(case):
+    n, va, vb, j = case
+    a, b = Cyc(n, va), Cyc(n, vb)
+    assert coefficients(a) == va
+    assert coefficients(a + b) == [x + y for x, y in zip(va, vb)]
+    assert coefficients(a - b) == [x - y for x, y in zip(va, vb)]
+    assert coefficients(-a) == [-x for x in va]
+    assert coefficients(a * b) == ref_mul(va, vb, n)
+    assert coefficients(a * vb[0]) == [x * vb[0] for x in va]
+    assert coefficients(a.galois(j)) == ref_galois(va, j, n)
+    assert (a == b) == (va == vb)
+    assert ((a + b) - b == a) and hash((a + b) - b) == hash(a)
+    assert (a == va[0]) == (not any(va[1:]))
+    if not any(va):
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+    elif n < 336 or sum(1 for x in va if x) == 1:
+        # over Q(zeta_336) the Fraction Euclid of ``inverse`` can take
+        # seconds from two nonzero terms on
+        one = [Fraction(1)] + [Fraction(0)] * (len(va) - 1)
+        assert ref_mul(va, coefficients(a.inverse()), n) == one
