@@ -32,3 +32,7 @@ convolutions over fields containing a CM subfield:
 """
 
 __version__ = "0.1.0"
+
+# Default denominator bound of rational reconstruction (``cmfield``) and of
+# the CLI's --max-den; kept here so the CLI reads it without loading mpmath.
+DEFAULT_MAX_DENOMINATOR = 10**4

@@ -10,6 +10,10 @@ Structured configs are JSON files; see README for the schema.  Flags
 override config scalars.  The global flags (--format, --config,
 --precision, --tol, --max-den) may come before or after the subcommand;
 one written after it wins.
+
+Importing this module loads no periodlab layer: the prologue in ``main``
+and each handler import the layers they run, so a subcommand loads only
+what it uses.
 """
 
 from __future__ import annotations
@@ -21,13 +25,12 @@ import itertools
 import json
 import math
 import operator
+import re
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from . import cmfield, intertwine, lfactors, weights, weylkostant
-from .charpeel import balanced_at_oracle
-from .cyclotomic import Cyc
+from . import DEFAULT_MAX_DENOMINATOR
 from .errors import ConfigError, PeriodLabError
 
 
@@ -132,6 +135,8 @@ def load_config(path: str | None) -> dict:
 
 
 def tower_from_config(cfg: dict, precision_override=None) -> tuple[cmfield.FieldTower, int]:
+    from . import cmfield
+
     if "field" not in cfg:
         raise ConfigError("config lacks a 'field' section")
     fc = cfg["field"]
@@ -196,6 +201,8 @@ def check_weyl_count(args) -> None:
     the coefficient of q^length in the length generating function.  n is
     bounded through n! first, so a huge --n costs nothing.
     """
+    from . import weylkostant
+
     if hasattr(args, "p"):
         length = args.p
     elif hasattr(args, "full_scan"):
@@ -221,6 +228,8 @@ def check_weyl_count(args) -> None:
 def weight_points(cfg: dict, degree: int) -> list[weights.WeightSystem]:
     """Explicit points, or the dominant grid over all ``degree`` embeddings
     of the field, from the config."""
+    from . import weights
+
     wc = cfg.get("weights")
     if wc is None:
         raise ConfigError("config lacks a 'weights' section")
@@ -281,6 +290,44 @@ def parse_unit(spec: str) -> tuple[int, int]:
     return order, index
 
 
+# Most decimal digits of q^(n-k), which lratio and intertwine-nonarch print.
+MAX_POWER_DIGITS = 1000
+# Largest work estimate of lratio and intertwine-nonarch (see check_local_work).
+MAX_LOCAL_WORK = 2 * 10**8
+
+
+def check_local_work(args, order: int, telescoping: bool) -> None:
+    """Refuse an lratio or intertwine-nonarch run before any work: a root
+    of unity of order N above lfactors.MAX_GAUSS_ORDER, a q^(n-k) of more
+    than MAX_POWER_DIGITS digits, or a work estimate above MAX_LOCAL_WORK.
+
+    With f = phi(N) coordinates per element of Q(zeta_N), m = n - k and D
+    the digits of q^m, printing a reduced ratio inverts elements of
+    Q(zeta_N) for about f^2 (2 D + 40) steps, and lratio's telescoping
+    product of m degree-one ratios (``telescoping``) adds about m^2 f^2
+    steps on field elements and m^3 D^1.5 / 150 on their integers.  The
+    weights are fitted to timings of both commands.
+    """
+    from . import cyclotomic, lfactors
+
+    if order > lfactors.MAX_GAUSS_ORDER:
+        raise ConfigError(
+            f"--a {args.a}: the order {order} is above the limit of {lfactors.MAX_GAUSS_ORDER}"
+        )
+    m = args.n - args.k
+    if m > MAX_POWER_DIGITS / math.log10(args.q):  # exact int/float comparison
+        raise ConfigError(f"q^(n-k) has more than {MAX_POWER_DIGITS} digits, the limit")
+    digits = m * math.log10(args.q)
+    f = order
+    for p in cyclotomic.factorize(order):
+        f -= f // p
+    work = f * f * (2 * digits + 40)
+    if telescoping:
+        work += m * m * f * f + m**3 * digits**1.5 / 150
+    if work > MAX_LOCAL_WORK:
+        raise ConfigError(f"the work estimate {work:.3g} is above the limit of {MAX_LOCAL_WORK:.0e}")
+
+
 def parse_ints(spec: str, flag: str) -> tuple[int, ...]:
     """Comma list of integers, e.g. '0,2'."""
     try:
@@ -328,6 +375,8 @@ def check_flags(args) -> None:
 
 
 def cmd_field_check(args) -> Report:
+    from . import cmfield
+
     cfg, tower, emb = args.cfg, args.tower, args.emb
     report = Report("field-check", {
         "d": tower.base_disc,
@@ -371,6 +420,8 @@ def cmd_field_check(args) -> Report:
 
 
 def cmd_balanced(args) -> Report:
+    from . import charpeel, weights
+
     points = weight_points(args.cfg, args.emb.degree)
     report = Report("balanced", {
         "n": points[0].n if points else None,
@@ -385,7 +436,7 @@ def cmd_balanced(args) -> Report:
         if args.oracle:
             if regular and two_sided:
                 oracle = all(
-                    balanced_at_oracle(w.mu[i], w.nu[i], w.chi[i], eta[i], w.n)
+                    charpeel.balanced_at_oracle(w.mu[i], w.nu[i], w.chi[i], eta[i], w.n)
                     for i in w.embeddings()
                 )
             else:
@@ -397,6 +448,8 @@ def cmd_balanced(args) -> Report:
 
 
 def cmd_kostant(args) -> Report:
+    from . import weylkostant
+
     w, emb = args.w, args.emb
     report = Report("kostant", {"n": w.n, "eta": w.eta(), "degree": args.p})
     lines = weylkostant.kostant_lines(w, emb, args.p)
@@ -432,6 +485,8 @@ def _eta_from_args(args) -> dict[int, int]:
 
 
 def cmd_find_wk(args) -> Report:
+    from . import weylkostant
+
     w = args.w
     report = Report("find-wk", {"n": w.n, "k": args.k, "eta": w.eta(), "full_scan": args.full_scan})
     try:
@@ -445,6 +500,8 @@ def cmd_find_wk(args) -> Report:
 
 
 def cmd_wedge_sign(args) -> Report:
+    from . import weylkostant
+
     w, emb, n = args.w, args.emb, args.n
     g = _permutation_from_args(args, emb)
     report = Report("wedge-sign", {"n": n, "k": args.k, "eta": w.eta(), "g": list(g.perm)})
@@ -460,6 +517,8 @@ def cmd_wedge_sign(args) -> Report:
 
 
 def _permutation_from_args(args, emb) -> cmfield.GaloisPermutation:
+    from . import cmfield
+
     if args.g == "id":
         return cmfield.identity_permutation(emb)
     if args.g == "conj":
@@ -474,6 +533,8 @@ def _permutation_from_args(args, emb) -> cmfield.GaloisPermutation:
 
 
 def cmd_gauss(args) -> Report:
+    from . import lfactors
+
     try:
         spec = lfactors.GaussSumSpec(q=args.q, chi_order=args.chi_order, chi_index=args.chi_index)
     except ValueError as exc:
@@ -489,8 +550,11 @@ def cmd_gauss(args) -> Report:
 
 
 def cmd_lratio(args) -> Report:
+    from . import cyclotomic, lfactors
+
     order, index = parse_unit(args.a)
-    a = Cyc.zeta(order, index)
+    check_local_work(args, order, telescoping=True)
+    a = cyclotomic.Cyc.zeta(order, index)
     report = Report("lratio", {"n": args.n, "k": args.k, "a": [order, index], "q": args.q})
     ratio = lfactors.unramified_lratio(args.n, args.k, a, args.q)
     report.add("ratio", repr(ratio), repr(ratio))
@@ -504,8 +568,11 @@ def cmd_lratio(args) -> Report:
 
 
 def cmd_intertwine_nonarch(args) -> Report:
+    from . import cyclotomic, intertwine
+
     order, index = parse_unit(args.a)
-    a = Cyc.zeta(order, index)
+    check_local_work(args, order, telescoping=False)
+    a = cyclotomic.Cyc.zeta(order, index)
     res = intertwine.nonarch_intertwining(args.n, args.k, a, args.q)
     report = Report(
         "intertwine-nonarch",
@@ -516,6 +583,8 @@ def cmd_intertwine_nonarch(args) -> Report:
 
 
 def cmd_intertwine_arch(args) -> Report:
+    from . import intertwine
+
     eta_pair = parse_ints(args.eta, "--eta")
     beta = parse_ints(args.beta, "--beta")
     s = parse_s(args.s)
@@ -536,6 +605,8 @@ def cmd_intertwine_arch(args) -> Report:
 
 
 def cmd_constant_term(args) -> Report:
+    from . import cmfield, intertwine, lfactors
+
     emb = args.emb
     big, _ = cmfield.disc_constant_lower(args.tower)
     token = lfactors.VanishingToken(order_zero=0 if args.ord0 == "0" else 1)
@@ -619,7 +690,7 @@ GLOBAL_FLAGS = {
     "--config": {"default": None, "help": "JSON config file"},
     "--precision": {"type": int, "default": None, "help": "working decimal digits"},
     "--tol": {"type": float, "default": 1e-9, "help": "quadrature tolerance"},
-    "--max-den": {"type": int, "default": cmfield.DEFAULT_MAX_DENOMINATOR,
+    "--max-den": {"type": int, "default": DEFAULT_MAX_DENOMINATOR,
                   "help": "denominator bound for rational reconstruction"},
 }
 
@@ -639,17 +710,39 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# A word that starts like a negative number: '-1,3', '-0.5,1', '-.5'.
+NEGATIVE = re.compile(r"-\.?\d")
+
+
+def join_negative_values(argv: list[str]) -> list[str]:
+    """Write '--eta -1,3' as '--eta=-1,3'.  argparse takes a separate word
+    that starts with '-' and is not a plain negative number for a flag, and
+    no flag here starts with '-' and a digit."""
+    out: list[str] = []
+    for word in argv:
+        if out and NEGATIVE.match(word) and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(join_negative_values(argv))
     handler, prologue, _, _ = COMMANDS[args.command]
     try:
         check_flags(args)
         if prologue >= FIELD:
+            from . import cmfield
+
             args.cfg = load_config(args.config)
             args.tower, args.precision = tower_from_config(args.cfg, args.precision)
             check_precision(args.precision, args.max_den)
             args.emb = cmfield.build_field(args.tower, args.precision)
         if prologue == WEIGHTS:
+            from . import weights
+
             check_weyl_count(args)
             try:
                 args.w = weights.weight_system_from_eta(args.n, _eta_from_args(args))

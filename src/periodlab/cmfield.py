@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 
 from mpmath import mp, mpc, mpf
 
+from . import DEFAULT_MAX_DENOMINATOR
 from .cyclotomic import factorize
 from .errors import (
     InvalidGaloisPermutation,
@@ -48,7 +49,6 @@ K1Pair = tuple[Fraction, Fraction]
 KElement = tuple[K1Pair, ...]
 
 DEFAULT_PRECISION = 50
-DEFAULT_MAX_DENOMINATOR = 10**4
 # Largest accepted d: its squarefree test is trial division up to sqrt(d).
 MAX_BASE_DISC = 10**12
 

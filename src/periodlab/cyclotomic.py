@@ -92,6 +92,14 @@ def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((i, r) for i, r in enumerate(row) if r) for row in rows)
 
 
+@lru_cache(maxsize=None)
+def _powers(n: int) -> tuple[complex, ...]:
+    """z**i for z = exp(2 pi i / n) and 0 <= i < phi(n), each power taken
+    by itself, not by repeated multiplication, for the float shadow."""
+    z = cmath.exp(2j * cmath.pi / n)
+    return tuple(z**i for i in range(len(cyclotomic_polynomial(n)) - 1))
+
+
 def _xgcd_fraction_poly(a: list[Fraction], b: list[Fraction]):
     """Extended Euclid over Q[x]; returns (g, u, v) with u*a + v*b = g."""
 
@@ -325,8 +333,9 @@ class Cyc:
 
     def to_complex(self) -> complex:
         # int true division is correctly rounded, so a / den is float(Fraction(a, den))
-        z = cmath.exp(2j * cmath.pi / self.n)
-        return sum((complex(a / self.den) * z**i for i, a in enumerate(self.nums)), 0j)
+        return sum(
+            (complex(a / self.den) * z for a, z in zip(self.nums, _powers(self.n))), 0j
+        )
 
     def __repr__(self):
         terms = []

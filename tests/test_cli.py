@@ -176,6 +176,16 @@ ARGUMENT_ERRORS = [
     ["--config", QI_CONFIG, "find-wk", "--n", "7", "--k", "1", "--full-scan"],
     ["--config", QI_CONFIG, "find-wk", "--n", "1000000", "--k", "1"],
     ["--config", QI_CONFIG, "wedge-sign", "--n", "1000000", "--k", "1", "--g", "conj"],
+    # lratio and intertwine-nonarch: the order of the root of unity, the digits
+    # of q^(n - k) and the work estimate
+    ["intertwine-nonarch", "--n", "3", "--k", "1", "--a", "20011,1", "--q", "2"],
+    ["lratio", "--n", "2", "--k", "1", "--a", "20011,1", "--q", "2"],
+    ["lratio", "--n", "500", "--k", "1", "--a", "12,5", "--q", "2"],
+    ["lratio", "--n", "200", "--k", "1", "--a", "1999,5", "--q", "2"],
+    ["lratio", "--n", "100000", "--k", "1", "--a", "12,5", "--q", "2"],
+    ["intertwine-nonarch", "--n", "20000", "--k", "1", "--a", "12,5", "--q", "2"],
+    ["intertwine-nonarch", "--n", str(10**400), "--k", "1", "--a", "12,5", "--q", "2"],
+    ["intertwine-nonarch", "--n", "2", "--k", "1", "--a", "1999,1998", "--q", str(10**6)],
 ]
 
 
@@ -254,7 +264,7 @@ def test_intertwine_arch_fuzz(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            # --flag=value, since argparse reads a separate '-1,3' as a flag
+            # --flag=value; the other fuzz tests write each value as its own word
             code = main(["intertwine-arch", f"--n={n}", f"--k={k}", f"--eta={eta}",
                          f"--beta={beta}", f"--s={s}"])
         except SystemExit as exc:  # argparse rejects a non-integer --n or --k
@@ -263,10 +273,121 @@ def test_intertwine_arch_fuzz(argv):
     assert "Traceback" not in err.getvalue()
 
 
+def run_words(argv):
+    """Exit status and stderr of main(argv); argparse's own errors included."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+# words that replace a well-formed value: negative numbers, comma lists
+# that start with '-', and text
+JUNK = st.one_of(st.integers(-9, 0).map(str), st.text(max_size=5),
+                 st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(
+                     lambda xs: ",".join(map(str, xs))))
+
+
+SMALL_Q = st.integers(2, 12)
+# (n - k, order, q) per limit of lratio and intertwine-nonarch: values inside
+# it, at it and beyond it
+LOCAL_REGIMES = {
+    "small": st.tuples(st.integers(0, 6), st.one_of(st.integers(1, 24), st.just(336)), SMALL_Q),
+    "order": st.tuples(st.integers(0, 3), st.sampled_from([2000, 2001, 20011]), SMALL_Q),
+    "digits": st.tuples(st.sampled_from([1000, 1001, 3322, 3323, 10**400]), st.integers(1, 24),
+                        st.sampled_from([2, 10])) | st.tuples(
+                            st.just(1), st.integers(1, 24), st.sampled_from([10**1000, 10**1001])),
+    "work": st.tuples(st.sampled_from([50, 1000]), st.sampled_from([24, 336, 2000]), SMALL_Q),
+}
+
+
+@st.composite
+def local_argv(draw):
+    """lratio / intertwine-nonarch flag values (n, k, a, q) in one regime of
+    LOCAL_REGIMES, then at most one value replaced by junk."""
+    m, order, q = draw(st.sampled_from(sorted(LOCAL_REGIMES)).flatmap(LOCAL_REGIMES.get))
+    k = draw(st.integers(1, 3))
+    fields = [str(k + m), str(k), f"{order},{draw(st.integers(-50, 50))}", str(q)]
+    spoiled = draw(st.integers(0, 3 * len(fields) - 1))
+    if spoiled < len(fields):
+        fields[spoiled] = draw(JUNK)
+    return fields
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=20), derandomize=True)
+@given(st.sampled_from(["lratio", "intertwine-nonarch"]), local_argv())
+def test_local_ratio_fuzz(command, argv):
+    n, k, a, q = argv
+    code, err = run_words([command, "--n", n, "--k", k, "--a", a, "--q", q])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=20), derandomize=True)
+@given(
+    st.one_of(st.integers(-3, 32), st.sampled_from([1024, 2001, 2003, 2187, 10**30 + 57])),
+    st.one_of(st.integers(-3, 12), st.sampled_from([16, 31, 2002])),
+    st.integers(-7, 7),
+)
+def test_gauss_fuzz(q, chi_order, chi_index):
+    code, err = run_words(["gauss", "--q", str(q), "--chi-order", str(chi_order),
+                           "--chi-index", str(chi_index)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+ARCH_N2 = ["intertwine-arch", "--n", "2", "--k", "1"]
+ARCH_N3 = ["intertwine-arch", "--n", "3", "--k", "2"]
+FIND_WK = ["--config", QI_CONFIG, "find-wk", "--n", "2", "--k", "1"]
+# (values as separate words, the same values written --flag=value)
+NEGATIVE_VALUES = [
+    (ARCH_N2 + ["--eta", "-1,3", "--beta", "0,4", "--s", "-0.5,1"],
+     ARCH_N2 + ["--eta=-1,3", "--beta", "0,4", "--s=-0.5,1"]),
+    (ARCH_N3 + ["--eta", "-2,3", "--beta", "1,1,3", "--s", "-.5"],
+     ARCH_N3 + ["--eta=-2,3", "--beta", "1,1,3", "--s=-.5"]),
+    (FIND_WK + ["--eta", "-1,3"], FIND_WK + ["--eta=-1,3"]),
+    (["--config", QI_CONFIG, "kostant", "--n", "2", "--p", "-1"],
+     ["--config", QI_CONFIG, "kostant", "--n", "2", "--p=-1"]),
+    (["lratio", "--n", "3", "--k", "1", "--q", "2", "--a", "-12,5"],
+     ["lratio", "--n", "3", "--k", "1", "--q", "2", "--a=-12,5"]),
+]
+
+
+@pytest.mark.parametrize("separate, joined", NEGATIVE_VALUES, ids=lambda argv: " ".join(argv))
+def test_negative_value_as_separate_word(separate, joined, capsys):
+    """'--eta -1,3' and '--eta=-1,3' print the same bytes and exit alike."""
+    first = main(separate), capsys.readouterr()
+    second = main(joined), capsys.readouterr()
+    assert first == second
+
+
 def test_cli_import_leaves_out_scipy_and_numpy():
-    code = "import sys, periodlab.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    """Importing the CLI loads no numerical package and no periodlab layer."""
+    code = ("import sys, periodlab.cli; print(sorted(m for m in sys.modules if "
+            "m.split('.')[0] in ('scipy', 'numpy', 'mpmath') or m.startswith('periodlab.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "['periodlab.cli', 'periodlab.errors']"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gauss", "--q", "7", "--chi-order", "6", "--chi-index", "2"],
+    ["lratio", "--n", "3", "--k", "1", "--a", "12,5", "--q", "2"],
+    ["intertwine-nonarch", "--n", "4", "--k", "2", "--a", "12,1", "--q", "5"],
+    ["intertwine-arch", "--n", "2", "--k", "1", "--eta", "0,2", "--beta", "0,2", "--s", "1"],
+], ids=lambda argv: argv[0])
+def test_field_free_subcommand_loads_no_mpmath(argv):
+    """A subcommand without a field runs without mpmath and cmfield."""
+    code = ("import contextlib, io, sys\n"
+            "from periodlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(sys.argv[1:])\n"
+            "print(status, sorted({'mpmath', 'periodlab.cmfield'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "0 []"
 
 
 def test_format_after_subcommand_matches_format_before(capsys):
