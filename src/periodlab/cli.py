@@ -306,7 +306,10 @@ def check_local_work(args, order: int, telescoping: bool) -> None:
     Q(zeta_N) for about f^2 (2 D + 40) steps, and lratio's telescoping
     product of m degree-one ratios (``telescoping``) adds about m^2 f^2
     steps on field elements and m^3 D^1.5 / 150 on their integers.  The
-    weights are fitted to timings of both commands.
+    weights were fitted to timings of both commands when Q(zeta_N) was
+    stored densely in the power basis.  Its sparse storage makes a product
+    of roots of unity cost a few terms, not f^2, so the f^2 terms now
+    overestimate the work, most at a prime N.
     """
     from . import cyclotomic, lfactors
 

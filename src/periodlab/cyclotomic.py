@@ -1,16 +1,24 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-An element is a dense vector of integer numerators over one positive
-common denominator, in lowest terms, in the power basis
-1, zeta, ..., zeta^{phi(N)-1}, reduced modulo the N-th cyclotomic
-polynomial.  The form is canonical, so equality is exact and compares
-integers.  Fractions appear only at the edges: the constructor from
-rational coefficients, printing, and the extended Euclid of ``inverse``.
-Every element also carries a complex float shadow (``to_complex``) for
-cross-checks against numerics.
+An element is stored sparsely, as one map {exponent mod N: integer
+numerator} over one positive common denominator, read in
+Q[x]/(x^N - 1).  A product convolves the two maps with exponents taken
+mod N, a sum merges them, and the Galois action zeta -> zeta^j maps each
+exponent e to j*e mod N; none of them reduces modulo the N-th cyclotomic
+polynomial Phi_N.  An element of few terms, such as c * zeta^e, so stays
+small even at a prime N, where zeta^{N-1} is dense in the power basis.
 
-Supported structure maps: the Galois action zeta -> zeta^j for j coprime
-to N, complex conjugation, the norm-squared z * conj(z), and inversion.
+The canonical form -- integer numerators over one positive denominator,
+in lowest terms, in the power basis 1, zeta, ..., zeta^{phi(N)-1} reduced
+modulo Phi_N -- is computed on demand, at most once per element.  It
+decides equality, hashing and rationality, and it is what ``repr``, the
+complex float shadow (``to_complex``) and the read-only ``nums``/``den``
+view show.  The inverse is the Galois norm quotient
+x^{-1} = prod_{j != 1} sigma_j(x) / N(x), whose denominator N(x) is
+rational; one stored term c * zeta^e inverts in closed form.
+
+Supported structure maps: the Galois action, complex conjugation, the
+norm-squared z * conj(z), and inversion.
 """
 
 from __future__ import annotations
@@ -74,21 +82,18 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Row e-phi(n) is zeta^e in the power basis, as the (index, integer
     coefficient) pairs with a nonzero coefficient, for every exponent
-    phi(n) <= e < n and every exponent e <= 2 phi(n) - 2 of a product of
-    two reduced elements (for prime n the latter pass n)."""
+    phi(n) <= e < n; a prime n has one row."""
     phi_poly = cyclotomic_polynomial(n)
     deg = len(phi_poly) - 1
-    rows = []
     # zeta^deg = -(lower part of Phi_n)
     current = [-c for c in phi_poly[:deg]]
-    rows.append(tuple(current))
-    for _ in range(deg + 1, max(n, 2 * deg - 1)):
-        shifted = [0] + current[:-1]
-        if current[-1]:
-            top = current[-1]
-            shifted = [s + top * r for s, r in zip(shifted, rows[0])]
-        current = shifted
-        rows.append(tuple(current))
+    rows = [current]
+    for _ in range(deg + 1, n):
+        top = current[-1]
+        current = [0] + current[:-1]
+        if top:
+            current = [s + top * r for s, r in zip(current, rows[0])]
+        rows.append(current)
     return tuple(tuple((i, r) for i, r in enumerate(row) if r) for row in rows)
 
 
@@ -100,76 +105,16 @@ def _powers(n: int) -> tuple[complex, ...]:
     return tuple(z**i for i in range(len(cyclotomic_polynomial(n)) - 1))
 
 
-def _xgcd_fraction_poly(a: list[Fraction], b: list[Fraction]):
-    """Extended Euclid over Q[x]; returns (g, u, v) with u*a + v*b = g."""
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def divmod_q(num, den):
-        num = list(num)
-        dn = len(den) - 1
-        lead = den[-1]
-        quot = [Fraction(0)] * max(len(num) - dn, 0)
-        for i in range(len(num) - 1, dn - 1, -1):
-            if num[i] == 0:
-                continue
-            c = num[i] / lead
-            quot[i - dn] = c
-            for j, d in enumerate(den):
-                num[i - dn + j] -= c * d
-        return trim(quot), trim(num)
-
-    r0, r1 = trim(list(a)), trim(list(b))
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-
-    def sub_mul(p, q, m):
-        # p - q*m
-        res = list(p) + [Fraction(0)] * max(0, len(q) + len(m) - 1 - len(p))
-        for i, qc in enumerate(q):
-            if qc == 0:
-                continue
-            for j, mc in enumerate(m):
-                res[i + j] -= qc * mc
-        return trim(res)
-
-    while r1:
-        q, r = divmod_q(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, sub_mul(u0, u1, q)
-        v0, v1 = v1, sub_mul(v0, v1, q)
-    return r0, u0, v0
-
-
-def _reduce_exponents(n: int, terms) -> list[int]:
-    """Integer coefficients of sum c * zeta^e over (e, c) in ``terms``."""
-    rows = _reduction_rows(n)
-    deg = len(cyclotomic_polynomial(n)) - 1
-    out = [0] * deg
-    for e, c in terms:
-        if not c:
-            continue
-        e %= n
-        if e < deg:
-            out[e] += c
-        else:
-            for i, r in rows[e - deg]:
-                out[i] += c * r
-    return out
-
-
 class Cyc:
-    """An element of Q(zeta_N), reduced mod the cyclotomic polynomial.
+    """An element sum_e terms[e] * zeta_N^e / den of Q(zeta_N).
 
-    ``nums`` are the integer numerators of the power-basis coefficients
-    and ``den`` their positive common denominator, with
-    gcd(den, *nums) = 1, so every element has exactly one form.
+    The stored map need not be reduced modulo Phi_N, so one element may
+    be stored in several ways.  ``nums`` and ``den`` are its canonical
+    form: the integer numerators of the power-basis coefficients and
+    their positive common denominator, with gcd(den, *nums) = 1.
     """
 
-    __slots__ = ("n", "nums", "den")
+    __slots__ = ("n", "_terms", "_den", "_form")
 
     def __init__(self, n: int, coeffs) -> None:
         """From rational power-basis coefficients, zero-padded to phi(N)."""
@@ -177,23 +122,28 @@ class Cyc:
         fracs = [Fraction(x) for x in list(coeffs)[:deg]]
         fracs += [Fraction(0)] * (deg - len(fracs))
         # with each Fraction in lowest terms, their lcm is already coprime
-        # to the scaled numerators
+        # to the scaled numerators, so this is the canonical form
         den = math.lcm(*(f.denominator for f in fracs))
+        nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
         self.n = n
-        self.nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
-        self.den = den
+        self._terms = {i: a for i, a in enumerate(nums) if a}
+        self._den = den
+        self._form = (nums, den)
 
     @staticmethod
-    def _make(n: int, nums: list[int], den: int) -> "Cyc":
-        """The element nums / den (den > 0), brought to lowest terms."""
-        g = math.gcd(den, *nums) if den != 1 else 1
+    def _make(n: int, terms: dict[int, int], den: int) -> "Cyc":
+        """The element sum terms[e] zeta^e / den (den > 0), with zero
+        terms dropped and the common factor of den and terms cancelled."""
+        terms = {e: a for e, a in terms.items() if a}
+        g = math.gcd(den, *terms.values()) if den != 1 else 1
         if g != 1:
-            nums = [a // g for a in nums]
+            terms = {e: a // g for e, a in terms.items()}
             den //= g
         out = object.__new__(Cyc)
         out.n = n
-        out.nums = tuple(nums)
-        out.den = den
+        out._terms = terms
+        out._den = den
+        out._form = None
         return out
 
     # -- constructors --------------------------------------------------------
@@ -201,8 +151,7 @@ class Cyc:
     @staticmethod
     def rational(r, n: int = 1) -> "Cyc":
         r = Fraction(r)
-        deg = len(cyclotomic_polynomial(n)) - 1
-        return Cyc._make(n, [r.numerator] + [0] * (deg - 1), r.denominator)
+        return Cyc._make(n, {0: r.numerator}, r.denominator)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyc":
@@ -212,8 +161,41 @@ class Cyc:
     def _from_exponent_dict(n: int, d: dict[int, Fraction]) -> "Cyc":
         """sum d[e] * zeta^e for rational (int or Fraction) d[e]."""
         den = math.lcm(*(c.denominator for c in d.values()))
-        terms = ((e, c.numerator * (den // c.denominator)) for e, c in d.items())
-        return Cyc._make(n, _reduce_exponents(n, terms), den)
+        terms: dict[int, int] = {}
+        for e, c in d.items():
+            e %= n
+            terms[e] = terms.get(e, 0) + c.numerator * (den // c.denominator)
+        return Cyc._make(n, terms, den)
+
+    # -- canonical form --------------------------------------------------------
+
+    def _canonical(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den), reduced modulo Phi_N and in lowest terms; cached."""
+        if self._form is None:
+            rows = _reduction_rows(self.n)
+            deg = len(cyclotomic_polynomial(self.n)) - 1
+            out = [0] * deg
+            for e, c in self._terms.items():
+                if e < deg:
+                    out[e] += c
+                else:
+                    for i, r in rows[e - deg]:
+                        out[i] += c * r
+            den = self._den
+            g = math.gcd(den, *out) if den != 1 else 1
+            if g != 1:
+                out = [a // g for a in out]
+                den //= g
+            self._form = (tuple(out), den)
+        return self._form
+
+    @property
+    def nums(self) -> tuple[int, ...]:
+        return self._canonical()[0]
+
+    @property
+    def den(self) -> int:
+        return self._canonical()[1]
 
     # -- ring operations -----------------------------------------------------
 
@@ -227,18 +209,17 @@ class Cyc:
                 return NotImplemented
             other = Cyc.rational(other, self.n)
         self._check(other)
-        if self.den == other.den:
-            return Cyc._make(self.n, [a + b for a, b in zip(self.nums, other.nums)], self.den)
-        den = math.lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        return Cyc._make(
-            self.n, [a * sa + b * sb for a, b in zip(self.nums, other.nums)], den
-        )
+        den = math.lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        out = dict(self._terms) if sa == 1 else {e: a * sa for e, a in self._terms.items()}
+        for e, b in other._terms.items():
+            out[e] = out.get(e, 0) + b * sb
+        return Cyc._make(self.n, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc._make(self.n, [-a for a in self.nums], self.den)
+        return Cyc._make(self.n, {e: -a for e, a in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -251,22 +232,21 @@ class Cyc:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             return Cyc._make(
-                self.n, [a * other.numerator for a in self.nums], self.den * other.denominator
+                self.n,
+                {e: a * other.numerator for e, a in self._terms.items()},
+                self._den * other.denominator,
             )
         self._check(other)
-        deg = len(self.nums)
-        right = [(j, b) for j, b in enumerate(other.nums) if b]
-        conv = [0] * (2 * deg - 1)
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in right:
-                    conv[i + j] += a * b
-        out = conv[:deg]
-        for row, c in zip(_reduction_rows(self.n), conv[deg:]):
-            if c:
-                for i, r in row:
-                    out[i] += c * r
-        return Cyc._make(self.n, out, self.den * other.den)
+        n = self.n
+        right = other._terms.items()
+        out: dict[int, int] = {}
+        for e, a in self._terms.items():
+            for f, b in right:
+                k = e + f
+                if k >= n:
+                    k -= n
+                out[k] = out.get(k, 0) + a * b
+        return Cyc._make(n, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -287,10 +267,10 @@ class Cyc:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Cyc.rational(other, self.n)
-        return self.n == other.n and self.den == other.den and self.nums == other.nums
+        return self.n == other.n and self._canonical() == other._canonical()
 
     def __hash__(self):
-        return hash((self.n, self.nums, self.den))
+        return hash((self.n,) + self._canonical())
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -298,22 +278,29 @@ class Cyc:
     # -- field structure -------------------------------------------------------
 
     def inverse(self) -> "Cyc":
+        """prod_{j != 1} sigma_j(x) / N(x), with the norm N(x) rational;
+        one stored term c * zeta^e inverts in closed form."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        phi = [Fraction(x) for x in cyclotomic_polynomial(self.n)]
-        # invert the integer vector nums, then multiply by den
-        g, u, _ = _xgcd_fraction_poly([Fraction(a) for a in self.nums], phi)
-        if len(g) != 1:
-            raise AssertionError("cyclotomic polynomial not coprime to element")
-        scale = self.den / g[0]
-        return Cyc._from_exponent_dict(self.n, {i: coef * scale for i, coef in enumerate(u)})
+        if len(self._terms) == 1:
+            ((e, c),) = self._terms.items()
+            return Cyc._from_exponent_dict(self.n, {-e: Fraction(self._den, c)})
+        # x = whole / den with integer numerators, so the products below
+        # run on integers and cancel common factors once, at the end
+        n = self.n
+        whole = Cyc._make(n, self._terms, 1)
+        others = Cyc.rational(1, n)
+        for j in range(2, n):
+            if math.gcd(j, n) == 1:
+                others = others * whole.galois(j)
+        return others * Fraction(self._den, (whole * others).rational_value())
 
     def galois(self, j: int) -> "Cyc":
         """Apply zeta -> zeta^j; requires gcd(j, N) = 1."""
-        if math.gcd(j, self.n) != 1:
-            raise ValueError(f"{j} not coprime to {self.n}")
-        terms = ((i * j, a) for i, a in enumerate(self.nums))
-        return Cyc._make(self.n, _reduce_exponents(self.n, terms), self.den)
+        n = self.n
+        if math.gcd(j, n) != 1:
+            raise ValueError(f"{j} not coprime to {n}")
+        return Cyc._make(n, {e * j % n: a for e, a in self._terms.items()}, self._den)
 
     def conj(self) -> "Cyc":
         return self.galois(self.n - 1) if self.n > 1 else self
@@ -329,20 +316,21 @@ class Cyc:
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return Fraction(self.nums[0], self.den)
+        nums, den = self._canonical()
+        return Fraction(nums[0], den)
 
     def to_complex(self) -> complex:
+        nums, den = self._canonical()
         # int true division is correctly rounded, so a / den is float(Fraction(a, den))
-        return sum(
-            (complex(a / self.den) * z for a, z in zip(self.nums, _powers(self.n))), 0j
-        )
+        return sum((complex(a / den) * z for a, z in zip(nums, _powers(self.n))), 0j)
 
     def __repr__(self):
+        nums, den = self._canonical()
         terms = []
-        for i, num in enumerate(self.nums):
+        for i, num in enumerate(nums):
             if num == 0:
                 continue
-            a = Fraction(num, self.den)
+            a = Fraction(num, den)
             if i == 0:
                 terms.append(str(a))
             elif i == 1:

@@ -199,10 +199,6 @@ class LaurentRatio:
         raises ZeroDivisionError."""
         return self.num.evaluate(x) / self.den.evaluate(x)
 
-    def evaluate_at_s(self, q: int, s: complex) -> complex:
-        """Substitute X = q^{-s}."""
-        return self.evaluate(complex(q) ** (-s))
-
     def is_one(self) -> bool:
         return self.num == self.den
 

@@ -52,11 +52,6 @@ def unramified_lratio(n: int, k: int, a: Cyc, q: int) -> LaurentRatio:
     return LaurentRatio(num, den)
 
 
-def sigma_twist_lratio(r: LaurentRatio, j: int) -> LaurentRatio:
-    """Coefficientwise Galois action zeta -> zeta^j; X is fixed."""
-    return r.galois(j)
-
-
 # -- archimedean shift ratios ----------------------------------------------------
 
 
@@ -218,7 +213,8 @@ class FiniteField:
 
 
 # Largest cyclotomic order N = lcm(q - 1, p) of a Gauss sum over GF(q): the
-# exact check |G|^2 = q multiplies two elements of Q(zeta_N) in its power basis.
+# exact check |G|^2 = q multiplies two sums of q - 1 roots of unity in Q(zeta_N)
+# and reduces the product modulo the N-th cyclotomic polynomial.
 MAX_GAUSS_ORDER = 2000
 
 

@@ -1,12 +1,19 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodlab.cyclotomic import Cyc, cyclotomic_polynomial, factorize
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_cyclotomic_polynomials():
@@ -171,8 +178,65 @@ def test_cyc_against_fraction_polynomial_oracle(case):
     if not any(va):
         with pytest.raises(ZeroDivisionError):
             a.inverse()
-    elif n < 336 or sum(1 for x in va if x) == 1:
-        # over Q(zeta_336) the Fraction Euclid of ``inverse`` can take
-        # seconds from two nonzero terms on
+    else:
         one = [Fraction(1)] + [Fraction(0)] * (len(va) - 1)
         assert ref_mul(va, coefficients(a.inverse()), n) == one
+
+
+# -- independent closed form at a prime order -----------------------------------------
+# For a prime N the power basis is 1, zeta, ..., zeta^{N-2}, and
+# zeta^{N-1} = -(1 + zeta + ... + zeta^{N-2}).  So sum c_e zeta^e has the
+# coordinates v_i - v_{N-1}, where v folds the exponents mod N.
+
+
+def prime_closed_form(terms: dict[int, Fraction], n: int) -> list[Fraction]:
+    v = [Fraction(0)] * n
+    for e, c in terms.items():
+        v[e % n] += c
+    return [x - v[-1] for x in v[:-1]]
+
+
+def from_terms(terms: dict[int, Fraction], n: int) -> Cyc:
+    return sum((Cyc.zeta(n, e) * c for e, c in terms.items()), Cyc.rational(0, n))
+
+
+def test_prime_order_1999_against_closed_form():
+    n = 1999
+    ta = {0: Fraction(3, 4), 5: Fraction(-2), 1998: Fraction(7, 3)}
+    tb = {1: Fraction(1, 5), 1000: Fraction(1), 1997: Fraction(-6)}
+    a, b = from_terms(ta, n), from_terms(tb, n)
+    assert coefficients(a) == prime_closed_form(ta, n)
+    product: dict[int, Fraction] = {}
+    for e, c in ta.items():
+        for f, d in tb.items():
+            product[e + f] = product.get(e + f, 0) + c * d
+    assert coefficients(a * b) == prime_closed_form(product, n)
+    j = 1234
+    assert coefficients(a.galois(j)) == prime_closed_form({e * j: c for e, c in ta.items()}, n)
+    x = Cyc.zeta(n, 1998) * Fraction(-125, 3)
+    assert coefficients(x.inverse()) == prime_closed_form({1: Fraction(-3, 125)}, n)
+    minus_one = Cyc._from_exponent_dict(n, {e: 1 for e in range(1, n)})
+    assert minus_one == -1 and minus_one != 1 and minus_one.is_rational()
+    assert hash(minus_one) == hash(Cyc.rational(-1, n))
+
+
+def test_prime_order_20011_in_bounded_memory():
+    """Q(zeta_20011) under a 1.5 GB address-space limit.  The float shadow
+    of zeta^20010 sums its 20,010 power-basis terms, which carries about
+    1e-11 of rounding error, hence the tolerance."""
+    pytest.importorskip("resource")
+    code = textwrap.dedent(
+        f"""
+        import cmath, resource
+        resource.setrlimit(resource.RLIMIT_AS, ({1536 * 2**20}, {1536 * 2**20}))
+        from periodlab.cyclotomic import Cyc
+        assert Cyc.zeta(20011, 1) * Cyc.zeta(20011, 20010) == 1
+        z = Cyc.zeta(20011, 20010).to_complex()
+        assert abs(z - cmath.exp(2j * cmath.pi * 20010 / 20011)) <= 1e-10
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -16,7 +16,6 @@ from periodlab.lfactors import (
     gauss_sum,
     gauss_sum_norm_check,
     normalizing_factor,
-    sigma_twist_lratio,
     single_step_ratio,
     unramified_lratio,
 )
@@ -55,24 +54,24 @@ def test_lratio_positive_and_tends_to_one():
     r = unramified_lratio(3, 1, a, 2)
     prev = None
     for s in (5.0, 8.0, 12.0, 20.0):
-        v = r.evaluate_at_s(2, s)
+        v = r.evaluate(complex(2) ** -s)
         assert v.real > 0
         dist = abs(v - 1)
         if prev is not None:
             assert dist < prev
         prev = dist
-    assert abs(r.evaluate_at_s(2, 30.0) - 1) < 1e-7
+    assert abs(r.evaluate(complex(2) ** -30.0) - 1) < 1e-7
 
 
 def test_sigma_twist_lratio():
     rational = Cyc.rational(2, 12)
     r = unramified_lratio(2, 1, rational, 5)
-    assert sigma_twist_lratio(r, 5) == r
+    assert r.galois(5) == r
     a = Cyc.zeta(12, 4)  # primitive cube root of unity
     r2 = unramified_lratio(2, 1, a, 5)
-    tw = sigma_twist_lratio(r2, 11)  # complex conjugation
+    tw = r2.galois(11)  # complex conjugation
     assert tw == unramified_lratio(2, 1, a.conj(), 5)
-    assert sigma_twist_lratio(tw, 11) == r2
+    assert tw.galois(11) == r2
 
 
 # -- Gamma shifts --------------------------------------------------------------------
