@@ -3,11 +3,14 @@
 Each case runs ``cli.main`` in-process; its exit status and the SHA-256 of
 its stdout must equal the recorded ones in ``data/cli_corpus.json``.  The
 cases cover ``lratio`` and ``intertwine-nonarch`` at roots of unity of
-order 1, 2, 12, 336, 331, 443 and 1999, and ``gauss`` at prime and
-prime-power q, in both output formats.  On a mismatch, the test id names
-the case, so it can be rerun by hand for a full diff.  Re-record only for
-a deliberate change of a report, with
-``PYTHONPATH=src python tests/test_cli_corpus.py``.
+order 1, 2, 12, 336, 331, 443 and 1999, ``gauss`` at prime and
+prime-power q, every field command over Q(i) and Q(i, 2^(1/3)), and
+``intertwine-arch`` off the README's run, in both output formats, plus
+one refused run at each work bound.  A config path in a case is relative
+to the repository root.  On a mismatch, the test id names the case, so it
+can be rerun by hand for a full diff.  Re-record only for a deliberate
+change of a report, with ``PYTHONPATH=src python tests/test_cli_corpus.py``;
+it prints each case it adds, removes or changes.
 """
 
 import contextlib
@@ -20,7 +23,8 @@ import pytest
 
 from periodlab.cli import main
 
-CORPUS = Path(__file__).resolve().parent / "data" / "cli_corpus.json"
+REPO = Path(__file__).resolve().parent.parent
+CORPUS = REPO / "tests" / "data" / "cli_corpus.json"
 
 LOCAL = [
     # (n, k, order, index, q)
@@ -55,6 +59,42 @@ GAUSS = [
     (43, 42, 11),
     (49, 16, 3),
 ]
+QI = ["--config", "configs/qi.json"]
+QIC = ["--config", "configs/qic.json"]
+FIND_WK = [
+    # (config, n, eta orientations): every k, by bottom degree and by full scan
+    (QI, 2, ("0,2", "2,0")),
+    (QI, 3, ("0,3", "3,0")),
+    (QIC, 2, ("0,2", "2,0")),
+]
+FIELD = (
+    [cfg + ["field-check"] for cfg in (QI, QIC)]
+    + [QI + ["balanced"], QI + ["balanced", "--oracle"]]
+    + [QI + ["kostant", "--n", "2", "--p", str(p)] for p in range(4)]
+    + [QI + ["kostant", "--n", "3", "--p", str(p)] for p in range(4)]
+    + [QIC + ["kostant", "--n", "2", "--p", "3"]]
+    + [cfg + ["find-wk", "--n", str(n), "--k", str(k), "--eta", eta] + scan
+       for cfg, n, etas in FIND_WK for eta in etas for k in range(1, n + 1)
+       for scan in ([], ["--full-scan"])]
+    + [QI + ["find-wk", "--n", "2", "--k", "1", "--eta", "1,1"]]  # no closed form: a failed record
+    + [QI + ["wedge-sign", "--n", "3", "--k", "2", "--g", g] for g in ("id", "conj", "1,0")]
+    + [QIC + ["wedge-sign", "--n", "2", "--k", "1", "--g", g] for g in ("conj", "1,2,0,4,5,3")]
+    + [cfg + ["constant-term", "--n", "3", "--ord0", ord0] + flip
+       for cfg in (QI, QIC) for ord0 in ("0", "pos") for flip in ([], ["--flip-branch"])]
+    + [["intertwine-arch", "--n", "2", "--k", "2", "--eta", "0,2", "--beta", "0,2", "--s", "1"],
+       ["intertwine-arch", "--n", "3", "--k", "3", "--eta", "-1,3", "--beta", "1,1,2", "--s", "2"],
+       ["intertwine-arch", "--n", "2", "--k", "1", "--eta", "0,2", "--beta", "1,1", "--s", "1"],
+       ["intertwine-arch", "--n", "2", "--k", "1", "--eta", "0,2", "--beta", "0,2", "--s", "1,0.5"]]
+)
+# one refused run per work bound of the field commands: grid points, Weyl
+# elements by length and by full scan, and the rank
+FIELD_REFUSED = [
+    ["--config", "tests/data/grid_n2_b2.json", "balanced"],
+    QI + ["kostant", "--n", "9", "--p", "30"],
+    QI + ["find-wk", "--n", "7", "--k", "1", "--full-scan"],
+    QI + ["wedge-sign", "--n", "1001", "--k", "1", "--g", "conj"],
+    QI + ["find-wk", "--n", "1001", "--k", "1"],
+]
 FORMATS = ("records", "table")
 
 
@@ -67,14 +107,19 @@ COMMANDS = (
     + [["intertwine-nonarch", "--n", "1634", "--k", "1", "--a", "443,442", "--q", "2"]]
     + REFUSED
     + [["gauss", "--q", str(q), "--chi-order", str(o), "--chi-index", str(i)] for q, o, i in GAUSS]
+    + FIELD
+    + FIELD_REFUSED
 )
 CASES = [" ".join(["--format", fmt] + argv) for argv in COMMANDS for fmt in FORMATS]
+# 11,664 points: one format is enough
+CASES.append("--format records --config configs/grid_n2.json balanced")
 
 
 def run(case: str) -> dict:
+    argv = [str(REPO / w) if w.endswith(".json") else w for w in case.split()]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(case.split())
+        code = main(argv)
     return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
@@ -92,7 +137,22 @@ def test_cli_case_is_byte_identical(case, corpus):
     assert run(case) == corpus[case]
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per case added, removed or changed from ``old`` to ``new``."""
+    lines = [f"added: {c}" for c in sorted(new.keys() - old.keys())]
+    lines += [f"removed: {c}" for c in sorted(old.keys() - new.keys())]
+    for case in sorted(old.keys() & new.keys()):
+        before, after = old[case], new[case]
+        if before != after:
+            exit_note = f" (exit {before['exit']} -> {after['exit']})" if before["exit"] != after["exit"] else ""
+            lines.append(f"changed: {case}{exit_note}")
+    return lines
+
+
 if __name__ == "__main__":
+    old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else {}
     data = {case: run(case) for case in CASES}
+    for line in changes(old, data):
+        print(line)
     CORPUS.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(data)} cases to {CORPUS}")
