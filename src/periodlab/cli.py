@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import itertools
 import json
 import math
 import operator
@@ -166,65 +165,6 @@ def check_precision(precision: int, max_den: int) -> None:
         )
 
 
-# Most points a weights.grid may have; balanced builds every point in memory.
-MAX_GRID_POINTS = 10**5
-
-
-def check_grid_size(n: int, bound: int, degree: int) -> None:
-    """Refuse a grid of more than MAX_GRID_POINTS points before building it.
-
-    With B = bound there are C(n + 2B, n) dominant n-tuples with entries in
-    -B..B, so the grid has (C(n + 2B, n)^2 (2B + 1))^degree points.
-    """
-    values = max(2 * bound + 1, 0)
-    if min(n, values - 1) > MAX_GRID_POINTS.bit_length():
-        # C(n + values - 1, n) >= 2^min(n, values - 1): no need for the huge binomial
-        raise ConfigError(f"weights.grid has more than {MAX_GRID_POINTS} points, the limit")
-    count = (math.comb(n + values - 1, n) ** 2 * values) ** degree
-    if count > MAX_GRID_POINTS:
-        raise ConfigError(f"weights.grid has {count} points, above the limit of {MAX_GRID_POINTS}")
-
-
-# Most Weyl group elements kostant or find-wk may enumerate.
-MAX_WEYL_CANDIDATES = 10**5
-# Largest wedge-sign --n: its work grows with the square of the label count.
-MAX_WEDGE_N = 1000
-
-
-def check_weyl_count(args) -> None:
-    """Refuse a kostant or find-wk run that would enumerate more than
-    MAX_WEYL_CANDIDATES elements of S_n^[k:Q], and a wedge-sign run with
-    n above MAX_WEDGE_N, before any work is done.
-
-    Every route lists S_n first; the full scan then visits all n!^[k:Q]
-    elements, and a scan by length (kostant's --p, find-wk's bottom degree)
-    the coefficient of q^length in the length generating function.  n is
-    bounded through n! first, so a huge --n costs nothing.
-    """
-    from . import weylkostant
-
-    if hasattr(args, "p"):
-        length = args.p
-    elif hasattr(args, "full_scan"):
-        length = None if args.full_scan else weylkostant.bottom_degree(args.n, args.emb)
-    else:  # wedge-sign enumerates no Weyl elements
-        if args.n > MAX_WEDGE_N:
-            raise ConfigError(f"--n {args.n} is above the wedge-sign limit of {MAX_WEDGE_N}")
-        return
-    size = 1
-    for i in range(2, args.n + 1):
-        size *= i
-        if size > MAX_WEYL_CANDIDATES:
-            raise ConfigError(f"--n {args.n}: S_{args.n} has more than {MAX_WEYL_CANDIDATES} elements, the limit")
-    if length is None:
-        count = size**args.emb.degree
-    else:
-        gen = weylkostant.length_generating_function(args.n, args.emb.degree)
-        count = gen[length] if length < len(gen) else 0
-    if count > MAX_WEYL_CANDIDATES:
-        raise ConfigError(f"the scan would visit {count} Weyl elements, above the limit of {MAX_WEYL_CANDIDATES}")
-
-
 def weight_points(cfg: dict, degree: int) -> list[weights.WeightSystem]:
     """Explicit points, or the dominant grid over all ``degree`` embeddings
     of the field, from the config."""
@@ -235,6 +175,8 @@ def weight_points(cfg: dict, degree: int) -> list[weights.WeightSystem]:
         raise ConfigError("config lacks a 'weights' section")
     try:
         n = int(wc["n"])
+        if n < 2:
+            raise ConfigError(f"weights.n must be at least 2, got {n}")
         if "points" in wc:
             points = [
                 weights.WeightSystem(
@@ -254,29 +196,12 @@ def weight_points(cfg: dict, degree: int) -> list[weights.WeightSystem]:
                     f"weights.grid.embeddings must equal the field degree {degree}, "
                     f"got {grid.get('embeddings')!r}"
                 )
-            bound = int(grid["entry_bound"])
-            check_grid_size(n, bound, degree)
-            doms = dominant_tuples(n, bound)
-            per_emb = [(mu, nu, chi) for mu in doms for nu in doms for chi in range(-bound, bound + 1)]
-            points = [
-                weights.WeightSystem(
-                    n=n,
-                    mu={i: c[0] for i, c in enumerate(combo)},
-                    nu={i: c[1] for i, c in enumerate(combo)},
-                    chi={i: c[2] for i, c in enumerate(combo)},
-                )
-                for combo in itertools.product(per_emb, repeat=degree)
-            ]
+            points = weights.grid(n, int(grid["entry_bound"]), degree)
         else:
             raise ConfigError("weights section needs 'points' or 'grid'")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"bad weights: {type(exc).__name__}: {exc}") from None
     return points
-
-
-def dominant_tuples(n: int, bound: int) -> list[tuple[int, ...]]:
-    rng = range(-bound, bound + 1)
-    return [t for t in itertools.product(rng, repeat=n) if all(t[i] >= t[i + 1] for i in range(n - 1))]
 
 
 def parse_unit(spec: str) -> tuple[int, int]:
@@ -455,10 +380,11 @@ def cmd_kostant(args) -> Report:
 
     w, emb = args.w, args.emb
     report = Report("kostant", {"n": w.n, "eta": w.eta(), "degree": args.p})
-    lines = weylkostant.kostant_lines(w, emb, args.p)
-    gen = weylkostant.length_generating_function(w.n, emb.degree)
-    expected = gen[args.p] if args.p < len(gen) else 0
-    report.add("line_count", expected, len(lines))
+    try:
+        lines = weylkostant.kostant_lines(w, emb, args.p)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    report.add("line_count", weylkostant.weyl_count(w.n, emb.degree, args.p), len(lines))
     for i, line in enumerate(lines):
         desc = {
             "element": line.element.describe(),
@@ -494,11 +420,14 @@ def cmd_find_wk(args) -> Report:
     report = Report("find-wk", {"n": w.n, "k": args.k, "eta": w.eta(), "full_scan": args.full_scan})
     try:
         element, cert = weylkostant.distinguished_weyl(w, args.emb, args.k, full_scan=args.full_scan)
+    except ValueError as exc:  # the scan is refused: no record, exit 2
+        raise ConfigError(str(exc)) from None
+    except PeriodLabError as exc:
+        report.add("unique_match", 1, f"error: {exc}", verdict=False)
+    else:
         report.add("element", element.describe(), element.describe())
         report.add("length", cert["bottom_degree"], cert["length"])
         report.add("unique_match", 1, cert["matches"])
-    except PeriodLabError as exc:
-        report.add("unique_match", 1, f"error: {exc}", verdict=False)
     return report
 
 
@@ -746,7 +675,6 @@ def main(argv=None) -> int:
         if prologue == WEIGHTS:
             from . import weights
 
-            check_weyl_count(args)
             try:
                 args.w = weights.weight_system_from_eta(args.n, _eta_from_args(args))
             except ValueError as exc:

@@ -117,9 +117,11 @@ class Cyc:
     __slots__ = ("n", "_terms", "_den", "_form")
 
     def __init__(self, n: int, coeffs) -> None:
-        """From rational power-basis coefficients, zero-padded to phi(N)."""
+        """From at most phi(N) rational power-basis coefficients, zero-padded."""
         deg = len(cyclotomic_polynomial(n)) - 1
-        fracs = [Fraction(x) for x in list(coeffs)[:deg]]
+        fracs = [Fraction(x) for x in coeffs]
+        if len(fracs) > deg:
+            raise ValueError(f"{len(fracs)} coefficients for Q(zeta_{n}), of degree {deg}")
         fracs += [Fraction(0)] * (deg - len(fracs))
         # with each Fraction in lowest terms, their lcm is already coprime
         # to the scaled numerators, so this is the canonical form

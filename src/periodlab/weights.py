@@ -18,10 +18,15 @@ weight attached to eta is a one-row shape up to a determinant twist, the
 tensor condition collapses to a single horizontal-strip (interlacing)
 check per embedding.  An independent, slower character-peeling oracle
 lives in ``charpeel``.
+
+``grid`` and ``weight_system_from_eta`` raise ValueError, before building
+anything, above MAX_GRID_POINTS points and above rank MAX_RANK.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from .cmfield import EmbeddingSet, GaloisPermutation
@@ -64,8 +69,44 @@ class WeightSystem:
         }
 
 
+# Largest rank weight_system_from_eta builds (wedge-sign's work is ~ n^2).
+MAX_RANK = 1000
+# Most points grid builds; balanced keeps every point in memory.
+MAX_GRID_POINTS = 10**5
+
+
+def grid(n: int, entry_bound: int, degree: int) -> list[WeightSystem]:
+    """Every weight system over embeddings 0..degree-1 with dominant mu, nu
+    and chi, all entries in -B..B: (C(n + 2B, n)^2 (2B + 1))^degree points
+    for B = entry_bound, refused above MAX_GRID_POINTS before any is built."""
+    if entry_bound < 0:
+        raise ValueError(f"entry_bound must be at least 0, got {entry_bound}")
+    values = 2 * entry_bound + 1
+    if min(n, values - 1) > MAX_GRID_POINTS.bit_length():
+        # C(n + values - 1, n) >= 2^min(n, values - 1): no need for the huge binomial
+        raise ValueError(f"weights.grid has more than {MAX_GRID_POINTS} points, the limit")
+    count = (math.comb(n + values - 1, n) ** 2 * values) ** degree
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"weights.grid has {count} points, above the limit of {MAX_GRID_POINTS}")
+    rng = range(-entry_bound, entry_bound + 1)
+    doms = [t for t in itertools.product(rng, repeat=n) if all(t[i] >= t[i + 1] for i in range(n - 1))]
+    per_emb = [(mu, nu, chi) for mu in doms for nu in doms for chi in rng]
+    return [
+        WeightSystem(
+            n=n,
+            mu={i: c[0] for i, c in enumerate(combo)},
+            nu={i: c[1] for i, c in enumerate(combo)},
+            chi={i: c[2] for i, c in enumerate(combo)},
+        )
+        for combo in itertools.product(per_emb, repeat=degree)
+    ]
+
+
 def weight_system_from_eta(n: int, eta: dict[int, int]) -> WeightSystem:
-    """A weight system with nu = 0, chi = 0 and mu placed to realize eta."""
+    """A weight system with nu = 0, chi = 0 and mu placed to realize eta;
+    a rank above MAX_RANK is refused before any tuple is built."""
+    if n > MAX_RANK:
+        raise ValueError(f"rank {n} is above the limit of {MAX_RANK}")
     mu = {}
     for i, e in eta.items():
         if e <= 0:

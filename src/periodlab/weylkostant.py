@@ -15,6 +15,9 @@ Contents:
   monomials;
 * the order-preserving/fiber-trivial factorization g = s2 o s1 of an
   admissible embedding permutation, with the signature of s2.
+
+``kostant_lines`` and ``distinguished_weyl`` raise ValueError, before any
+work, when they would enumerate more than MAX_WEYL_CANDIDATES elements.
 """
 
 from __future__ import annotations
@@ -218,10 +221,31 @@ def _elements_of_length(n: int, count: int, total: int):
 def kostant_lines(w: WeightSystem, emb: EmbeddingSet, p: int) -> list[KostantLine]:
     """All cohomology lines in degree p: one per absolute Weyl element of
     length p."""
-    out = []
-    for combo in _elements_of_length(w.n, emb.degree, p):
-        out.append(make_line(WeylElement(components=combo), w, emb))
-    return out
+    weyl_count(w.n, emb.degree, p)
+    return [make_line(WeylElement(components=c), w, emb) for c in _elements_of_length(w.n, emb.degree, p)]
+
+
+# Most Weyl group elements one enumeration may visit.
+MAX_WEYL_CANDIDATES = 10**5
+
+
+def weyl_count(n: int, emb_count: int, length: int | None = None) -> int:
+    """Elements of S_n^emb_count of the given length (all when None), as
+    enumerated; ValueError above MAX_WEYL_CANDIDATES.  Every enumeration
+    lists S_n first, so n! is bounded first and a huge n costs nothing."""
+    size = 1
+    for i in range(2, n + 1):
+        size *= i
+        if size > MAX_WEYL_CANDIDATES:
+            raise ValueError(f"S_{n} has more than {MAX_WEYL_CANDIDATES} elements, the limit")
+    if length is None:
+        count = size**emb_count
+    else:
+        gen = length_generating_function(n, emb_count)
+        count = gen[length] if 0 <= length < len(gen) else 0
+    if count > MAX_WEYL_CANDIDATES:
+        raise ValueError(f"the scan would visit {count} Weyl elements, above the limit of {MAX_WEYL_CANDIDATES}")
+    return count
 
 
 def total_line_count(n: int, emb_count: int) -> int:
@@ -286,6 +310,8 @@ def distinguished_weyl(
     n = w.n
     if not 1 <= k <= n:
         raise ValueError("k out of range")
+    c_n = bottom_degree(n, emb)
+    weyl_count(n, emb.degree, None if full_scan else c_n)
     eta = w.eta()
     comps = []
     for pos in range(emb.degree):
@@ -298,7 +324,6 @@ def distinguished_weyl(
     element = WeylElement(components=tuple(comps))
 
     target = _restricted_target(w, emb, k)
-    c_n = bottom_degree(n, emb)
     matches = []
     scanned = 0
     if full_scan:

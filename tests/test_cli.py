@@ -15,6 +15,7 @@ from periodlab import cmfield
 from periodlab.cli import main
 
 QI_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "qi.json")
+QIC_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "qic.json")
 
 
 CONFIG = {
@@ -212,6 +213,8 @@ CONFIG_ERRORS = {
     "grid-embeddings-4": _qi_config(n=2, grid={"entry_bound": 1, "embeddings": 4}),
     "grid-1265625-points": _qi_config(n=2, grid={"entry_bound": 2, "embeddings": 2}),
     "grid-n-and-bound-1e6": _qi_config(n=10**6, grid={"entry_bound": 10**6, "embeddings": 2}),
+    "grid-entry-bound-minus-1": _qi_config(n=2, grid={"entry_bound": -1, "embeddings": 2}),
+    "n-0-no-points": _qi_config(n=0, points=[]),
     "mu-length-1": _qi_config(n=2, points=[dict(POINT, mu={"0": [0], "1": [0, 0]})]),
     "point-without-nu": _qi_config(n=2, points=[{"mu": POINT["mu"], "chi": POINT["chi"]}]),
     "weights-without-n": _qi_config(points=[POINT]),
@@ -335,6 +338,130 @@ def test_local_ratio_fuzz(command, argv):
 def test_gauss_fuzz(q, chi_order, chi_index):
     code, err = run_words(["gauss", "--q", str(q), "--chi-order", str(chi_order),
                            "--chi-index", str(chi_index)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+# (config, n, kostant degrees) on both sides of the field commands' work
+# bounds: admitted runs of at most a few thousand Weyl elements, and runs
+# refused by n!, by the count of one length, by the full scan or by the rank
+WEYL_REGIMES = [
+    (QI_CONFIG, st.integers(2, 4), st.integers(-1, 13)),
+    (QIC_CONFIG, st.just(2), st.integers(-1, 7)),
+    (QIC_CONFIG, st.just(4), st.integers(0, 36).filter(lambda p: not 4 <= p <= 6 and not 30 <= p <= 32)),
+    (QI_CONFIG, st.sampled_from([6, 7, 9, 1000, 1001, 10**6]), st.integers(0, 40)),
+]
+# --g values per config: admissible ones and one that is not
+PERMUTATIONS = {QI_CONFIG: ["id", "conj", "1,0", "0,1,2"],
+                QIC_CONFIG: ["id", "conj", "1,2,0,4,5,3", "1,0,3,2,5,4"]}
+
+
+@st.composite
+def field_argv(draw):
+    """A field command (kostant, find-wk, wedge-sign, constant-term) with
+    its flags, then at most one flag value replaced by junk."""
+    command = draw(st.sampled_from(["kostant", "find-wk", "find-wk --full-scan", "wedge-sign",
+                                    "constant-term"]))
+    config, n, p = draw(st.sampled_from(WEYL_REGIMES))
+    n, k = draw(n), draw(st.integers(1, 3))
+    emb_count = 2 if config == QI_CONFIG else 6
+    low, high = draw(st.integers(-2, 1)), draw(st.integers(min(n, 9) - 1, min(n, 9) + 1))
+    eta = draw(st.sampled_from([[], ["--eta", f"{low},{high}"], ["--eta", f"{high},{low}"],
+                                ["--eta", ",".join(map(str, [low, high] * (emb_count // 2)))]]))
+    if command == "kostant":
+        words = ["--n", str(n), "--p", str(draw(p))] + eta
+    elif command.startswith("find-wk"):
+        words = ["--n", str(n), "--k", str(min(k, n))] + eta + command.split()[1:]
+    elif command == "wedge-sign":
+        # past the rank bound only: an admitted n up to 1,000 costs up to 1 s
+        n = n if n <= 4 else draw(st.sampled_from([1001, 10**6]))
+        words = ["--n", str(n), "--k", str(min(k, n)), "--g", draw(st.sampled_from(PERMUTATIONS[config]))]
+        words += eta
+    else:
+        words = ["--n", str(min(n, 6)), "--ord0", draw(st.sampled_from(["0", "pos"]))]
+        words += draw(st.sampled_from([[], ["--flip-branch"]]))
+    values = [i for i in range(1, len(words)) if words[i - 1].startswith("--")]
+    spoiled = draw(st.integers(0, 3 * len(values) - 1))
+    if spoiled < len(values):
+        words[values[spoiled]] = draw(JUNK)
+    return ["--config", config, command.split()[0]] + words
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5), derandomize=True)
+@given(field_argv())
+def test_field_command_fuzz(argv):
+    code, err = run_words(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+# (n, entry_bound) of a weights.grid on both sides of its point bound, over
+# Q(i) or Q(i, sqrt 2), and malformed; (2, 1) over Q(i) builds 11,664
+# points and is left to test_grid_mode
+GRIDS = [(2, 0), (3, 0), (10, 0), (2, 2), (4, 1), (3, 2), (10**6, 10**6), (2, -1), (1, 0),
+         (0, 1), (-1, 1), (2, "1")]
+
+
+@st.composite
+def weight_point(draw, n, embeddings):
+    """A point keyed by the embeddings 0..embeddings-1: dominant mu, nu of
+    length n and chi, with entries in -2..2, one of them maybe spoiled."""
+    def tuples():
+        return {str(i): sorted(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), reverse=True)
+                for i in range(embeddings)}
+    point = {"mu": tuples(), "nu": tuples(), "chi": {str(i): draw(st.integers(-2, 2)) for i in range(embeddings)}}
+    spoil = draw(st.sampled_from([None] * 6 + ["short", "increasing", "no-nu"]))
+    if spoil == "short":
+        point["mu"]["0"] = point["mu"]["0"][1:]
+    elif spoil == "increasing":
+        point["nu"]["0"] = [-1, 1] + point["nu"]["0"][2:]
+    elif spoil == "no-nu":
+        del point["nu"]
+    return point
+
+
+# ways to spoil a well-formed config document
+CONFIG_SPOILERS = [
+    lambda doc: doc["weights"].update(n=1),
+    lambda doc: doc["weights"].update(n=0),
+    lambda doc: doc["weights"].update(grid={"entry_bound": 0, "embeddings": 3}),
+    lambda doc: doc["field"].update(precision_digits=4),
+    lambda doc: doc["field"].update(extension_poly=[1, 0, 1]),
+    lambda doc: doc["field"].update(extension_poly="x"),
+    lambda doc: doc["field"].update(d=0),
+    lambda doc: doc["field"].update(d="x"),
+    lambda doc: doc.pop("weights"),
+    lambda doc: doc.pop("field"),
+]
+
+
+@st.composite
+def field_config(draw):
+    """A small config document over Q(i) or Q(i, sqrt 2) with explicit
+    weight points or a grid, then maybe spoiled once."""
+    poly = draw(st.sampled_from([[0, 1], [-2, 0, 1]]))
+    field = {"d": draw(st.sampled_from([1, 2])), "extension_poly": poly,
+             "precision_digits": draw(st.sampled_from([30, 60]))}
+    degree = 2 * len(poly) - 2
+    if draw(st.booleans()):
+        n, bound = draw(st.sampled_from(GRIDS))
+        weights = {"n": n, "grid": {"entry_bound": bound, "embeddings": degree}}
+    else:
+        n = draw(st.sampled_from([2, 3]))
+        weights = {"n": n, "points": draw(st.lists(weight_point(n, degree), max_size=3))}
+    doc = {"field": field, "weights": weights}
+    spoiled = draw(st.integers(0, 2 * len(CONFIG_SPOILERS) - 1))
+    if spoiled < len(CONFIG_SPOILERS):
+        CONFIG_SPOILERS[spoiled](doc)
+    return doc
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True)
+@given(field_config(), st.sampled_from([["field-check"], ["balanced"], ["balanced", "--oracle"]]))
+def test_field_config_fuzz(tmp_path_factory, doc, command):
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_words(["--config", str(path)] + command)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
 

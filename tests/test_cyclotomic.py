@@ -73,6 +73,13 @@ def test_norm_squared_root_of_unity():
         assert Cyc.zeta(12, k).norm_squared() == Cyc.rational(1, 12)
 
 
+def test_more_than_phi_coefficients_rejected():
+    assert Cyc(3, [1, 2]) == 1 + 2 * Cyc.zeta(3) and Cyc(3, [1]) == 1
+    for n, coeffs in ((3, [1, 2, 3]), (12, [0] * 5), (7, range(7))):
+        with pytest.raises(ValueError, match="coefficients"):
+            Cyc(n, coeffs)
+
+
 def test_mixed_orders_rejected():
     with pytest.raises(ValueError):
         Cyc.zeta(12) * Cyc.zeta(8)

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +15,14 @@ from periodlab.weights import (
     arch_unit_value,
     archimedean_constant,
     balanced_at,
+    grid,
     highest_weight_from_eta,
     in_b_plus,
     is_balanced,
     is_case_pm,
     is_regular_algebraic,
     sigma_twist,
+    weight_system_from_eta,
 )
 
 
@@ -292,3 +295,25 @@ def test_trivial_multiplicity_basics():
     assert trivial_multiplicity([(1, 0), (1, 0)], 2) == 0
     # adjoint-type product for n = 2: (1,-1) (x) (1,-1) contains trivial once
     assert trivial_multiplicity([(1, -1), (1, -1)], 2) == 1
+
+
+# -- work bounds ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: grid(2, 2, 2),
+    lambda: grid(10**6, 10**6, 2),
+    lambda: grid(2, -1, 2),
+    lambda: weight_system_from_eta(1001, {0: 0, 1: 1001}),
+    lambda: weight_system_from_eta(10**18, {0: 0, 1: 10**18}),
+], ids=["grid-1265625-points", "grid-n-and-bound-1e6", "grid-bound-minus-1", "rank-1001",
+        "rank-1e18"])
+def test_builder_refused_before_work(build):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        build()
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_rank_limit_is_admitted():
+    assert weight_system_from_eta(1000, {0: 0, 1: 1000}).n == 1000

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from periodlab.weylkostant import (
     invert_oneline,
     kostant_lines,
     length_generating_function,
+    weyl_count,
     omega_monomial,
     omega_transfer_sign,
     sigma_decompose,
@@ -275,3 +277,25 @@ def test_weyl_dimension():
     assert weyl_dimension((1, 0), 2) == 2
     assert weyl_dimension((2, 1, 0), 3) == 8
     assert weyl_dimension((1, 1, 1), 3) == 1
+
+
+# -- work bounds ------------------------------------------------------------------
+
+
+def test_weyl_count_matches_enumeration(emb2):
+    w = weight_system_from_eta(3, aligned_eta(emb2, 3))
+    for p in range(-1, 9):
+        assert weyl_count(3, emb2.degree, p) == len(kostant_lines(w, emb2, p))
+    assert weyl_count(3, emb2.degree) == total_line_count(3, emb2.degree)
+
+
+@pytest.mark.parametrize("scan", [
+    lambda emb: kostant_lines(weight_system_from_eta(9, aligned_eta(emb, 9)), emb, 36),
+    lambda emb: distinguished_weyl(weight_system_from_eta(7, aligned_eta(emb, 7)), emb, 1,
+                                   full_scan=True),
+], ids=["kostant_lines-n9", "distinguished_weyl-n7-full-scan"])
+def test_weyl_enumeration_refused_before_work(scan, emb2):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="100000"):
+        scan(emb2)
+    assert time.perf_counter() - t0 < 1.0
