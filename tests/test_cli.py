@@ -343,7 +343,7 @@ def test_gauss_fuzz(q, chi_order, chi_index):
 
 
 # (config, n, kostant degrees) on both sides of the field commands' work
-# bounds: admitted runs of at most a few thousand Weyl elements, and runs
+# bounds: admitted runs of at most 8,867 Weyl elements (find-wk --n 7), and runs
 # refused by n!, by the count of one length, by the full scan or by the rank
 WEYL_REGIMES = [
     (QI_CONFIG, st.integers(2, 4), st.integers(-1, 13)),
