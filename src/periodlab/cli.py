@@ -553,6 +553,11 @@ def cmd_constant_term(args) -> Report:
         rep = intertwine.assemble_constant_term(
             args.n, token, complex(big), emb.degree, delta_branch=branch
         )
+    except ValueError as exc:  # the rank is refused: no record, exit 2
+        raise ConfigError(str(exc)) from None
+    except PeriodLabError as exc:
+        report.add("holomorphic_at_zero", True, f"error: {exc}", verdict=False)
+    else:
         report.add("holomorphic_at_zero", True, rep.holomorphic)
         for e in rep.entries:
             desc = {
@@ -562,8 +567,6 @@ def cmd_constant_term(args) -> Report:
                 "pole_order": e.pole_order,
             }
             report.add(f"term_{e.k}", desc, desc)
-    except PeriodLabError as exc:
-        report.add("holomorphic_at_zero", True, f"error: {exc}", verdict=False)
     return report
 
 

@@ -253,7 +253,13 @@ def assemble_constant_term(
     k = n summand is 1.  The compensating factor from the vanishing
     branch contributes a zero of the same order.  The audit fails if any
     term retains a pole or if the chosen branch contradicts the token.
+    A rank n above ``weights.MAX_RANK`` raises ValueError before any entry
+    is built.
     """
+    from .weights import MAX_RANK  # here: weights loads cmfield and mpmath
+
+    if n > MAX_RANK:
+        raise ValueError(f"rank {n} is above the limit of {MAX_RANK}")
     factor = normalizing_factor(token, degree_over_q)
     branch = delta_branch if delta_branch is not None else factor.branch
     expected_branch = "one" if token.order_zero == 0 else "compensated"

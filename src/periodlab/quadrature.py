@@ -12,14 +12,24 @@ of a function of the squared radius times a monomial:
     x_k = exp((pi/2) * sinh(k h)),   w_k = (pi/2) * cosh(k h) * x_k,
 
 and one step h for all coordinates.  Complex values are summed in one pass.
-The level doubles (h halves) in all coordinates together; the sum of a
-level reuses the previous level's nodes and adds only the new ones, and a
-single relative test on the whole m-dimensional sum stops the doubling.
-Each coordinate's nodes are cut outward from t = 0 where the scale of the
-integrand's marginal in that coordinate has fallen below a small share of
-its peak, or where x^p * w would overflow.  A level of more than
-MAX_POINTS grid points raises ``QuadratureNotConverged``; in practice that
-bounds m at 3.
+The integrand is symmetric in the coordinates that share a power, so each
+group of r such coordinates runs over multisets of node indices (sorted
+index tuples), each weighted by its multinomial count: C(N + r - 1, r)
+points in place of N^r for N nodes a coordinate.  The level doubles (h
+halves) in all coordinates together; the sum of a level reuses the
+previous level's nodes and adds only the new ones.  The doubling stops on
+the three-level error estimate of Bailey, Jeyabalan & Li (2005) over the
+sums of the last three levels, with the digit growth per level of the
+double-exponential rate exp(-c N / log N) in place of their doubling
+(``_three_level_error``).  Each coordinate's nodes are cut outward from
+t = 0 where the scale of the integrand's marginal in that coordinate has
+fallen below a small share of its peak, or where x^p * w would overflow.
+A level whose new points number more than MAX_POINTS raises
+``QuadratureNotConverged`` before it is summed.  In practice that admits
+m = 4 (the intertwining integrals of n = 5, k = 1 at s = 2 and 1.5 + 0.5i)
+and, when all powers are equal, m = 5 (n = 6, k = 1, beta0 at s = 2, but
+not at s = 1.5 + 0.5i).  A slower decay needs finer levels: n = 5 at
+s = 0.5 is refused.
 
 ``halfline_with_fallback`` is the entry the intertwining code calls: the
 tensor rule, then an independent cross-check.  ``exp_sinh_halfline``, a
@@ -31,8 +41,9 @@ final-level slice beyond tolerance raises ``QuadratureNotConverged``.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import functools
-import itertools
 import math
 from operator import mul
 
@@ -41,7 +52,8 @@ from .errors import QuadratureNotConverged
 T_MAX = 6.0        # |t| bound of the node table: x and x^2 stay finite and normal
 LOG_HUGE = 700.0   # log of the largest x^p * w a node may carry (float max ~ e^709)
 MAX_LEVEL = 8      # h = 1/256
-MAX_POINTS = 2_000_000  # bound on the grid points of one tensor level
+ROUNDING = 2.0 ** -52  # relative spacing of doubles: the floor of the error estimate
+MAX_POINTS = 2_000_000  # bound on the multiset points one level evaluates
 # A node whose marginal scale is below this share of the peak no longer
 # changes a double-precision sum (2^-53 ~ 1.1e-16).
 LOG_NEGLIGIBLE = math.log(1e-17)
@@ -98,63 +110,143 @@ def _cut(table, g, power: int, others: int) -> tuple[int, int]:
     return ends[1], ends[0]
 
 
+def _three_level_error(s2: complex, s1: complex, s0: complex, n1: int, n0: int) -> float:
+    """Relative error estimate of the level sum s0 from the two levels before
+    it, s1 and s2, after Bailey, Jeyabalan & Li (2005); n1 and n0 are the
+    innermost coordinate's node counts at the levels of s1 and s0:
+
+        E = max(10^(D1^2 / D2), 10^(growth * D1), ROUNDING),
+        D_i = log10(|s0 - s_i| / |s0|).
+
+    Their second term has growth = 2, the digit doubling of an error that
+    falls like exp(-c N) in the node count N.  The double-exponential rule's
+    error falls like exp(-c N / log N) (Sugihara 1997), so the digit growth
+    of the last step is n0 log(n1) / (n1 log(n0)), 1.5 to 1.75 at the levels
+    that stop.  With growth = 2 the true error of (1 + |x|^2)^-e x_1 x_2 x_3
+    reached 20 times tol for a real e and 32 times for a complex one.
+    ROUNDING is their rounding term: a double sum is not known closer than
+    that.  1.0, no estimate, unless both differences lie below |s0| and s1
+    has more than one node.
+    """
+    scale, d1, d2 = abs(s0), abs(s0 - s1), abs(s0 - s2)
+    if d1 == 0.0:
+        return ROUNDING
+    if not (d1 < scale and 0.0 < d2 < scale and n1 > 1):
+        return 1.0
+    growth = n0 * math.log(n1) / (n1 * math.log(n0))
+    d1, d2 = math.log10(d1 / scale), math.log10(d2 / scale)
+    return max(10.0 ** max(d1 * d1 / d2, growth * d1), ROUNDING)
+
+
+def _new_points_sum(g, groups) -> complex:
+    """Sum of count * weight * g(u) over one level's multiset points that hold
+    at least one new node.
+
+    ``groups`` lists (nodes, size) per distinct power, the innermost
+    coordinate's group last; nodes are (x^2, w x^p, old) per index.  The
+    integrand is symmetric in the coordinates of a group, so a group of size
+    r runs over non-decreasing index tuples i_1 <= ... <= i_r, weighted by
+    the multinomial count r! / prod(multiplicity!).  The last coordinate is
+    summed in one pass over its indices >= i_{r-1}.
+    """
+    slots = [(nodes, k) for nodes, size in groups for k in range(1, size + 1)]
+    last = len(slots) - 1
+    inner = slots[last][0]
+    x2s = [x2 for x2, _, _ in inner]
+    ws = [a for _, a, _ in inner]
+    new_at = [i for i, (_, _, old) in enumerate(inner) if not old]
+    new_x2 = [x2s[i] for i in new_at]
+    new_w = [ws[i] for i in new_at]
+
+    def walk(depth, prev, run, u, weight, count, all_old):
+        # coordinate k of its group; prev: the group's last index so far, run:
+        # its multiplicity; count: the multinomial count of the indices placed
+        nodes, k = slots[depth]
+        if k == 1:
+            prev = -1
+        if depth == last:
+            if all_old:  # the previous level's sum holds index prev and below
+                j = bisect.bisect_right(new_at, prev)
+                part = sum(map(mul, new_w[j:], map(g, map(u.__add__, new_x2[j:]))))
+                return weight * (count * k) * part
+            part = (count * k) * sum(
+                map(mul, ws[prev + 1:], map(g, map(u.__add__, x2s[prev + 1:])))
+            )
+            if prev >= 0:
+                part += (count * k // (run + 1)) * (ws[prev] * g(u + x2s[prev]))
+            return weight * part
+        total = 0j
+        for i in range(max(prev, 0), len(nodes)):
+            x2, a, old = nodes[i]
+            mu = run + 1 if i == prev else 1
+            total += walk(depth + 1, i, mu, u + x2, weight * a, count * k // mu,
+                          all_old and old)
+        return total
+
+    return walk(0, -1, 0, 0.0, 1.0, 1, True)
+
+
+def _level_sums(g, powers):
+    """Yield (h, value, inner_x2, inner_w) per level, h = 2^-level: the rule's
+    value at step h, and the innermost coordinate's nodes x^2 and weights
+    w x^p.  A level whose new multiset points exceed MAX_POINTS raises
+    ``QuadratureNotConverged`` before any of them is summed."""
+    m = len(powers)
+    total_power = sum(p + 1 for p in powers)
+    sizes = collections.Counter(powers)
+    order = [p for p in sizes if p != powers[-1]] + [powers[-1]]
+    raw = 0j  # sum of count * weight * g over the current level's multisets
+    ranges = {}
+    for level in range(MAX_LEVEL + 1):
+        table = _nodes(level)
+        groups, points, old_points = [], 1, 1
+        for p in order:
+            lo, hi = _cut(table, g, p, total_power - p - 1)
+            old = ranges.get(p)
+            if old is not None:  # the previous level's nodes: even indices in 2*old
+                old = (2 * old[0], 2 * old[1])
+                lo, hi = min(lo, old[0]), max(hi, old[1])
+            ranges[p] = (lo, hi)
+            nodes = [
+                (table[i][1], table[i][2] * table[i][0] ** p,
+                 old is not None and i % 2 == 0 and old[0] <= i <= old[1])
+                for i in range(lo, hi + 1)
+            ]
+            size = sizes[p]
+            groups.append((nodes, size))
+            points *= math.comb(len(nodes) + size - 1, size)
+            old_points *= math.comb(sum(old for _, _, old in nodes) + size - 1, size)
+        if points - old_points > MAX_POINTS:
+            raise QuadratureNotConverged("tensor exp-sinh node budget exhausted")
+        raw += _new_points_sum(g, groups)
+        h = 2.0 ** -level
+        inner = groups[-1][0]
+        yield h, raw * h ** m, [x2 for x2, _, _ in inner], [a for _, a, _ in inner]
+
+
 def quad(g, powers, tol: float = 1e-10):
     """Tensor exp-sinh rule for int over [0, inf)^m of g(sum x_j^2) prod x_j^p_j.
 
     ``powers`` are the integer exponents p_1..p_m; the last coordinate is
-    the innermost.  Returns (value, error, inner_slice): error is the
-    difference of the last two levels, and inner_slice(u) is the final
-    level's sum over the innermost coordinate alone, the rule's value of
-    int g(u + x^2) x^p_m dx at a squared outer radius u.
+    the innermost.  Returns (value, error, inner_slice): error is
+    ``_three_level_error`` of the final level times |value|, an estimate of
+    the absolute error that is at most tol * |value|, and inner_slice(u) is
+    the final level's sum over the innermost coordinate alone, the rule's
+    value of int g(u + x^2) x^p_m dx at a squared outer radius u.
     """
-    m = len(powers)
-    total_power = sum(p + 1 for p in powers)
-    raw = 0j  # sum of weight * g over the current level's grid
-    previous = None
-    ranges = [None] * m
-    for level in range(MAX_LEVEL + 1):
-        table = _nodes(level)
-        grid, points = [], 1
-        for j, p in enumerate(powers):
-            lo, hi = _cut(table, g, p, total_power - p - 1)
-            old = ranges[j]
-            if old is not None:  # the previous level's nodes: even indices in 2*old
-                old = (2 * old[0], 2 * old[1])
-                lo, hi = min(lo, old[0]), max(hi, old[1])
-            ranges[j] = (lo, hi)
-            grid.append([
-                (table[i][1], table[i][2] * table[i][0] ** p,
-                 old is not None and i % 2 == 0 and old[0] <= i <= old[1])
-                for i in range(lo, hi + 1)
-            ])
-            points *= hi - lo + 1
-        if points > MAX_POINTS:
-            raise QuadratureNotConverged("tensor exp-sinh node budget exhausted")
-        *outer, inner = grid
-        inner_x2 = [x2 for x2, _, _ in inner]
-        inner_w = [a for _, a, _ in inner]
-        new_x2 = [x2 for x2, _, old in inner if not old]
-        new_w = [a for _, a, old in inner if not old]
-        # the previous level's sum already holds the points whose every node is old
-        for combo in itertools.product(*outer):
-            u, weight, all_old = 0.0, 1.0, True
-            for x2, a, old in combo:
-                u += x2
-                weight *= a
-                all_old = all_old and old
-            xs, ws = (new_x2, new_w) if all_old else (inner_x2, inner_w)
-            raw += weight * sum(map(mul, ws, map(g, map(u.__add__, xs))))
-        h = 2.0 ** -level
-        value = raw * h ** m
-        if previous is not None:
-            err = abs(value - previous)
-            if err <= tol * abs(value):
+    sums, nodes = [], []
+    for h, value, inner_x2, inner_w in _level_sums(g, powers):
+        sums.append(value)
+        nodes.append(len(inner_x2))
+        if len(sums) < 3:
+            continue
+        rel = _three_level_error(*sums[-3:], *nodes[-2:])
+        if rel <= tol:
 
-                def inner_slice(u: float) -> complex:
-                    return h * sum(map(mul, inner_w, map(g, map(float(u).__add__, inner_x2))))
+            def inner_slice(u: float) -> complex:
+                return h * sum(map(mul, inner_w, map(g, map(float(u).__add__, inner_x2))))
 
-                return value, err, inner_slice
-        previous = value
+            return value, rel * abs(value), inner_slice
     raise QuadratureNotConverged("tensor exp-sinh rule failed to reach tolerance")
 
 
@@ -232,6 +324,7 @@ def exp_sinh_halfline(f, tol: float = 1e-10) -> tuple[complex, float]:
     raise QuadratureNotConverged("exp-sinh failed to reach tolerance")
 
 
+@functools.lru_cache(maxsize=1024)
 def trapezoid_circle(exponent: int) -> complex:
     """Trapezoid rule for the full-circle integral of e^{i * exponent * t}.
 

@@ -177,6 +177,7 @@ ARGUMENT_ERRORS = [
     ["--config", QI_CONFIG, "find-wk", "--n", "7", "--k", "1", "--full-scan"],
     ["--config", QI_CONFIG, "find-wk", "--n", "1000000", "--k", "1"],
     ["--config", QI_CONFIG, "wedge-sign", "--n", "1000000", "--k", "1", "--g", "conj"],
+    ["--config", QI_CONFIG, "constant-term", "--n", "10000000000", "--ord0", "pos"],
     # lratio and intertwine-nonarch: the order of the root of unity, the digits
     # of q^(n - k) and the work estimate
     ["intertwine-nonarch", "--n", "3", "--k", "1", "--a", "20011,1", "--q", "2"],

@@ -87,13 +87,15 @@ FIELD = (
        ["intertwine-arch", "--n", "2", "--k", "1", "--eta", "0,2", "--beta", "0,2", "--s", "1,0.5"]]
 )
 # one refused run per work bound of the field commands: grid points, Weyl
-# elements by length and by full scan, and the rank
+# elements by length and by full scan, and the rank (wedge-sign, find-wk and
+# constant-term)
 FIELD_REFUSED = [
     ["--config", "tests/data/grid_n2_b2.json", "balanced"],
     QI + ["kostant", "--n", "9", "--p", "30"],
     QI + ["find-wk", "--n", "7", "--k", "1", "--full-scan"],
     QI + ["wedge-sign", "--n", "1001", "--k", "1", "--g", "conj"],
     QI + ["find-wk", "--n", "1001", "--k", "1"],
+    QI + ["constant-term", "--n", "1001", "--ord0", "pos"],
 ]
 FORMATS = ("records", "table")
 
