@@ -6,11 +6,13 @@ cases cover ``lratio`` and ``intertwine-nonarch`` at roots of unity of
 order 1, 2, 12, 336, 331, 443 and 1999, ``gauss`` at prime and
 prime-power q, every field command over Q(i) and Q(i, 2^(1/3)), and
 ``intertwine-arch`` off the README's run, in both output formats, plus
-one refused run at each work bound.  A config path in a case is relative
-to the repository root.  On a mismatch, the test id names the case, so it
-can be rerun by hand for a full diff.  Re-record only for a deliberate
-change of a report, with ``PYTHONPATH=src python tests/test_cli_corpus.py``;
-it prints each case it adds, removes or changes.
+one refused run at each work bound, and ``intertwine-arch`` at slice
+dimensions 2 to 5 (the last refused) in records format and one table
+case.  A config path in a case is relative to the repository root.  On
+a mismatch, the test id names the case, so it can be rerun by hand for a
+full diff.  Re-record only for a deliberate change of a report, with
+``PYTHONPATH=src python tests/test_cli_corpus.py``; it prints each case it
+adds, removes or changes.
 """
 
 import contextlib
@@ -97,6 +99,18 @@ FIELD_REFUSED = [
     QI + ["find-wk", "--n", "1001", "--k", "1"],
     QI + ["constant-term", "--n", "1001", "--ord0", "pos"],
 ]
+# intertwine-arch at slice dimensions m = n - k of 2 to 5, the last refused;
+# records format only, plus one table case below
+ARCH_SLICES = (
+    [["intertwine-arch", "--n", "3", "--k", "1", "--eta=-1,3", "--beta", beta, "--s", s]
+     for beta in ("0,0,4", "1,0,3") for s in ("2", "1.5,0.5")]
+    + [["intertwine-arch", "--n", "4", "--k", "1", "--eta", "0,4", "--beta", "0,0,0,4",
+        "--s", "1.5,0.5"],
+       ["intertwine-arch", "--n", "5", "--k", "1", "--eta", "0,5", "--beta", "1,0,0,0,4",
+        "--s", "2"],
+       ["intertwine-arch", "--n", "6", "--k", "1", "--eta", "0,6", "--beta", "0,0,0,0,0,6",
+        "--s", "1.5,0.5"]]
+)
 FORMATS = ("records", "table")
 
 
@@ -115,6 +129,8 @@ COMMANDS = (
 CASES = [" ".join(["--format", fmt] + argv) for argv in COMMANDS for fmt in FORMATS]
 # 11,664 points: one format is enough
 CASES.append("--format records --config configs/grid_n2.json balanced")
+CASES += [" ".join(["--format", "records"] + argv) for argv in ARCH_SLICES]
+CASES.append(" ".join(["--format", "table"] + ARCH_SLICES[4]))
 
 
 def run(case: str) -> dict:
