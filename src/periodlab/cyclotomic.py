@@ -19,6 +19,10 @@ rational; one stored term c * zeta^e inverts in closed form.
 
 Supported structure maps: the Galois action, complex conjugation, the
 norm-squared z * conj(z), and inversion.
+
+``Cyc.zeta`` and ``cyclotomic_polynomial`` refuse an order N whose work
+is above MAX_ORDER_WORK (``check_order``), before any O(N) work; the
+canonical form and the float shadow go through ``cyclotomic_polynomial``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,33 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+# Bound on the work Q(zeta_N) may take, fitted by timing.  With f = phi(N),
+# Phi_N by exact division costs about N (N - f) integer steps, the rows
+# that reduce zeta^e modulo Phi_N hold f (N - f) entries at about 4 steps
+# each, and the tables linear in N (x^N - 1, the float shadow's powers)
+# about 36 N: (N - f)(N + 4 f) + 36 N in all.  The largest N <= 2,000 is
+# N = 2000 itself; the slowest, N = 1980 and 1995, take about 0.35 s on a
+# 2-vCPU host, as do the slowest admitted N above 2,000 (6887 = 71 * 97,
+# 7171 = 71 * 101) and the largest admitted prime, 153,949.
+MAX_ORDER_WORK = 6_312_000
+
+
+def check_order(n: int) -> None:
+    """Raise ValueError if Q(zeta_n) needs more than MAX_ORDER_WORK steps,
+    before any O(n) work; factorize(n) runs only for n below
+    MAX_ORDER_WORK / 37, since the work of n > 1 is at least 37 n."""
+    if n > 1 and 37 * n > MAX_ORDER_WORK:
+        raise ValueError(f"Q(zeta_{n}) is above the order work limit of {MAX_ORDER_WORK}")
+    f = n
+    for p in factorize(n):
+        f = f // p * (p - 1)
+    work = (n - f) * (n + 4 * f) + 36 * n
+    if work > MAX_ORDER_WORK:
+        raise ValueError(
+            f"Q(zeta_{n}) needs {work} steps, above the order work limit of {MAX_ORDER_WORK}"
+        )
+
+
 def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Exact division of integer polynomials, ``den`` monic."""
     num = list(num)
@@ -64,7 +95,9 @@ def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[in
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
+    """Coefficients (low to high) of the n-th cyclotomic polynomial;
+    ValueError above the order bound (``check_order``)."""
+    check_order(n)
     if n == 1:
         return (-1, 1)
     poly = [0] * n + [1]
@@ -157,6 +190,8 @@ class Cyc:
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyc":
+        """zeta_n^k; ValueError above the order bound (``check_order``)."""
+        check_order(n)
         return Cyc._from_exponent_dict(n, {k % n: 1})
 
     @staticmethod
@@ -275,6 +310,10 @@ class Cyc:
         return hash((self.n,) + self._canonical())
 
     def is_zero(self) -> bool:
+        # c * zeta^e with c != 0 is a unit, so an element of at most one
+        # stored term is zero only when it stores none
+        if len(self._terms) <= 1:
+            return not self._terms
         return not any(self.nums)
 
     # -- field structure -------------------------------------------------------

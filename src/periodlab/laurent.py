@@ -24,7 +24,8 @@ class XPoly:
         self.n = n
         cs = {}
         for d, c in (coeffs or {}).items():
-            if isinstance(c, (int, Fraction)):
+            # Cyc first: isinstance misses on Fraction run its ABCMeta hook
+            if not isinstance(c, Cyc) and isinstance(c, (int, Fraction)):
                 c = Cyc.rational(c, n)
             if not c.is_zero():
                 if d < 0:
@@ -59,7 +60,8 @@ class XPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "XPoly":
-        if isinstance(other, (int, Fraction, Cyc)):
+        # XPoly first: isinstance misses on Fraction run its ABCMeta hook
+        if not isinstance(other, XPoly) and isinstance(other, (Cyc, int, Fraction)):
             return XPoly(self.n, {d: c * other for d, c in self.coeffs.items()})
         out: dict[int, Cyc] = {}
         for d1, c1 in self.coeffs.items():

@@ -36,7 +36,11 @@ tensor rule, then an independent cross-check.  ``exp_sinh_halfline``, a
 self-contained scalar exp-sinh rule that shares no code with ``quad``,
 recomputes the innermost one-dimensional slice at two outer points (the
 whole integral when m = 1); a disagreement with the tensor rule's own
-final-level slice beyond tolerance raises ``QuadratureNotConverged``.
+final-level slice beyond tolerance raises ``QuadratureNotConverged``.  The
+scalar rule is the textbook level refinement: each finer level adds only
+its new (odd) nodes to a running sum, so every node is evaluated once, and
+the nodes come from its own per-level table (``_xcheck_rows``), not from
+``_nodes``.  It stops on the difference of the last two levels.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ LOG_NEGLIGIBLE = math.log(1e-17)
 XCHECK_TOL = 10.0  # cross-check agreement, in units of the requested tolerance
 XCHECK_T = (-1.0, 0.0)  # t of the sampled outer node, x = exp((pi/2) sinh t)
 XCHECK_LEVELS = 12  # step halvings of the scalar exp-sinh rule, from h = 1
+XCHECK_MAX_K = 4000  # node budget of one level of the scalar rule, in steps from t = 0
 CIRCLE_POINTS = 256  # trapezoid nodes on the circle
 
 
@@ -257,8 +262,9 @@ def halfline_with_fallback(g, powers, tol: float = 1e-10) -> tuple[complex, floa
     outer coordinate at the node x = exp((pi/2) sinh t) for t = -1 and for
     t = 0, both in the bulk of the integral; when m = 1 the slice is the
     whole integral.  Its integrand is divided by the tensor rule's slice,
-    so that the scalar rule's stopping test is relative.  Returns the
-    tensor rule's value and error.
+    so that the scalar rule's stopping test is relative.  The scalar rule
+    refines level by level and evaluates each of its nodes once.  Returns
+    the tensor rule's value and error.
     """
     value, err, inner_slice = quad(g, powers, tol)
     p, outer = powers[-1], len(powers) - 1
@@ -284,43 +290,66 @@ def halfline_with_fallback(g, powers, tol: float = 1e-10) -> tuple[complex, floa
     return value, err
 
 
+@functools.lru_cache(maxsize=None)
+def _xcheck_rows(level: int) -> tuple[tuple[int, tuple[tuple[float, float], ...]], ...]:
+    """Rows (k, nodes) of the scalar exp-sinh rule that are new at step
+    h = 2^-level: every k >= 0 at level 0, odd k at a finer level.  A row's
+    nodes are the (x, w) at t = k h and t = -k h that lie in double range.
+    The rows end at the first empty one past k = 4, where every walk stops,
+    or at k = XCHECK_MAX_K + 1, where the node budget is spent."""
+    h = 2.0 ** -level
+    step = 1 if level == 0 else 2
+    rows = []
+    for k in range(step - 1, XCHECK_MAX_K + 2, step):
+        nodes = []
+        for sign in ((1,) if k == 0 else (1, -1)):
+            t = sign * k * h
+            u = 0.5 * math.pi * math.sinh(t)
+            if abs(u) > 600.0:  # node far outside double range
+                continue
+            x = math.exp(u)
+            w = 0.5 * math.pi * math.cosh(t) * x
+            if x > 1e280 or w < 1e-300:
+                continue
+            nodes.append((x, w))
+        rows.append((k, tuple(nodes)))
+        if k > 4 and not nodes:
+            break
+    return tuple(rows)
+
+
 def exp_sinh_halfline(f, tol: float = 1e-10) -> tuple[complex, float]:
-    """Double-exponential quadrature on [0, inf); independent of ``quad``."""
-    h = 1.0
+    """Double-exponential quadrature on [0, inf); independent of ``quad``.
+
+    Level 0 sums the nodes t = k h, h = 1, outward from t = 0; each finer
+    level halves h and adds only its new nodes, the odd k, to the running
+    sum, so every node is evaluated once.  A level's walk stops at the first
+    row (t = k h and -k h) past k = 4 without a term above 1e-280, and raises
+    past k = XCHECK_MAX_K.  The level's value is h times the running sum;
+    the rule stops when two successive values agree to tol (relative above
+    1, absolute below) and returns (value, their difference).
+    """
+    total = 0j  # sum of f(x) * w over every node visited so far
     previous = None
-    value = 0j
     for level in range(XCHECK_LEVELS):
-        total = 0j
-        k = 0
-        # sum outwards in both directions until terms are negligible
-        while True:
+        for k, nodes in _xcheck_rows(level):
             contributed = False
-            for sign in ((1,) if k == 0 else (1, -1)):
-                t = sign * k * h
-                u = 0.5 * math.pi * math.sinh(t)
-                if abs(u) > 600.0:  # node far outside double range
-                    continue
-                x = math.exp(u)
-                w = 0.5 * math.pi * math.cosh(t) * x
-                if x > 1e280 or w < 1e-300:
-                    continue
+            for x, w in nodes:
                 term = f(x) * w
                 if abs(term) > 1e-280:
                     contributed = True
                 total += term
             if k > 4 and not contributed:
                 break
-            if k > 4000:  # pragma: no cover - runaway integrand
+            if k > XCHECK_MAX_K:  # pragma: no cover - runaway integrand
                 raise QuadratureNotConverged("exp-sinh node budget exhausted")
-            k += 1
-        value = total * h
+        value = total * 2.0 ** -level
         if previous is not None:
             err = abs(value - previous)
             scale = max(abs(value), 1.0)
             if err <= tol * scale:
                 return value, err
         previous = value
-        h /= 2.0
     raise QuadratureNotConverged("exp-sinh failed to reach tolerance")
 
 

@@ -17,7 +17,9 @@ Contents:
   admissible embedding permutation, with the signature of s2.
 
 ``kostant_lines`` and ``distinguished_weyl`` raise ValueError, before any
-work, when they would enumerate more than MAX_WEYL_CANDIDATES elements.
+work, when they would enumerate more than MAX_WEYL_CANDIDATES elements;
+``kostant_lines`` also when its lines would hold more than
+MAX_KOSTANT_ENTRIES integers.
 """
 
 from __future__ import annotations
@@ -220,13 +222,28 @@ def _elements_of_length(n: int, count: int, total: int):
 
 def kostant_lines(w: WeightSystem, emb: EmbeddingSet, p: int) -> list[KostantLine]:
     """All cohomology lines in degree p: one per absolute Weyl element of
-    length p."""
-    weyl_count(w.n, emb.degree, p)
+    length p.  ValueError, before any line is built, above
+    MAX_WEYL_CANDIDATES elements or MAX_KOSTANT_ENTRIES entries."""
+    count = weyl_count(w.n, emb.degree, p)
+    # a line holds its element and torus weight (n integers per embedding
+    # each) and its p wedge labels (three integers each)
+    entries = count * (2 * emb.degree * w.n + 3 * p)
+    if entries > MAX_KOSTANT_ENTRIES:
+        raise ValueError(
+            f"the {count} lines of degree {p} hold {entries} entries, "
+            f"above the limit of {MAX_KOSTANT_ENTRIES}"
+        )
     return [make_line(WeylElement(components=c), w, emb) for c in _elements_of_length(w.n, emb.degree, p)]
 
 
 # Most Weyl group elements one enumeration may visit.
 MAX_WEYL_CANDIDATES = 10**5
+# Most integers the lines of one kostant_lines call may hold, fitted by
+# timing: a fresh `kostant` process that builds and prints the lines takes
+# about 7 us per integer in records format, so the slowest admitted runs
+# take under 2 s on a 2-vCPU host (n = 4, p = 19 over a degree-4 field:
+# 1.7 s); n = 8, p = 7 over Q(i) (55,320 lines) is refused.
+MAX_KOSTANT_ENTRIES = 250_000
 
 
 def weyl_count(n: int, emb_count: int, length: int | None = None) -> int:

@@ -174,6 +174,7 @@ ARGUMENT_ERRORS = [
     ["gauss", "--q", str(10**30 + 57), "--chi-order", "2"],
     ["--config", QI_CONFIG, "kostant", "--n", "9", "--p", "30"],
     ["--config", QI_CONFIG, "kostant", "--n", "1000000", "--p", "1"],
+    ["--config", QI_CONFIG, "kostant", "--n", "8", "--p", "7"],
     ["--config", QI_CONFIG, "find-wk", "--n", "7", "--k", "1", "--full-scan"],
     ["--config", QI_CONFIG, "find-wk", "--n", "1000000", "--k", "1"],
     ["--config", QI_CONFIG, "wedge-sign", "--n", "1000000", "--k", "1", "--g", "conj"],

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodlab.cyclotomic import Cyc, cyclotomic_polynomial, factorize
+from periodlab.cyclotomic import Cyc, check_order, cyclotomic_polynomial, factorize
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -247,3 +248,46 @@ def test_prime_order_20011_in_bounded_memory():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_is_zero_agrees_with_canonical_form():
+    """The one-term shortcut of is_zero against the canonical form; three
+    stored terms 1 + zeta_3 + zeta_3^2 reduce to zero."""
+    z3 = Cyc.zeta(3)
+    three = Cyc.rational(1, 3) + z3 + Cyc.zeta(3, 2)
+    assert len(three._terms) == 3
+    cases = [
+        three,
+        Cyc.rational(0, 3),
+        Cyc.rational(0, 12) * Cyc.zeta(12, 5),
+        z3,
+        Cyc.zeta(12, 7) * Fraction(-3, 5),
+        Cyc.zeta(7, 3) - Cyc.zeta(7, 3),
+        Cyc.zeta(7, 3) + Cyc.zeta(7, 4),
+        Cyc.rational(2, 5),
+    ]
+    for x in cases:
+        assert x.is_zero() == (not any(x.nums)), x
+    assert three.is_zero()
+
+
+def test_order_bound_admits_every_order_to_2000_and_20011():
+    for n in range(1, 2001):
+        check_order(n)
+    check_order(20011)
+    check_order(153949)  # the largest admitted prime
+
+
+@pytest.mark.parametrize("n", [9240, 30030, 2310, 153953, 10**18])
+def test_order_bound_refuses_before_work(n):
+    """Above the bound, zeta, the canonical form and Phi_N itself are
+    refused at once; unbounded, Cyc.zeta(30030, 30029) == Cyc.zeta(30030, 1)
+    ran past 60 s."""
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="order work limit"):
+        Cyc.zeta(n, n - 1)
+    with pytest.raises(ValueError, match="order work limit"):
+        cyclotomic_polynomial(n)
+    with pytest.raises(ValueError, match="order work limit"):
+        Cyc.rational(1, n) == Cyc.rational(2, n)
+    assert time.perf_counter() - t0 < 0.1

@@ -284,6 +284,139 @@ def test_cross_check_disagreement_raises(monkeypatch):
             quadrature.halfline_with_fallback(g, powers, 1e-10)
 
 
+def frozen_exp_sinh_halfline(f, tol):
+    """The scalar exp-sinh rule before level refinement, kept as the
+    reference of ``quadrature.exp_sinh_halfline``: every level walks all of
+    its nodes again from t = 0."""
+    h = 1.0
+    previous = None
+    for level in range(12):
+        total = 0j
+        k = 0
+        while True:
+            contributed = False
+            for sign in ((1,) if k == 0 else (1, -1)):
+                t = sign * k * h
+                u = 0.5 * math.pi * math.sinh(t)
+                if abs(u) > 600.0:
+                    continue
+                x = math.exp(u)
+                w = 0.5 * math.pi * math.cosh(t) * x
+                if x > 1e280 or w < 1e-300:
+                    continue
+                term = f(x) * w
+                if abs(term) > 1e-280:
+                    contributed = True
+                total += term
+            if k > 4 and not contributed:
+                break
+            if k > 4000:
+                raise QuadratureNotConverged("exp-sinh node budget exhausted")
+            k += 1
+        value = total * h
+        if previous is not None:
+            err = abs(value - previous)
+            if err <= tol * max(abs(value), 1.0):
+                return value, err
+        previous = value
+        h /= 2.0
+    raise QuadratureNotConverged("exp-sinh failed to reach tolerance")
+
+
+def slice_integrand(p, e, u):
+    """x -> (1 + u + x^2)^-e x^p, the shape the cross-check integrates."""
+
+    def f(x):
+        x2 = x * x
+        if x2 == math.inf:
+            return 0j
+        y = (1.0 + u + x2) ** -e
+        for _ in range(p):
+            y *= x
+        return y
+
+    return f
+
+
+def finest_level(xs):
+    """The largest L such that some node x = exp((pi/2) sinh(k 2^-L)) in xs
+    has an odd k: the last level a rule summed."""
+    top = 11
+    level = 0
+    for x in xs:
+        k = round(math.asinh(2.0 * math.log(x) / math.pi) * 2**top)
+        if k:
+            level = max(level, top - ((k & -k).bit_length() - 1))
+    return level
+
+
+def recorded_run(rule, f, tol):
+    """(value or exception type, the nodes x at which f was called)."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    try:
+        outcome = rule(g, tol)[0]
+    except Exception as exc:  # the two rules must fail alike
+        outcome = type(exc)
+    return outcome, xs
+
+
+# tail x^(p - 2e) = x^(-1 - 2d): d = 0.55 is the slowest decay the
+# intertwining integrals admit; at d = 0 the integral diverges, and both
+# rules must spend their node budget and raise
+XCHECK_GRID = [
+    (p, (p + 1) / 2 + d, u, tol)
+    for p in range(4)
+    for d in (0.55, 1.0, 2.0, 4.5, 1.5 + 2j, 0.75 - 1j, 0.0)
+    for u in (0.0, 1.5, 40.0)
+    for tol in ((1e-10,) if d == 0.0 else (1e-6, 1e-10, 1e-12))
+]
+
+
+def test_exp_sinh_refinement_matches_frozen_rule():
+    """The refined rule stops at the level the frozen one stops at, raises
+    where it raises, and agrees to 1e-14 relative: only the order in which
+    the nodes are summed differs."""
+    raised = 0
+    for p, e, u, tol in XCHECK_GRID:
+        f = slice_integrand(p, e, u)
+        mine, my_xs = recorded_run(quadrature.exp_sinh_halfline, f, tol)
+        ref, ref_xs = recorded_run(frozen_exp_sinh_halfline, f, tol)
+        case = (p, e, u, tol)
+        assert finest_level(my_xs) == finest_level(ref_xs), case
+        if isinstance(ref, type):
+            assert mine is ref, case
+            raised += 1
+        else:
+            assert abs(mine - ref) <= 1e-14 * abs(ref), case
+    assert 0 < raised < len(XCHECK_GRID)  # the grid holds both outcomes
+
+
+def test_exp_sinh_evaluates_each_node_once():
+    for p, e, u, tol in XCHECK_GRID[::7]:
+        f = slice_integrand(p, e, u)
+        _, my_xs = recorded_run(quadrature.exp_sinh_halfline, f, tol)
+        _, ref_xs = recorded_run(frozen_exp_sinh_halfline, f, tol)
+        assert len(my_xs) == len(set(my_xs))
+        if finest_level(ref_xs) >= 3:
+            assert len(ref_xs) > 1.6 * len(my_xs)
+
+
+def test_exp_sinh_shares_no_code_with_quad(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("the scalar rule used the tensor rule's code")
+
+    for name in ("_nodes", "_cut", "_three_level_error", "_new_points_sum", "_level_sums", "quad"):
+        monkeypatch.setattr(quadrature, name, broken)
+    quadrature._xcheck_rows.cache_clear()
+    value, _ = quadrature.exp_sinh_halfline(slice_integrand(1, 3.0, 0.0), 1e-10)
+    assert abs(value - 0.25) < 1e-10  # int x / (1 + x^2)^3 dx = 1/4
+
+
 def test_trapezoid_circle():
     assert abs(quadrature.trapezoid_circle(0) - 2 * math.pi) < 1e-12
     assert quadrature.trapezoid_circle(0) is quadrature.trapezoid_circle(0)  # cached

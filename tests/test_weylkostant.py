@@ -10,6 +10,7 @@ from periodlab.cmfield import (
     identity_permutation,
 )
 from periodlab.weights import weight_system_from_eta
+from periodlab import weylkostant
 from periodlab.weylkostant import (
     WedgeMonomial,
     coset_reps,
@@ -299,3 +300,16 @@ def test_weyl_enumeration_refused_before_work(scan, emb2):
     with pytest.raises(ValueError, match="100000"):
         scan(emb2)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_kostant_lines_refused_above_entry_bound(emb2):
+    """n = 8, p = 7 over Q(i): 55,320 lines of 2,931,960 integers, refused
+    before a line is built; the largest admitted degree at n = 8 is built."""
+    w = weight_system_from_eta(8, aligned_eta(emb2, 8))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="55320 lines of degree 7 hold 2931960 entries"):
+        kostant_lines(w, emb2, 7)
+    assert time.perf_counter() - t0 < 1.0
+    count = weyl_count(8, emb2.degree, 3)
+    assert count * (2 * emb2.degree * 8 + 3 * 3) <= weylkostant.MAX_KOSTANT_ENTRIES
+    assert len(kostant_lines(w, emb2, 3)) == count == 530
