@@ -341,7 +341,7 @@ def slice_integrand(p, e, u):
 def finest_level(xs):
     """The largest L such that some node x = exp((pi/2) sinh(k 2^-L)) in xs
     has an odd k: the last level a rule summed."""
-    top = 11
+    top = quadrature.XCHECK_LEVELS - 1
     level = 0
     for x in xs:
         k = round(math.asinh(2.0 * math.log(x) / math.pi) * 2**top)
