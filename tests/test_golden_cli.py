@@ -7,12 +7,16 @@ rewrite the data with ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
 
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
+import periodlab
 from periodlab.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -56,6 +60,18 @@ def golden() -> dict:
 @pytest.mark.parametrize("fmt,argv", CASES, ids=[case_id(f, a) for f, a in CASES])
 def test_readme_command_is_byte_identical(fmt, argv, golden):
     assert run(fmt, argv) == golden[case_id(fmt, argv)]
+
+
+def test_readme_module_names_resolve():
+    """Every backticked `module.NAME` the README gives for a periodlab
+    module exists there; `weights.n` is a config key, not a name."""
+    modules = {m.name for m in pkgutil.iter_modules(periodlab.__path__)}
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    names = {(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)`", readme) if mod in modules}
+    assert len(names) > 10
+    missing = [f"{mod}.{name}" for mod, name in sorted(names - {("weights", "n")})
+               if not hasattr(importlib.import_module(f"periodlab.{mod}"), name)]
+    assert missing == []
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodlab.cyclotomic import Cyc
+from periodlab.cyclotomic import Cyc, factorize
 from periodlab.errors import PoleHit
 from periodlab.lfactors import (
     FiniteField,
@@ -183,6 +183,25 @@ def test_cyclotomic_order_bound():
             GaussSumSpec(q=q, chi_order=2)
     with pytest.raises(ValueError, match="not a prime power"):
         GaussSumSpec(q=6, chi_order=5)
+
+
+def test_gauss_admission_below_5000():
+    """GF(q) for a prime power q < 5,000 is admitted exactly when
+    N = lcm(q - 1, p) <= 2000 (30 of the 711)."""
+    prime_powers, admitted = [], []
+    for q in range(2, 5000):
+        primes = list(factorize(q))
+        if len(primes) != 1:
+            continue
+        prime_powers.append(q)
+        try:
+            GaussSumSpec(q=q, chi_order=1)
+        except ValueError:
+            assert math.lcm(q - 1, primes[0]) > 2000, q
+        else:
+            assert math.lcm(q - 1, primes[0]) <= 2000, q
+            admitted.append(q)
+    assert (len(admitted), len(prime_powers)) == (30, 711)
 
 
 # -- tokens and normalization -----------------------------------------------------------
