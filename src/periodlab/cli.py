@@ -223,35 +223,31 @@ MAX_LOCAL_WORK = 2 * 10**8
 
 def check_local_work(args, order: int, telescoping: bool) -> None:
     """Refuse an lratio or intertwine-nonarch run before any work: a root
-    of unity of order N above lfactors.MAX_GAUSS_ORDER, a q^(n-k) of more
-    than MAX_POWER_DIGITS digits, or a work estimate above MAX_LOCAL_WORK.
+    of unity of an order N that cyclotomic.check_order refuses, a q^(n-k)
+    of more than MAX_POWER_DIGITS digits, or a work estimate above
+    MAX_LOCAL_WORK.
 
     With f = phi(N) coordinates per element of Q(zeta_N), m = n - k and D
     the digits of q^m, printing a reduced ratio inverts elements of
     Q(zeta_N) for about f^2 (2 D + 40) steps, and lratio's telescoping
-    product of m degree-one ratios (``telescoping``) adds about m^2 f^2
-    steps on field elements and m^3 D^1.5 / 150 on their integers.  The
-    weights were fitted to timings of both commands when Q(zeta_N) was
-    stored densely in the power basis.  Its sparse storage makes a product
-    of roots of unity cost a few terms, not f^2, so the f^2 terms now
-    overestimate the work, most at a prime N.
+    product of m degree-one ratios (``telescoping``) adds about
+    m^3 D^1.5 / 150 steps on the integers of its coefficients.  Every
+    factor of that product has the same a = zeta^e, so each coefficient is
+    one stored term c zeta^(ie), whatever f is.
     """
-    from . import cyclotomic, lfactors
+    from . import cyclotomic
 
-    if order > lfactors.MAX_GAUSS_ORDER:
-        raise ConfigError(
-            f"--a {args.a}: the order {order} is above the limit of {lfactors.MAX_GAUSS_ORDER}"
-        )
+    try:
+        f = cyclotomic.check_order(order)
+    except ValueError as exc:
+        raise ConfigError(f"--a {args.a}: {exc}") from None
     m = args.n - args.k
     if m > MAX_POWER_DIGITS / math.log10(args.q):  # exact int/float comparison
         raise ConfigError(f"q^(n-k) has more than {MAX_POWER_DIGITS} digits, the limit")
     digits = m * math.log10(args.q)
-    f = order
-    for p in cyclotomic.factorize(order):
-        f -= f // p
     work = f * f * (2 * digits + 40)
     if telescoping:
-        work += m * m * f * f + m**3 * digits**1.5 / 150
+        work += m**3 * digits**1.5 / 150
     if work > MAX_LOCAL_WORK:
         raise ConfigError(f"the work estimate {work:.3g} is above the limit of {MAX_LOCAL_WORK:.0e}")
 

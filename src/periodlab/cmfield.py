@@ -268,22 +268,6 @@ class GaloisPermutation:
             out[emb.restriction_k1[i]] = emb.restriction_k1[self.perm[i]]
         return tuple(out)
 
-    def sqrt_action(self, emb: EmbeddingSet) -> int:
-        """+1 if the induced action fixes sqrt(-d), -1 if it conjugates it."""
-        self.validate(emb)
-        flip = None
-        for i in range(emb.degree):
-            s_src = emb.k1_labels[emb.restriction_k1[i]][1]
-            s_dst = emb.k1_labels[emb.restriction_k1[self.perm[i]]][1]
-            f = s_src * s_dst
-            if flip is None:
-                flip = f
-            elif flip != f:
-                raise InvalidGaloisPermutation(
-                    "action on sqrt(-d) is not uniform across embeddings"
-                )
-        return flip if flip is not None else 1
-
     def sign(self) -> int:
         return (-1) ** inversions(self.perm)
 
@@ -595,20 +579,3 @@ def check_discriminant_identity(
             "k1_maximality_asserted": tower.k1_maximality_asserted,
         }
         return c_frac, certificate
-
-
-# -- Galois action on exact scalars -------------------------------------------
-
-def apply_galois(x, g: GaloisPermutation, emb: EmbeddingSet):
-    """Apply the induced action on Q(sqrt(-d)) coordinates.
-
-    ``x`` is a Fraction (fixed by everything) or a pair (a, b) meaning
-    a + b*sqrt(-d); the action is identity or conjugation, read off the
-    permutation's effect on the embedding signs.
-    """
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    a, b = x
-    if g.sqrt_action(emb) > 0:
-        return (Fraction(a), Fraction(b))
-    return (Fraction(a), -Fraction(b))

@@ -20,9 +20,11 @@ rational; one stored term c * zeta^e inverts in closed form.
 Supported structure maps: the Galois action, complex conjugation, the
 norm-squared z * conj(z), and inversion.
 
-``Cyc.zeta`` and ``cyclotomic_polynomial`` refuse an order N whose work
-is above MAX_ORDER_WORK (``check_order``), before any O(N) work; the
-canonical form and the float shadow go through ``cyclotomic_polynomial``.
+``check_order`` is the package's one bound on the order N: it refuses an
+N whose work is above MAX_ORDER_WORK, before any O(N) work, and returns
+phi(N).  ``Cyc.zeta`` and ``cyclotomic_polynomial`` call it, and so do
+the Gauss sums and the CLI's local-ratio commands; the canonical form and
+the float shadow go through ``cyclotomic_polynomial``.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ def factorize(n: int) -> dict[int, int]:
 MAX_ORDER_WORK = 6_312_000
 
 
-def check_order(n: int) -> None:
-    """Raise ValueError if Q(zeta_n) needs more than MAX_ORDER_WORK steps,
-    before any O(n) work; factorize(n) runs only for n below
+def check_order(n: int) -> int:
+    """phi(n); ValueError if Q(zeta_n) needs more than MAX_ORDER_WORK
+    steps, before any O(n) work.  factorize(n) runs only for n below
     MAX_ORDER_WORK / 37, since the work of n > 1 is at least 37 n."""
     if n > 1 and 37 * n > MAX_ORDER_WORK:
         raise ValueError(f"Q(zeta_{n}) is above the order work limit of {MAX_ORDER_WORK}")
@@ -72,6 +74,7 @@ def check_order(n: int) -> None:
         raise ValueError(
             f"Q(zeta_{n}) needs {work} steps, above the order work limit of {MAX_ORDER_WORK}"
         )
+    return f
 
 
 def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:

@@ -201,9 +201,6 @@ class LaurentRatio:
         raises ZeroDivisionError."""
         return self.num.evaluate(x) / self.den.evaluate(x)
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
     def __repr__(self):
         num, den = self._reduced()
         return f"[{num!r}] / [{den!r}]"

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyc, factorize
+from .cyclotomic import Cyc, check_order, factorize
 from .laurent import LaurentRatio, XPoly
 from .errors import PoleHit
 
@@ -212,12 +212,6 @@ class FiniteField:
         return acc[0]
 
 
-# Largest cyclotomic order N = lcm(q - 1, p) of a Gauss sum over GF(q): the
-# exact check |G|^2 = q multiplies two sums of q - 1 roots of unity in Q(zeta_N)
-# and reduces the product modulo the N-th cyclotomic polynomial.
-MAX_GAUSS_ORDER = 2000
-
-
 @dataclass(frozen=True)
 class GaussSumSpec:
     """Multiplicative character by its value on the fixed generator of
@@ -228,14 +222,17 @@ class GaussSumSpec:
     chi_index: int = 1
 
     def __post_init__(self):
-        too_big = f"GF({self.q}) needs Q(zeta_N) with N = lcm(q - 1, p) above {MAX_GAUSS_ORDER}, the limit"
-        if self.q - 1 > MAX_GAUSS_ORDER:  # N >= q - 1: refuse before factoring q
-            raise ValueError(too_big)
-        factors = factorize(self.q)
+        try:
+            # N = lcm(q - 1, p) is p (q - 1), and the order work of p M is at
+            # least that of M for p prime to M: refuse a huge q before factoring it
+            check_order(self.q - 1)
+            factors = factorize(self.q)
+            if len(factors) == 1:
+                check_order(math.lcm(self.q - 1, *factors))
+        except ValueError as exc:
+            raise ValueError(f"GF({self.q}) is above the limit: {exc}") from None
         if len(factors) != 1:
             raise ValueError(f"{self.q} is not a prime power")
-        if math.lcm(self.q - 1, *factors) > MAX_GAUSS_ORDER:
-            raise ValueError(too_big)
         # chi(gen)^(q-1) must be 1
         if (self.chi_index * (self.q - 1)) % self.chi_order != 0:
             raise ValueError("character value is not well-defined on GF(q)^x")

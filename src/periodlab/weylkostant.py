@@ -16,17 +16,17 @@ Contents:
 * the order-preserving/fiber-trivial factorization g = s2 o s1 of an
   admissible embedding permutation, with the signature of s2.
 
-``kostant_lines`` and ``distinguished_weyl`` raise ValueError, before any
-work, when they would enumerate more than MAX_WEYL_CANDIDATES elements;
-``kostant_lines`` also when its lines would hold more than
-MAX_KOSTANT_ENTRIES integers.
+``weyl_count`` counts the elements an enumeration visits (n!^d in all, or
+those of one length).  ``kostant_lines`` and ``distinguished_weyl`` raise
+ValueError, before any work, when they would enumerate more than
+MAX_WEYL_CANDIDATES elements; ``kostant_lines`` also when its lines would
+hold more than MAX_KOSTANT_ENTRIES integers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cmfield import EmbeddingSet, GaloisPermutation, inversions
 from .errors import NonDominant, UniquenessFailed
@@ -265,12 +265,6 @@ def weyl_count(n: int, emb_count: int, length: int | None = None) -> int:
     return count
 
 
-def total_line_count(n: int, emb_count: int) -> int:
-    import math
-
-    return math.factorial(n) ** emb_count
-
-
 def length_generating_function(n: int, emb_count: int) -> list[int]:
     """Coefficients of the inversion generating function of the absolute
     Weyl group: the q-factorial prod_i (1 + q + ... + q^i) raised to the
@@ -467,18 +461,3 @@ def sigma_decompose(
         if emb.restriction_k1[s2p(i)] != emb.restriction_k1[i]:
             raise AssertionError("fiber-trivial factor moves a fiber")
     return s1p, s2p, s2p.sign()
-
-
-# -- misc -----------------------------------------------------------------------
-
-
-def weyl_dimension(weight: tuple[int, ...], n: int) -> int:
-    """Dimension of the irreducible with the given dominant weight."""
-    if any(weight[i] < weight[i + 1] for i in range(n - 1)):
-        raise NonDominant(f"{weight} is not weakly decreasing")
-    dim = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dim *= Fraction(weight[i] - weight[j] + j - i, j - i)
-    assert dim.denominator == 1
-    return int(dim)

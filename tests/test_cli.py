@@ -189,6 +189,9 @@ ARGUMENT_ERRORS = [
     ["intertwine-nonarch", "--n", "20000", "--k", "1", "--a", "12,5", "--q", "2"],
     ["intertwine-nonarch", "--n", str(10**400), "--k", "1", "--a", "12,5", "--q", "2"],
     ["intertwine-nonarch", "--n", "2", "--k", "1", "--a", "1999,1998", "--q", str(10**6)],
+    # orders that cyclotomic.check_order refuses
+    ["lratio", "--n", "3", "--k", "1", "--a", "2002,1", "--q", "2"],
+    ["intertwine-nonarch", "--n", "3", "--k", "1", "--a", "2310,1", "--q", "2"],
 ]
 
 
@@ -546,6 +549,18 @@ def test_lratio_subcommand(capsys):
     doc = json.loads(out)
     by_name = {r["name"]: r for r in doc["records"]}
     assert by_name["telescoping_product_matches"]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lratio", "--n", "17", "--k", "1", "--a", "1999,5", "--q", "2"],
+    ["intertwine-nonarch", "--n", "17", "--k", "1", "--a", "2003,2002", "--q", "2"],
+], ids=" ".join)
+def test_local_work_admits_prime_orders(argv, capsys):
+    """Prime orders next to the work bound, refused while the estimate
+    charged m^2 phi(N)^2 to lratio's product and N > 2000 to both."""
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert {r["verdict"] for r in json.loads(out)["records"]} == {"pass"}
 
 
 def test_intertwine_subcommands(config_file, capsys):

@@ -7,7 +7,6 @@ from mpmath import mp
 from periodlab.cmfield import (
     FieldTower,
     GaloisPermutation,
-    apply_galois,
     build_field,
     check_discriminant_identity,
     conjugation_permutation,
@@ -225,17 +224,6 @@ def test_identity_constant_under_scaled_basis(built):
     # and its norm to Q by 16^2
     assert data["norm_to_q"] == 128**2
     assert abs(float(v) - 128) < 1e-10
-
-
-def test_apply_galois(built):
-    emb = built[QS3]
-    conj = conjugation_permutation(emb)
-    ident = identity_permutation(emb)
-    x = (Fraction(3), Fraction(2))
-    assert apply_galois(x, conj, emb) == (Fraction(3), Fraction(-2))
-    assert apply_galois(x, ident, emb) == x
-    assert apply_galois(Fraction(5), conj, emb) == Fraction(5)
-    assert apply_galois((Fraction(0), Fraction(1)), ident, emb) == (Fraction(0), Fraction(1))
 
 
 def test_admissible_permutations(built):

@@ -46,8 +46,8 @@ def test_printed_form_is_normalized():
 def test_is_one_on_unreduced_pair():
     r = LaurentRatio(P * F, P * F)
     assert r.num.degree() == 3
-    assert r.is_one()
-    assert not LaurentRatio(F, G).is_one()
+    assert r == LaurentRatio.one(r.num.n)
+    assert LaurentRatio(F, G) != LaurentRatio.one(F.n)
 
 
 def test_ratios_are_unhashable():

@@ -1,6 +1,8 @@
 import functools
 import math
 import operator
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from periodlab.cyclotomic import Cyc, factorize
 from periodlab.errors import PoleHit
+from periodlab.laurent import LaurentRatio
 from periodlab.lfactors import (
     FiniteField,
     GaussSumSpec,
@@ -26,7 +29,7 @@ from periodlab.lfactors import (
 
 def test_lratio_k_equals_n_is_one():
     a = Cyc.zeta(12, 5)
-    assert unramified_lratio(3, 3, a, 2).is_one()
+    assert unramified_lratio(3, 3, a, 2) == LaurentRatio.one(12)
 
 
 def test_lratio_formula_n2():
@@ -175,7 +178,7 @@ def test_character_validation():
 
 
 def test_cyclotomic_order_bound():
-    """N = lcm(q - 1, p) is refused above MAX_GAUSS_ORDER, before any work."""
+    """N = lcm(q - 1, p) is refused above the order bound, before any work."""
     GaussSumSpec(q=43, chi_order=42)  # N = 1806
     GaussSumSpec(q=512, chi_order=511)  # N = 1022
     for q in (47, 1024, 1000003, 10**30 + 57):  # N = 2162, 2046, ...
@@ -202,6 +205,82 @@ def test_gauss_admission_below_5000():
             assert math.lcm(q - 1, primes[0]) <= 2000, q
             admitted.append(q)
     assert (len(admitted), len(prime_powers)) == (30, 711)
+
+
+# Exact relations between Gauss sums.  GaussSumSpec(q, q - 1, j) is the
+# character chi(gen^t) = zeta_{q-1}^{jt} on the fixed generator, and gauss_sum
+# sums chi^-1(x) psi(x), psi(x) = zeta_p^{trace(x)}.
+
+
+def _lift(x: Cyc, n: int) -> Cyc:
+    """x in Q(zeta_m) read in Q(zeta_n), for m dividing n."""
+    step = n // x.n
+    return Cyc._from_exponent_dict(n, {i * step: Fraction(c, x.den) for i, c in enumerate(x.nums)})
+
+
+def _discrete_logs(field: FiniteField) -> dict:
+    """{x: t} with x = gen^t, over GF(q)^x."""
+    logs, x = {}, field.one
+    for t in range(field.q - 1):
+        logs[x] = t
+        x = field.mul(x, field.generator)
+    return logs
+
+
+def _hasse_davenport_failures() -> list[tuple[int, int]]:
+    """(q, j) for prime q and every chi of GF(q)^x where the lifting relation
+    -G(chi o N) = (-G(chi))^2 fails, N(x) = x^(q + 1) the norm from GF(q^2);
+    q = 13 needs Q(zeta_2184), above the order bound."""
+    failures = []
+    for q in (2, 3, 5, 7, 11):
+        base_logs = _discrete_logs(FiniteField(q))
+        big = FiniteField(q * q)
+        (norm_gen, *rest) = big.pow(big.generator, q + 1)  # generates GF(q)^x
+        assert not any(rest)
+        ell = base_logs[(norm_gen,)]  # chi o N (gen) = chi(gen)^ell
+        for j in range(q - 1):
+            g, _ = gauss_sum(GaussSumSpec(q=q, chi_order=q - 1, chi_index=j))
+            lifted, _ = gauss_sum(GaussSumSpec(q=q * q, chi_order=q - 1, chi_index=j * ell))
+            if -lifted != _lift(-g, lifted.n) ** 2:
+                failures.append((q, j))
+    return failures
+
+
+def test_hasse_davenport_lifting():
+    assert _hasse_davenport_failures() == []
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_jacobi_factorization(q):
+    """G(chi1) G(chi2) = J(chi1^-1, chi2^-1) G(chi1 chi2) for chi1 chi2
+    nontrivial, J(a, b) = sum a(x) b(1 - x) counted from a discrete-log
+    table: no additive character, no trace."""
+    field = FiniteField(q)
+    logs = _discrete_logs(field)
+    ncyc = math.lcm(q - 1, field.p)
+    unit = ncyc // (q - 1)  # zeta_{q-1} = zeta_ncyc^unit
+    pairs = [(j1, j2) for j1 in range(q - 1) for j2 in range(q - 1) if (j1 + j2) % (q - 1)]
+    for j1, j2 in random.Random(q).sample(pairs, 8):
+        counts: dict[int, int] = {}
+        for x, t in logs.items():
+            y = tuple((a - b) % field.p for a, b in zip(field.one, x))
+            if y in logs:  # x != 1
+                e = -unit * (j1 * t + j2 * logs[y])
+                counts[e] = counts.get(e, 0) + 1
+        jacobi = Cyc._from_exponent_dict(ncyc, counts)
+        g1, g2, g12 = (gauss_sum(GaussSumSpec(q=q, chi_order=q - 1, chi_index=j))[0]
+                       for j in (j1, j2, j1 + j2))
+        assert g1 * g2 == jacobi * g12, (j1, j2)
+
+
+def test_first_coordinate_for_trace_is_rejected(monkeypatch):
+    """Regression: psi(x) = zeta_p^{x_0} in place of zeta_p^{trace(x)} keeps
+    |G|^2 = q, and the Jacobi relation too (it scales every G(chi) by
+    chi(b) for one b), but not the lifting relation."""
+    monkeypatch.setattr(FiniteField, "trace", lambda self, a: a[0])
+    spec = GaussSumSpec(q=9, chi_order=8, chi_index=1)
+    assert gauss_sum_norm_check(spec)
+    assert len(_hasse_davenport_failures()) > 0
 
 
 # -- tokens and normalization -----------------------------------------------------------

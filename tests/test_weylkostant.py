@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -26,9 +27,7 @@ from periodlab.weylkostant import (
     omega_transfer_sign,
     sigma_decompose,
     sigma_on_monomial,
-    total_line_count,
     wedge_sigma_sign,
-    weyl_dimension,
 )
 
 
@@ -78,7 +77,7 @@ def test_line_count_and_generating_function(emb2):
     w = weight_system_from_eta(2, aligned_eta(emb2, 2))
     counts = [len(kostant_lines(w, emb2, p)) for p in range(0, 3)]
     assert counts == [1, 2, 1]
-    assert sum(counts) == total_line_count(2, emb2.degree)
+    assert sum(counts) == math.factorial(2) ** emb2.degree
 
 
 def test_line_count_n3_two_embeddings(emb2):
@@ -88,7 +87,7 @@ def test_line_count_n3_two_embeddings(emb2):
     counts = [len(kostant_lines(w, emb2, p)) for p in range(0, 7)]
     assert counts == expected
     assert counts == length_generating_function(3, 2)
-    assert sum(counts) == 36 == total_line_count(3, 2)
+    assert sum(counts) == 36 == math.factorial(3) ** 2
 
 
 def test_length_generating_function_matches_enumeration(emb4):
@@ -270,16 +269,6 @@ def test_sigma_decompose_properties(emb4, emb6):
                 assert emb.restriction_k1[s2(i)] == emb.restriction_k1[i]
 
 
-# -- misc --------------------------------------------------------------------------------
-
-
-def test_weyl_dimension():
-    assert weyl_dimension((0, 0), 2) == 1
-    assert weyl_dimension((1, 0), 2) == 2
-    assert weyl_dimension((2, 1, 0), 3) == 8
-    assert weyl_dimension((1, 1, 1), 3) == 1
-
-
 # -- work bounds ------------------------------------------------------------------
 
 
@@ -287,7 +276,7 @@ def test_weyl_count_matches_enumeration(emb2):
     w = weight_system_from_eta(3, aligned_eta(emb2, 3))
     for p in range(-1, 9):
         assert weyl_count(3, emb2.degree, p) == len(kostant_lines(w, emb2, p))
-    assert weyl_count(3, emb2.degree) == total_line_count(3, emb2.degree)
+    assert weyl_count(3, emb2.degree) == math.factorial(3) ** emb2.degree
 
 
 @pytest.mark.parametrize("scan", [
