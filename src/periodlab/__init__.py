@@ -26,7 +26,7 @@ convolutions over fields containing a CM subfield:
                      intertwining integrals (complex places) and the
                      symbolic constant-term assembly with holomorphy audit;
 * ``quadrature``  -- the double-exponential rules behind the complex-place
-                     integrals, with an independent cross-check;
+                     integrals, with an independent polar check of each;
 * ``errors``      -- the package's exception classes, all under PeriodLabError;
 * ``cli``         -- command-line front end emitting verification reports.
 """

@@ -21,7 +21,7 @@ measure per complex coordinate (local constant c_v = 1).  Angular
 integrals are trigonometric-monomial circle integrals (evaluated with an
 exact-for-trig trapezoid rule); the radial integral over [0, inf)^(n-k)
 is one tensor-product double-exponential sum in complex arithmetic,
-cross-checked on sampled one-dimensional slices by an independent scalar
+checked whole against its polar form, a scalar integral of an independent
 rule (see ``quadrature``).  The target is the Gamma_C shift-ratio product
 
     prod_{t=1..n-k} 2*pi / (s + eta_bar - t)
@@ -209,12 +209,15 @@ def arch_intertwining(
     else:
         target = complex(0)
         verdict_tol = 1e-8 * abs(shift_product)
+    # the circle integrals are 0 unless every b is 0, where the trapezoid sum
+    # of ones is exact: all of a nonzero-b angular factor is rounding
+    angular_err = abs(angular) if any(inner) else 0.0
     return IntertwineResult(
         value=value,
         target=target,
         verdict=abs(value - target) <= verdict_tol,
         tolerance=verdict_tol,
-        error_estimate=abs(angular) * radial_err,
+        error_estimate=abs(angular) * radial_err + angular_err * abs(radial),
     )
 
 

@@ -32,15 +32,15 @@ not at s = 1.5 + 0.5i).  A slower decay needs finer levels: n = 5 at
 s = 0.5 is refused.
 
 ``halfline_with_fallback`` is the entry the intertwining code calls: the
-tensor rule, then an independent cross-check.  ``exp_sinh_halfline``, a
-self-contained scalar exp-sinh rule that shares no code with ``quad``,
-recomputes the innermost one-dimensional slice at two outer points (the
-whole integral when m = 1); a disagreement with the tensor rule's own
-final-level slice beyond tolerance raises ``QuadratureNotConverged``.  The
-scalar rule is the textbook level refinement: each finer level adds only
-its new (odd) nodes to a running sum, so every node is evaluated once, and
-the nodes come from its own per-level table (``_xcheck_rows``), not from
-``_nodes``.  It stops on the difference of the last two levels.
+tensor rule, checked whole against the polar form (Folland 2001)
+
+    I = prod_j Gamma((p_j + 1)/2) / (2^(m-1) Gamma(P/2)) * int_0^inf g(r^2) r^(P-1) dr,
+
+P = sum_j (p_j + 1), one scalar integral for every m, which
+``exp_sinh_halfline`` evaluates, a scalar exp-sinh rule that shares no code
+with ``quad``.  It adds each finer level's new (odd) nodes to a running sum,
+so it evaluates every node once, takes them from its own table
+(``_xcheck_rows``), and stops on the difference of the last two levels.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ MAX_POINTS = 2_000_000  # bound on the multiset points one level evaluates
 # A node whose marginal scale is below this share of the peak no longer
 # changes a double-precision sum (2^-53 ~ 1.1e-16).
 LOG_NEGLIGIBLE = math.log(1e-17)
-XCHECK_TOL = 10.0  # cross-check agreement, in units of the requested tolerance
-XCHECK_T = (-1.0, 0.0)  # t of the sampled outer node, x = exp((pi/2) sinh t)
+RERUN_TOL = 0.25  # tolerance of the tensor rule's one rerun, in units of the requested one
 XCHECK_LEVELS = 12  # step halvings of the scalar exp-sinh rule, from h = 1
 XCHECK_MAX_K = 4000  # node budget of one level of the scalar rule, in steps from t = 0
 CIRCLE_POINTS = 256  # trapezoid nodes on the circle
@@ -192,9 +191,9 @@ def _new_points_sum(g, groups) -> complex:
 
 
 def _level_sums(g, powers):
-    """Yield (h, value, inner_x2, inner_w) per level, h = 2^-level: the rule's
-    value at step h, and the innermost coordinate's nodes x^2 and weights
-    w x^p.  A level whose new multiset points exceed MAX_POINTS raises
+    """Yield (h, value, inner_nodes) per level, h = 2^-level: the rule's
+    value at step h and the innermost coordinate's node count.  A level
+    whose new multiset points exceed MAX_POINTS raises
     ``QuadratureNotConverged`` before any of them is summed."""
     m = len(powers)
     total_power = sum(p + 1 for p in powers)
@@ -225,67 +224,62 @@ def _level_sums(g, powers):
             raise QuadratureNotConverged("tensor exp-sinh node budget exhausted")
         raw += _new_points_sum(g, groups)
         h = 2.0 ** -level
-        inner = groups[-1][0]
-        yield h, raw * h ** m, [x2 for x2, _, _ in inner], [a for _, a, _ in inner]
+        yield h, raw * h ** m, len(groups[-1][0])
 
 
-def quad(g, powers, tol: float = 1e-10):
+def quad(g, powers, tol: float = 1e-10) -> tuple[complex, float]:
     """Tensor exp-sinh rule for int over [0, inf)^m of g(sum x_j^2) prod x_j^p_j.
 
     ``powers`` are the integer exponents p_1..p_m; the last coordinate is
-    the innermost.  Returns (value, error, inner_slice): error is
-    ``_three_level_error`` of the final level times |value|, an estimate of
-    the absolute error that is at most tol * |value|, and inner_slice(u) is
-    the final level's sum over the innermost coordinate alone, the rule's
-    value of int g(u + x^2) x^p_m dx at a squared outer radius u.
+    the innermost.  Returns (value, error): error is ``_three_level_error``
+    of the final level times |value|, an estimate of the absolute error
+    that is at most tol * |value|.
     """
     sums, nodes = [], []
-    for h, value, inner_x2, inner_w in _level_sums(g, powers):
+    for _, value, inner_nodes in _level_sums(g, powers):
         sums.append(value)
-        nodes.append(len(inner_x2))
+        nodes.append(inner_nodes)
         if len(sums) < 3:
             continue
         rel = _three_level_error(*sums[-3:], *nodes[-2:])
         if rel <= tol:
-
-            def inner_slice(u: float) -> complex:
-                return h * sum(map(mul, inner_w, map(g, map(float(u).__add__, inner_x2))))
-
-            return value, rel * abs(value), inner_slice
+            return value, rel * abs(value)
     raise QuadratureNotConverged("tensor exp-sinh rule failed to reach tolerance")
 
 
+def _polar(g, powers, scale: float, tol: float) -> complex:
+    """The polar form of ``quad``'s integral over scale; with scale = |value|
+    the scalar rule's stopping test is relative."""
+    degree = sum(p + 1 for p in powers) - 1  # the power of r, P - 1
+    log_constant = (sum(math.lgamma((p + 1) / 2) for p in powers)
+                    - math.lgamma((degree + 1) / 2) - (len(powers) - 1) * math.log(2))
+    factor = math.exp(log_constant) / scale
+
+    def radial(r):
+        r2 = r * r
+        if r2 == math.inf:  # r past ~1e154, where the decaying integrand is 0
+            return 0j
+        y = g(r2) * factor
+        for _ in range(degree):  # r^(P-1) one factor at a time: no overflow before the decay
+            y *= r
+        return y
+
+    return exp_sinh_halfline(radial, tol)[0]
+
+
 def halfline_with_fallback(g, powers, tol: float = 1e-10) -> tuple[complex, float]:
-    """``quad`` with the exp-sinh cross-check of its innermost slice.
-
-    ``exp_sinh_halfline`` recomputes the slice at two outer points, every
-    outer coordinate at the node x = exp((pi/2) sinh t) for t = -1 and for
-    t = 0, both in the bulk of the integral; when m = 1 the slice is the
-    whole integral.  Its integrand is divided by the tensor rule's slice,
-    so that the scalar rule's stopping test is relative.  The scalar rule
-    refines level by level and evaluates each of its nodes once.  Returns
-    the tensor rule's value and error.
-    """
-    value, err, inner_slice = quad(g, powers, tol)
-    p, outer = powers[-1], len(powers) - 1
-    for u in sorted({outer * math.exp(math.pi * math.sinh(t)) for t in XCHECK_T}):
-        mine = inner_slice(u)
-        scale = abs(mine) or 1.0
-
-        def scaled(x, u=u):
-            x2 = x * x
-            if x2 == math.inf:  # x past ~1e154, where the decaying integrand is 0
-                return 0j
-            y = g(u + x2) / scale
-            for _ in range(p):  # x^p one factor at a time: no overflow before the decay
-                y *= x
-            return y
-
-        theirs, _ = exp_sinh_halfline(scaled, tol)
-        if abs(theirs - mine / scale) > XCHECK_TOL * tol:
+    """``quad``'s (value, error), checked against ``_polar`` at tol * |value|.
+    On a disagreement ``quad`` reruns once at RERUN_TOL * tol, and a second
+    disagreement raises ``QuadratureNotConverged``."""
+    value, err = quad(g, powers, tol)
+    scale = abs(value) or 1.0
+    polar = _polar(g, powers, scale, tol)
+    if abs(polar - value / scale) > tol:
+        value, err = quad(g, powers, RERUN_TOL * tol)
+        if abs(polar - value / scale) > tol:
             raise QuadratureNotConverged(
-                f"tensor rule and exp-sinh cross-check disagree at outer radius^2 {u:g}: "
-                f"{mine!r} vs {theirs * scale!r}"
+                f"tensor rule and polar exp-sinh check disagree: "
+                f"{value!r} vs {polar * scale!r}"
             )
     return value, err
 

@@ -37,3 +37,24 @@ for name, workload in workloads.WORKLOADS.items():
 def test_every_workload_checker_accepts_the_first_outputs():
     out = run_with_perfbench(CHECK_EVERY_WORKLOAD)
     assert out.returncode == 0, out.stderr
+
+
+ONE_QUAD_AND_ONE_POLAR_CALL_PER_CHECK = """
+import tracing, workloads
+tracer = tracing.install()
+w = workloads.WORKLOADS["arch-quad"]()
+inputs = w.setup(1)
+for inp in inputs:
+    assert w.check(inp, w.run(inp)), inp
+counts = tracer.counts["checks"]
+assert counts["quadrature.gk.calls"] == len(inputs), counts
+assert counts["quadrature.fallback.calls"] == len(inputs), counts
+"""
+
+
+def test_arch_quad_check_makes_one_quad_and_one_polar_call():
+    """``quadrature.gk.calls`` counts ``quad`` and ``quadrature.fallback.calls``
+    counts ``exp_sinh_halfline``: one of each per arch-quad check, the
+    tensor rule and the polar check of its whole integral."""
+    out = run_with_perfbench(ONE_QUAD_AND_ONE_POLAR_CALL_PER_CHECK)
+    assert out.returncode == 0, out.stderr

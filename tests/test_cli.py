@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -571,6 +572,18 @@ def test_intertwine_subcommands(config_file, capsys):
         capsys,
     )
     assert code == 0
+
+
+def test_intertwine_arch_near_the_convergence_bound(capsys):
+    """Decay d = 0.6, where the tensor rule's own estimate is optimistic:
+    the integral must still end within the default tol of 1e-9."""
+    code, out = run_cli(["intertwine-arch", "--n", "3", "--k", "1", "--eta", "0,3",
+                         "--beta", "0,0,3", "--s=-0.4"], capsys)
+    assert code == 0
+    record = {r["name"]: r for r in json.loads(out)["records"]}["integral"]
+    got, expected = (complex(record[key].replace("i", "j")) for key in ("got", "expected"))
+    assert abs(expected - (2 * math.pi) ** 2 / (1.6 * 0.6)) <= 1e-14 * abs(expected)
+    assert abs(got - expected) <= 1e-9 * abs(expected)
 
 
 def test_wedge_sign_subcommand(config_file, capsys):

@@ -194,7 +194,7 @@ SLOW_DECAY_CASES = [((1, 1), 0.6), ((2, 1), 0.6), ((3, 3), 0.8), ((1, 1, 1), 0.6
 
 def check_exact_value(powers, d, tol=1e-9):
     e = sum(p + 1 for p in powers) / 2 + d
-    value, err, _ = quadrature.quad(lambda u: (1.0 + u) ** -e, list(powers), tol)
+    value, err = quadrature.quad(lambda u: (1.0 + u) ** -e, list(powers), tol)
     exact = exact_radial(powers, e)
     assert abs(value - exact) <= tol * abs(exact)
     assert err <= tol * abs(value)
@@ -209,6 +209,25 @@ def test_tensor_rule_exact_values(powers, d):
 @pytest.mark.parametrize("powers, d", SLOW_DECAY_CASES, ids=lambda v: str(v).replace(" ", ""))
 def test_tensor_rule_exact_values_slow_decay(powers, d):
     check_exact_value(powers, d)
+
+
+# The polar check catches the optimistic estimate; the rerun at a quarter of
+# tol fixes the cases with m <= 2 and (1, 1, 1), and spends the node budget
+# on the other two with m = 3.
+SLOW_DECAY_RAISES = [((2, 1, 1), 0.65), ((3, 1, 2), 0.75)]
+
+
+@pytest.mark.parametrize("powers, d", SLOW_DECAY_CASES, ids=lambda v: str(v).replace(" ", ""))
+def test_polar_check_on_slow_decay(powers, d, tol=1e-9):
+    e = sum(p + 1 for p in powers) / 2 + d
+    g = lambda u: (1.0 + u) ** -e
+    if (powers, d) in SLOW_DECAY_RAISES:
+        with pytest.raises(QuadratureNotConverged):
+            quadrature.halfline_with_fallback(g, list(powers), tol)
+    else:
+        value, _ = quadrature.halfline_with_fallback(g, list(powers), tol)
+        exact = exact_radial(powers, e)
+        assert abs(value - exact) <= tol * abs(exact)
 
 
 def plain_tensor_sum(g, powers, h):
@@ -236,7 +255,7 @@ def plain_tensor_sum(g, powers, h):
 @pytest.mark.parametrize("e", [6.0, 5.5 + 2j])
 def test_multiset_sum_matches_plain_tensor_sum(powers, h, e):
     g = lambda u: (1.0 + u) ** -e
-    for step, value, _, _ in quadrature._level_sums(g, powers):
+    for step, value, _ in quadrature._level_sums(g, powers):
         if step == h:
             break
     plain = plain_tensor_sum(g, powers, h)
@@ -256,7 +275,7 @@ def test_arch_region_enforced():
 
 def test_quadrature_cross_check():
     g = lambda u: 2.0 * cmath.exp(-3.0 * math.log1p(u))
-    a, _, _ = quadrature.quad(g, [1], 1e-10)
+    a, _ = quadrature.quad(g, [1], 1e-10)
     b, _ = quadrature.exp_sinh_halfline(lambda r: g(r * r) * r, 1e-10)
     assert abs(a - b) < 1e-8
     assert abs(a - 0.5) < 1e-10  # integral of 2r/(1+r^2)^3 = 1/2
@@ -265,7 +284,7 @@ def test_quadrature_cross_check():
 def test_tensor_rule_two_dimensions():
     # int int x y (1 + x^2 + y^2)^-E dx dy = 1 / (4 (E - 1)(E - 2))
     for e in (3.0, 4.5 + 2j):
-        value, _, _ = quadrature.quad(lambda u: (1.0 + u) ** -e, [1, 1], 1e-10)
+        value, _ = quadrature.quad(lambda u: (1.0 + u) ** -e, [1, 1], 1e-10)
         exact = 1 / (4 * (e - 1) * (e - 2))
         assert abs(value - exact) < 1e-10 * abs(exact)
 
@@ -283,6 +302,56 @@ def test_cross_check_disagreement_raises(monkeypatch):
     for powers in ([1], [1, 1]):
         with pytest.raises(QuadratureNotConverged):
             quadrature.halfline_with_fallback(g, powers, 1e-10)
+
+
+def quad_off_by(first, later):
+    """``quadrature.quad`` with its value times 1 + first on the first call
+    and times 1 + later on every call after it."""
+    quad = quadrature.quad
+    calls = []
+
+    def off(g, powers, tol):
+        value, err = quad(g, powers, tol)
+        calls.append(tol)
+        return value * (1 + (first if len(calls) == 1 else later)), err
+
+    return off, calls
+
+
+def test_rerun_rescues_one_wrong_answer(monkeypatch):
+    g = lambda u: (1.0 + u) ** -4.0
+    exact = exact_radial((1, 1), 4.0)
+    off, calls = quad_off_by(1e-8, 0.0)
+    monkeypatch.setattr(quadrature, "quad", off)
+    value, _ = quadrature.halfline_with_fallback(g, [1, 1], 1e-10)
+    assert calls == [1e-10, quadrature.RERUN_TOL * 1e-10]
+    assert abs(value - exact) <= 1e-10 * abs(exact)
+
+
+def test_rerun_that_disagrees_again_raises(monkeypatch):
+    g = lambda u: (1.0 + u) ** -4.0
+    off, calls = quad_off_by(1e-8, 1e-8)
+    monkeypatch.setattr(quadrature, "quad", off)
+    with pytest.raises(QuadratureNotConverged):
+        quadrature.halfline_with_fallback(g, [1, 1], 1e-10)
+    assert len(calls) == 2
+
+
+def test_polar_check_shares_no_code_with_quad(monkeypatch):
+    from periodlab import lfactors
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the polar check used the tensor rule's code")
+
+    for name in ("_nodes", "_cut", "_three_level_error", "_new_points_sum", "_level_sums", "quad"):
+        monkeypatch.setattr(quadrature, name, broken)
+    monkeypatch.setattr(lfactors, "gamma_ratio", broken)
+    quadrature._xcheck_rows.cache_clear()
+    for powers, d in [((1,), 2.0), ((1, 1), 0.6), ((2, 1, 3), 2.5 + 1j), ((2, 1, 1, 1), 4.0)]:
+        e = sum(p + 1 for p in powers) / 2 + d
+        exact = exact_radial(powers, e)
+        polar = quadrature._polar(lambda u: (1.0 + u) ** -e, powers, abs(exact), 1e-10)
+        assert abs(polar * abs(exact) - exact) <= 1e-12 * abs(exact)
 
 
 def frozen_exp_sinh_halfline(f, tol):
