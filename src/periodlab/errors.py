@@ -8,7 +8,7 @@ class PeriodLabError(Exception):
 # -- field towers -----------------------------------------------------------
 
 class NotTotallyImaginary(PeriodLabError):
-    """A declared CM step fails its reality/imaginarity check numerically."""
+    """A declared k0 is not totally real at working precision."""
 
 
 class ReduciblePolynomial(PeriodLabError):
@@ -16,15 +16,11 @@ class ReduciblePolynomial(PeriodLabError):
 
 
 class PrecisionExhausted(PeriodLabError):
-    """Numerics too coarse to separate or match embeddings."""
+    """The root finder did not converge."""
 
 
 class ReconstructionFailed(PeriodLabError):
     """A numeric value is not near a small-height rational."""
-
-
-class NotRational(ReconstructionFailed):
-    """The constant in the discriminant identity failed reconstruction."""
 
 
 class UnsupportedTower(PeriodLabError):

@@ -351,13 +351,17 @@ def exp_sinh_halfline(f, tol: float = 1e-10) -> tuple[complex, float]:
 def trapezoid_circle(exponent: int) -> complex:
     """Trapezoid rule for the full-circle integral of e^{i * exponent * t}.
 
-    The rule is exact for trigonometric polynomials of degree below
-    CIRCLE_POINTS, so the result is 2*pi for exponent 0 and numerically
-    zero otherwise; it is used to keep the angular factors an honest
-    numerical statement.
+    N nodes are exact for e^{i b t} when N does not divide b, so the rule
+    takes the least such N >= CIRCLE_POINTS (CIRCLE_POINTS at b = 0); the
+    N that it skips all divide b, so their lcm bounds |b|.  The result is
+    2*pi for exponent 0 and numerically zero otherwise; it is used to keep
+    the angular factors an honest numerical statement.
     """
+    points = CIRCLE_POINTS
+    while exponent and exponent % points == 0:
+        points += 1
     total = 0j
-    for k in range(CIRCLE_POINTS):
-        theta = 2 * math.pi * k / CIRCLE_POINTS
+    for k in range(points):
+        theta = 2 * math.pi * k / points
         total += complex(math.cos(exponent * theta), math.sin(exponent * theta))
-    return total * (2 * math.pi / CIRCLE_POINTS)
+    return total * (2 * math.pi / points)

@@ -400,13 +400,9 @@ def wedge_sigma_sign(m: WedgeMonomial, g: GaloisPermutation, emb: EmbeddingSet) 
     sign is the signature of the permutation that restores sorted order
     after each label (i, j, e) is moved to (i, j, g(e)).
     """
-    g.validate(emb)
     if list(m.labels) != sorted(m.labels, key=lambda l: (l[2], l[0], l[1])):
         raise ValueError("monomial labels are not sorted")
-    relabeled = [(g(e), i, j) for (i, j, e) in m.labels]
-    if len(set(relabeled)) != len(relabeled):
-        raise ValueError("relabeling collapsed labels")
-    return (-1) ** inversions(relabeled)
+    return sigma_on_monomial(m, g, emb).sign * m.sign
 
 
 def sigma_on_monomial(m: WedgeMonomial, g: GaloisPermutation, emb: EmbeddingSet) -> WedgeMonomial:
@@ -445,7 +441,6 @@ def sigma_decompose(
 ) -> tuple[GaloisPermutation, GaloisPermutation, int]:
     """Factor g = s2 o s1 with s1 order-preserving between fibers and s2
     fiber-trivial; returns (s1, s2, signature of s2 on the embeddings)."""
-    g.validate(emb)
     descended = g.descended_k1(emb)
     fibers = emb.fibers()
     s1 = [0] * emb.degree

@@ -230,6 +230,7 @@ CONFIG_ERRORS = {
                                      "chi": {"0": 0, "1": 1}}]),
     "precision-digits-4": dict(CONFIG, field=dict(CONFIG["field"], precision_digits=4)),
     "d-1e18-plus-3": dict(CONFIG, field=dict(CONFIG["field"], d=10**18 + 3)),
+    "k0-poly-not-totally-real": dict(CONFIG, field=dict(CONFIG["field"], k0_poly=[1, 0, 1])),
 }
 
 
@@ -584,6 +585,16 @@ def test_intertwine_arch_near_the_convergence_bound(capsys):
     got, expected = (complex(record[key].replace("i", "j")) for key in ("got", "expected"))
     assert abs(expected - (2 * math.pi) ** 2 / (1.6 * 0.6)) <= 1e-14 * abs(expected)
     assert abs(got - expected) <= 1e-9 * abs(expected)
+
+
+def test_intertwine_arch_exponent_divisible_by_circle_points(capsys):
+    """beta = 256 is a multiple of the default 256 circle nodes: the angular
+    factor is 0, not the aliased 2*pi that the radial factor hid."""
+    code, out = run_cli(["intertwine-arch", "--n", "2", "--k", "1", "--eta", "0,512",
+                         "--beta", "256,256", "--s", "1"], capsys)
+    assert code == 0
+    record = {r["name"]: r for r in json.loads(out)["records"]}["integral"]
+    assert abs(complex(record["got"].replace("i", "j"))) < 1e-135
 
 
 def test_wedge_sign_subcommand(config_file, capsys):

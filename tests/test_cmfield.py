@@ -18,7 +18,7 @@ from periodlab.cmfield import (
     product_basis,
     relative_discriminant,
 )
-from periodlab.errors import InvalidGaloisPermutation, ReduciblePolynomial
+from periodlab.errors import InvalidGaloisPermutation, NotTotallyImaginary, ReduciblePolynomial
 
 
 QI = FieldTower(base_disc=1, extension_poly=(0, 1))
@@ -71,6 +71,11 @@ def test_restriction_commutes_with_conjugation(built):
             w, s = emb.k1_labels[t]
             wb, sb = emb.k1_labels[tbar]
             assert w == wb and s == -sb
+
+
+def test_declared_k0_not_totally_real_rejected():
+    with pytest.raises(NotTotallyImaginary):
+        build_field(FieldTower(base_disc=1, extension_poly=(0, 1), declared_k0_poly=(1, 0, 1)), 40)
 
 
 def test_reducible_polynomial_rejected():
@@ -253,3 +258,21 @@ def test_declared_k0_tower():
     c, cert = check_discriminant_identity(emb)
     assert c != 0
     assert disc_over_q(emb)[0] == 2304
+
+
+@pytest.mark.parametrize("tower", TOWERS + [K0_SQRT2, K0_SQRT5])
+def test_index_layout_invariants(tower):
+    """The images at conj(i) are the complex conjugates of those at i, and
+    each "+" fiber lists its theta images sorted by (re, im)."""
+    emb = build_field(tower, 60)
+    tol = emb.tolerance()
+    with mp.workdps(emb.precision + 15):  # the images carry these digits
+        for i, e in enumerate(emb.embeddings):
+            bar = emb.embeddings[emb.conj(i)]
+            assert abs(bar.theta_image - mp.conj(e.theta_image)) <= tol
+            assert abs(bar.sqrt_image - mp.conj(e.sqrt_image)) <= tol
+    for t, members in emb.fibers().items():
+        if emb.k1_labels[t][1] > 0:
+            keys = [(mp.re(emb.embeddings[i].theta_image), mp.im(emb.embeddings[i].theta_image))
+                    for i in members]
+            assert keys == sorted(keys)

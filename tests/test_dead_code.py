@@ -1,0 +1,38 @@
+"""Dead-code guard: every top-level function, class and method of the
+package (dunders excepted) is named somewhere in src/, tests/ or
+perfbench/ besides its own definition."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "periodlab"
+SEARCHED = ("src", "tests", "perfbench")
+
+
+def _definitions(tree):
+    """(name, line) of the module's functions and classes and their methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, item.lineno
+
+
+def test_every_definition_is_used():
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, line in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (name.startswith("__") and name.endswith("__")):
+                defined.append((name, f"{path.relative_to(ROOT)}:{line}"))
+    sites = Counter(name for name, _ in defined)
+    words = Counter()
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    unused = sorted(where + " " + name for name, where in defined if words[name] <= sites[name])
+    assert not unused, "named only at their definitions: " + ", ".join(unused)

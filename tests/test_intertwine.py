@@ -492,6 +492,9 @@ def test_trapezoid_circle():
     assert quadrature.trapezoid_circle(0) is quadrature.trapezoid_circle(0)  # cached
     for b in (1, 2, 5):
         assert abs(quadrature.trapezoid_circle(b)) < 1e-12
+    # multiples of CIRCLE_POINTS (65792 = 256 * 257 also of the next count)
+    for b in (256, -256, 512, 65792):
+        assert abs(quadrature.trapezoid_circle(b)) < 1e-10
 
 
 # -- constant term ------------------------------------------------------------------------

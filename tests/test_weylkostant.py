@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -185,6 +186,31 @@ def test_wedge_cocycle(emb4):
                 WedgeMonomial(sign=1, labels=mh.labels), g, emb4
             ) * wedge_sigma_sign(m, h, emb4)
             assert lhs == rhs
+
+
+def test_wedge_sign_by_cycle_count(emb4, emb6):
+    """The relabeling sign against an oracle that shares no code with it:
+    (-1)^(L - cycles) of the permutation sorting the relabeled labels, for
+    the generator monomials at n = 3 of every eta that puts 0 at one
+    embedding of each conjugate pair and 3 at the other."""
+    for emb in (emb4, emb6):
+        for low in itertools.product(*emb.pairs()):
+            eta = {i: (0 if i in low else 3) for i in range(emb.degree)}
+            w = weight_system_from_eta(3, eta)
+            for k in (1, 2, 3):
+                m = omega_monomial(w, emb, k)
+                for g in emb.admissible_permutations():
+                    relabeled = [(g(e), i, j) for (i, j, e) in m.labels]
+                    order = sorted(range(len(relabeled)), key=relabeled.__getitem__)
+                    seen, cycles = set(), 0
+                    for start in range(len(order)):
+                        if start not in seen:
+                            cycles += 1
+                            a = start
+                            while a not in seen:
+                                seen.add(a)
+                                a = order[a]
+                    assert wedge_sigma_sign(m, g, emb) == (-1) ** (len(order) - cycles)
 
 
 def test_omega_monomial_supports(emb2):
