@@ -13,7 +13,8 @@ one written after it wins.
 
 Importing this module loads no periodlab layer: the prologue in ``main``
 and each handler import the layers they run, so a subcommand loads only
-what it uses.
+what it uses.  The records here and in the layers are plain classes, so
+no command loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import DEFAULT_MAX_DENOMINATOR
@@ -53,13 +53,13 @@ def fmt_value(v) -> object:
     raise TypeError(f"no report rendering for {type(v).__name__}")
 
 
-@dataclass
 class Record:
-    name: str
-    expected: object
-    got: object
-    tolerance: object
-    verdict: bool
+    def __init__(self, name: str, expected, got, tolerance, verdict: bool) -> None:
+        self.name = name
+        self.expected = expected
+        self.got = got
+        self.tolerance = tolerance
+        self.verdict = verdict
 
     def to_dict(self) -> dict:
         return {
@@ -71,11 +71,11 @@ class Record:
         }
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: dict
-    records: list[Record] = dc_field(default_factory=list)
+    def __init__(self, command: str, inputs: dict) -> None:
+        self.command = command
+        self.inputs = inputs
+        self.records: list[Record] = []
 
     def add(self, name, expected, got, tolerance=0, verdict=None) -> None:
         if verdict is None:

@@ -25,7 +25,6 @@ residual, bound).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -101,30 +100,31 @@ def parse_element(data) -> KElement:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class FieldTower:
     """Declaration of a tower k0 <= k1 = k0(sqrt(-d)) <= k = k1(theta)."""
 
-    base_disc: int
-    extension_poly: tuple[int, ...]  # low-to-high, monic
-    k1_basis: tuple[K1Pair, K1Pair] = (
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-    )
-    declared_k0_poly: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self):
-        if self.base_disc > MAX_BASE_DISC:
-            raise ValueError(f"d = {self.base_disc} is above the limit of {MAX_BASE_DISC}")
-        if self.base_disc <= 0 or any(e > 1 for e in factorize(self.base_disc).values()):
-            raise ValueError(f"d = {self.base_disc} must be a squarefree positive integer")
-        if not self.extension_poly or self.extension_poly[-1] != 1:
+    def __init__(
+        self,
+        base_disc: int,
+        extension_poly: tuple[int, ...],
+        k1_basis: tuple[K1Pair, K1Pair] = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
+        declared_k0_poly: tuple[int, ...] | None = None,
+    ) -> None:
+        if base_disc > MAX_BASE_DISC:
+            raise ValueError(f"d = {base_disc} is above the limit of {MAX_BASE_DISC}")
+        if base_disc <= 0 or any(e > 1 for e in factorize(base_disc).values()):
+            raise ValueError(f"d = {base_disc} must be a squarefree positive integer")
+        if not extension_poly or extension_poly[-1] != 1:
             raise ValueError("extension polynomial must be monic (trailing coefficient 1)")
-        if len(self.extension_poly) < 2:
+        if len(extension_poly) < 2:
             raise ValueError("extension polynomial must have degree >= 1")
-        if self.declared_k0_poly is not None:
-            if self.declared_k0_poly[-1] != 1 or len(self.declared_k0_poly) < 3:
+        if declared_k0_poly is not None:
+            if declared_k0_poly[-1] != 1 or len(declared_k0_poly) < 3:
                 raise ValueError("k0 polynomial must be monic of degree >= 2")
+        self.base_disc = base_disc
+        self.extension_poly = extension_poly  # low-to-high, monic
+        self.k1_basis = k1_basis
+        self.declared_k0_poly = declared_k0_poly
 
     @property
     def theta_degree(self) -> int:
@@ -153,13 +153,13 @@ class FieldTower:
         return FieldTower(**kwargs)
 
 
-@dataclass(frozen=True)
 class Embedding:
     """Numeric images of the tower generators under one embedding k -> C."""
 
-    k0_image: Optional[mpf]
-    sqrt_image: mpc  # image of sqrt(-d)
-    theta_image: mpc
+    def __init__(self, k0_image: mpf | None, sqrt_image: mpc, theta_image: mpc) -> None:
+        self.k0_image = k0_image
+        self.sqrt_image = sqrt_image  # image of sqrt(-d)
+        self.theta_image = theta_image
 
 
 class EmbeddingSet:
@@ -240,11 +240,20 @@ class EmbeddingSet:
         return out
 
 
-@dataclass(frozen=True)
 class GaloisPermutation:
-    """Permutation shadow of a field automorphism acting on embeddings."""
+    """Permutation shadow of a field automorphism acting on embeddings;
+    equal and hashed by ``perm``."""
 
-    perm: tuple[int, ...]
+    def __init__(self, perm: tuple[int, ...]) -> None:
+        self.perm = perm
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GaloisPermutation):
+            return NotImplemented
+        return self.perm == other.perm
+
+    def __hash__(self) -> int:
+        return hash(self.perm)
 
     def __call__(self, i: int) -> int:
         return self.perm[i]

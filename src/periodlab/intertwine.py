@@ -34,16 +34,15 @@ section at the identity, whose last row is e_n, so it is 1 for beta0 and
 The symbolic constant-term assembly lists one summand per k with its
 global L-ratio token, its normalizing prefactor and the extra factor
 required when the global value at 0 vanishes, and audits pole orders.
+
+The archimedean path is floating point: importing this module loads only
+``lfactors``, ``quadrature`` and ``errors``.  The exact arithmetic of the
+shell sums (``laurent`` and, through it, ``cyclotomic``) is imported by
+the functions that build exact values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
-
-from .cyclotomic import Cyc
-from .laurent import LaurentRatio, XPoly
 from .lfactors import VanishingToken, gamma_ratio, normalizing_factor, unramified_lratio
 from .errors import AuditFailed, ConvergenceRegionViolated
 from . import quadrature
@@ -52,25 +51,23 @@ from . import quadrature
 # -- sections -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SectionSpec:
     """Archimedean minimal-type section: exponents beta and the eta pair.
 
     beta has nonnegative entries summing to eta_bar - eta.
     """
 
-    n: int
-    beta: tuple[int, ...]
-    eta_low: int   # value <= 0 at the chosen embedding
-    eta_high: int  # value >= n at the conjugate embedding
-
-    def __post_init__(self):
-        if len(self.beta) != self.n:
+    def __init__(self, n: int, beta: tuple[int, ...], eta_low: int, eta_high: int) -> None:
+        if len(beta) != n:
             raise ValueError("beta must have length n")
-        if any(b < 0 for b in self.beta):
+        if any(b < 0 for b in beta):
             raise ValueError("beta entries must be nonnegative")
-        if sum(self.beta) != self.eta_high - self.eta_low:
+        if sum(beta) != eta_high - eta_low:
             raise ValueError("beta entries must sum to eta_high - eta_low")
+        self.n = n
+        self.beta = beta
+        self.eta_low = eta_low    # value <= 0 at the chosen embedding
+        self.eta_high = eta_high  # value >= n at the conjugate embedding
 
     @property
     def beta0(self) -> tuple[int, ...]:
@@ -80,15 +77,16 @@ class SectionSpec:
 # -- results ----------------------------------------------------------------------
 
 
-@dataclass
 class IntertwineResult:
     """Computed value, closed-form target and a pass/fail verdict."""
 
-    value: object
-    target: object
-    verdict: bool
-    tolerance: float = 0.0
-    error_estimate: float = 0.0
+    def __init__(self, value, target, verdict: bool, tolerance: float = 0.0,
+                 error_estimate: float = 0.0) -> None:
+        self.value = value
+        self.target = target
+        self.verdict = verdict
+        self.tolerance = tolerance
+        self.error_estimate = error_estimate
 
 
 # -- non-archimedean shell sums ----------------------------------------------------
@@ -104,21 +102,18 @@ def shell_sum(n: int, k: int, a: Cyc, q: int) -> LaurentRatio:
     two geometric series gives the value; the summation is an identity of
     rational functions regardless of convergence.
     """
+    from .laurent import LaurentRatio, XPoly
+
     m = n - k
     one = LaurentRatio.one(a.n)
     if m == 0:
         return one
-    # sum_{t>=1} q^{mt} (aX)^t  and  sum_{t>=1} q^{m(t-1)} (aX)^t
-    scaled = a * Fraction(q) ** m
-    return one + _geometric(scaled, scaled) - _geometric(a, scaled)
-
-
-def _geometric(num_coeff: Cyc, ratio_coeff: Cyc) -> LaurentRatio:
-    """c X / (1 - c' X) for c = num_coeff, c' = ratio_coeff."""
-    field_order = num_coeff.n
-    num = XPoly.monomial(field_order, 1, num_coeff)
-    den = XPoly.const(field_order, 1) - XPoly.monomial(field_order, 1, ratio_coeff)
-    return LaurentRatio(num, den)
+    # sum_{t>=1} q^{mt} (aX)^t  and  sum_{t>=1} q^{m(t-1)} (aX)^t:
+    # c X / (1 - q^m a X) for c = q^m a and c = a
+    scaled = a * q**m
+    den = XPoly.const(a.n, 1) - XPoly.monomial(a.n, 1, scaled)
+    return (one + LaurentRatio(XPoly.monomial(a.n, 1, scaled), den)
+            - LaurentRatio(XPoly.monomial(a.n, 1, a), den))
 
 
 def nonarch_intertwining(n: int, k: int, a: Cyc, q: int) -> IntertwineResult:
@@ -133,18 +128,27 @@ def nonarch_intertwining(n: int, k: int, a: Cyc, q: int) -> IntertwineResult:
 # -- archimedean numerical integrals ------------------------------------------------
 
 
+# Largest |eta| an archimedean integral takes: its integrand is evaluated in
+# doubles, which hold every integer up to 2^53.
+MAX_ETA = 2**53
+
+
 def _convergence_bound(n: int, k: int, eta_high: int, beta_sum_inner: int) -> float:
     """Smallest admissible Re(s): the radial integral needs
-    2(eta_high + Re s) > 2(n - k) + sum of inner beta entries."""
+    2(eta_high + Re s) > 2(n - k) + sum of inner beta entries.  A float:
+    ``arch_section`` holds every entry within MAX_ETA."""
     return (n - k) + beta_sum_inner / 2.0 - eta_high
 
 
 def arch_section(n: int, eta_pair: tuple[int, int], beta: tuple[int, ...]) -> SectionSpec:
     """The section an archimedean integral integrates; raises ValueError
-    unless eta_low <= 0, eta_high >= n and beta fits the pair."""
+    unless eta_low <= 0, eta_high >= n, both lie within MAX_ETA and beta
+    fits the pair."""
     eta_low, eta_high = eta_pair
     if eta_low > 0 or eta_high < n:
         raise ValueError("eta pair must satisfy eta_low <= 0 and eta_high >= n")
+    if max(eta_high, -eta_low) > MAX_ETA:
+        raise ValueError("eta pair entries must lie within 2^53, the integers a double holds")
     return SectionSpec(n=n, beta=tuple(beta), eta_low=eta_low, eta_high=eta_high)
 
 
@@ -224,20 +228,31 @@ def arch_intertwining(
 # -- constant-term assembly -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConstantTermEntry:
-    k: int
-    lratio_token: str
-    prefactor: complex              # (i^{deg/2} * Delta)^{k - n}
-    delta_symbol: str
-    pole_order: int                 # residual pole order at s = 0 after all factors
+    """One summand k: its L-ratio token, its prefactor
+    (i^{deg/2} * Delta)^{k - n}, its delta symbol and the residual pole
+    order at s = 0 after all factors; equal by value."""
+
+    def __init__(self, k: int, lratio_token: str, prefactor: complex, delta_symbol: str,
+                 pole_order: int) -> None:
+        self.k = k
+        self.lratio_token = lratio_token
+        self.prefactor = prefactor
+        self.delta_symbol = delta_symbol
+        self.pole_order = pole_order
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConstantTermEntry):
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass
 class ConstantTermReport:
-    delta_branch: str
-    entries: list[ConstantTermEntry]
-    holomorphic: bool
+    def __init__(self, delta_branch: str, entries: list[ConstantTermEntry],
+                 holomorphic: bool) -> None:
+        self.delta_branch = delta_branch
+        self.entries = entries
+        self.holomorphic = holomorphic
 
 
 def assemble_constant_term(
@@ -245,7 +260,7 @@ def assemble_constant_term(
     token: VanishingToken,
     delta_constant: complex,
     degree_over_q: int,
-    delta_branch: Optional[str] = None,
+    delta_branch: str | None = None,
 ) -> ConstantTermReport:
     """Symbolic constant-term expansion with a per-term holomorphy audit.
 

@@ -14,17 +14,16 @@ steps 2*pi/(s + m - t); these are evaluated in floating point.
 
 Gauss sums are the conductor-exponent-one specialization: a finite sum
 over the units of a residue field, exact in Q(zeta_{lcm(q-1, p)}).
+
+``cyclotomic`` and ``laurent`` are imported by the functions that build
+exact values, so ``gamma_ratio``'s callers load no exact arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .cyclotomic import Cyc, check_order, factorize
-from .laurent import LaurentRatio, XPoly
 from .errors import PoleHit
 
 
@@ -33,6 +32,10 @@ from .errors import PoleHit
 
 def single_step_ratio(n: int, i: int, a: Cyc, q: int) -> LaurentRatio:
     """L(s - n + i) / L(s - n + i + 1) = (1 - a q^{n-i-1} X)/(1 - a q^{n-i} X)."""
+    from fractions import Fraction
+
+    from .laurent import LaurentRatio, XPoly
+
     field = a.n
     one = XPoly.const(field, 1)
     num = one - XPoly.monomial(field, 1, a * Fraction(q) ** (n - i - 1))
@@ -45,10 +48,12 @@ def unramified_lratio(n: int, k: int, a: Cyc, q: int) -> LaurentRatio:
     uniformizer of residue size q: (1 - aX)/(1 - a q^{n-k} X)."""
     if not 1 <= k <= n:
         raise ValueError("k out of range")
+    from .laurent import LaurentRatio, XPoly
+
     field = a.n
     one = XPoly.const(field, 1)
     num = one - XPoly.monomial(field, 1, a)
-    den = one - XPoly.monomial(field, 1, a * Fraction(q) ** (n - k))
+    den = one - XPoly.monomial(field, 1, a * q ** (n - k))
     return LaurentRatio(num, den)
 
 
@@ -71,7 +76,6 @@ def gamma_ratio(m: int, j: int, s: complex) -> complex:
 # -- vanishing-order tokens ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class VanishingToken:
     """Declared order of vanishing of the global character L-value at 0.
 
@@ -80,19 +84,18 @@ class VanishingToken:
     case).  Actual L-values are never computed here.
     """
 
-    order_zero: int
-
-    def __post_init__(self):
-        if self.order_zero not in (0, 1):
+    def __init__(self, order_zero: int) -> None:
+        if order_zero not in (0, 1):
             raise ValueError("order flag must be 0 (nonzero) or 1 (vanishing)")
+        self.order_zero = order_zero
 
 
-@dataclass(frozen=True)
 class NormalizingFactor:
     """The extra factor multiplying the truncated series at s = 0."""
 
-    branch: str  # "one" or "compensated"
-    symbol: str
+    def __init__(self, branch: str, symbol: str) -> None:
+        self.branch = branch  # "one" or "compensated"
+        self.symbol = symbol
 
 
 def normalizing_factor(token: VanishingToken, deg: int) -> NormalizingFactor:
@@ -119,6 +122,8 @@ class FiniteField:
     """
 
     def __init__(self, q: int) -> None:
+        from .cyclotomic import factorize
+
         self.q = q
         ((self.p, self.e),) = factorize(q).items()
         self.modulus = self._find_modulus()
@@ -195,6 +200,8 @@ class FiniteField:
     def _find_generator(self):
         """First element, in enumeration order, with a^((q-1)/r) != 1 for
         every prime r dividing q - 1."""
+        from .cyclotomic import factorize
+
         exponents = [(self.q - 1) // r for r in factorize(self.q - 1)]
         for a in self._tuples(self.e):
             if a != self.zero and all(self.pow(a, x) != self.one for x in exponents):
@@ -212,30 +219,30 @@ class FiniteField:
         return acc[0]
 
 
-@dataclass(frozen=True)
 class GaussSumSpec:
     """Multiplicative character by its value on the fixed generator of
     GF(q)^x, additive character x -> zeta_p^{trace(x)}."""
 
-    q: int
-    chi_order: int
-    chi_index: int = 1
+    def __init__(self, q: int, chi_order: int, chi_index: int = 1) -> None:
+        from .cyclotomic import check_order, factorize
 
-    def __post_init__(self):
         try:
             # N = lcm(q - 1, p) is p (q - 1), and the order work of p M is at
             # least that of M for p prime to M: refuse a huge q before factoring it
-            check_order(self.q - 1)
-            factors = factorize(self.q)
+            check_order(q - 1)
+            factors = factorize(q)
             if len(factors) == 1:
-                check_order(math.lcm(self.q - 1, *factors))
+                check_order(math.lcm(q - 1, *factors))
         except ValueError as exc:
-            raise ValueError(f"GF({self.q}) is above the limit: {exc}") from None
+            raise ValueError(f"GF({q}) is above the limit: {exc}") from None
         if len(factors) != 1:
-            raise ValueError(f"{self.q} is not a prime power")
+            raise ValueError(f"{q} is not a prime power")
         # chi(gen)^(q-1) must be 1
-        if (self.chi_index * (self.q - 1)) % self.chi_order != 0:
+        if (chi_index * (q - 1)) % chi_order != 0:
             raise ValueError("character value is not well-defined on GF(q)^x")
+        self.q = q
+        self.chi_order = chi_order
+        self.chi_index = chi_index
 
     def is_trivial(self) -> bool:
         return (self.chi_index % self.chi_order) == 0 or self.chi_order == 1
@@ -248,6 +255,8 @@ def gauss_sum(spec: GaussSumSpec) -> tuple[Cyc, complex]:
     unramified additive alignment; the exact value lives in
     Q(zeta_{lcm(q-1, p)}).
     """
+    from .cyclotomic import Cyc
+
     field = FiniteField(spec.q)
     p, q = field.p, field.q
     ncyc = (q - 1) * p // math.gcd(q - 1, p)
@@ -268,5 +277,7 @@ def gauss_sum(spec: GaussSumSpec) -> tuple[Cyc, complex]:
 
 def gauss_sum_norm_check(spec: GaussSumSpec) -> bool:
     """Exact check |G|^2 = q for nontrivial characters."""
+    from .cyclotomic import Cyc
+
     g, _ = gauss_sum(spec)
     return g.norm_squared() == Cyc.rational(spec.q, g.n)

@@ -260,9 +260,13 @@ def _polar(g, powers, scale: float, tol: float) -> complex:
         if r2 == math.inf:  # r past ~1e154, where the decaying integrand is 0
             return 0j
         y = g(r2) * factor
-        for _ in range(degree):  # r^(P-1) one factor at a time: no overflow before the decay
-            y *= r
-        return y
+        log_power = degree * math.log(r)
+        if abs(log_power) < LOG_HUGE:
+            return y * r ** degree
+        # r^(P-1) is no double: take the product's size in logs, where the
+        # decay of g(r^2) has already offset it
+        log_size = math.log(abs(y)) + log_power if y else -math.inf
+        return y / abs(y) * math.exp(log_size) if log_size > -LOG_HUGE else 0j
 
     return exp_sinh_halfline(radial, tol)[0]
 

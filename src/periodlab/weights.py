@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .cmfield import EmbeddingSet, GaloisPermutation
 from .errors import AmbiguousSign, InconsistentSum, NonDominant, NotRegularAlgebraic
@@ -38,25 +37,38 @@ def _check_dominant(t: tuple[int, ...], label: str) -> None:
         raise NonDominant(f"{label} = {t} is not weakly decreasing")
 
 
-@dataclass(frozen=True)
 class WeightSystem:
-    """Dominant weights mu, nu and character type chi over an embedding set."""
+    """Dominant weights mu, nu and character type chi over an embedding set;
+    equal and printed by value."""
 
-    n: int
-    mu: dict[int, tuple[int, ...]]
-    nu: dict[int, tuple[int, ...]]
-    chi: dict[int, int]
-
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(
+        self,
+        n: int,
+        mu: dict[int, tuple[int, ...]],
+        nu: dict[int, tuple[int, ...]],
+        chi: dict[int, int],
+    ) -> None:
+        if n < 2:
             raise ValueError("rank must be at least 2")
-        for label, m in (("mu", self.mu), ("nu", self.nu)):
+        for label, m in (("mu", mu), ("nu", nu)):
             for i, t in m.items():
-                if len(t) != self.n:
+                if len(t) != n:
                     raise ValueError(f"{label}[{i}] has length {len(t)} != n")
                 _check_dominant(t, f"{label}[{i}]")
-        if set(self.mu) != set(self.nu) or set(self.mu) != set(self.chi):
+        if set(mu) != set(nu) or set(mu) != set(chi):
             raise ValueError("mu, nu, chi must be keyed by the same embeddings")
+        self.n = n
+        self.mu = mu
+        self.nu = nu
+        self.chi = chi
+
+    def __eq__(self, other) -> bool:  # unhashable: the maps are dicts
+        if not isinstance(other, WeightSystem):
+            return NotImplemented
+        return (self.n, self.mu, self.nu, self.chi) == (other.n, other.mu, other.nu, other.chi)
+
+    def __repr__(self) -> str:
+        return f"WeightSystem(n={self.n!r}, mu={self.mu!r}, nu={self.nu!r}, chi={self.chi!r})"
 
     def embeddings(self) -> list[int]:
         return sorted(self.mu)
@@ -202,7 +214,6 @@ def in_b_plus(w: WeightSystem, emb: EmbeddingSet) -> bool:
     return is_balanced(w, emb) and total >= w.n
 
 
-@dataclass(frozen=True)
 class ArchConstant:
     """Per-place signs and exponents with the accumulated unit value.
 
@@ -210,9 +221,11 @@ class ArchConstant:
     unity stored exactly as a Gaussian integer (re, im).
     """
 
-    signs: dict[int, int]        # keyed by the chosen embedding of the place
-    exponents: dict[int, int]
-    value: tuple[int, int]
+    def __init__(self, signs: dict[int, int], exponents: dict[int, int],
+                 value: tuple[int, int]) -> None:
+        self.signs = signs  # keyed by the chosen embedding of the place
+        self.exponents = exponents
+        self.value = value
 
 
 def arch_exponent(w: WeightSystem, place_pair: tuple[int, int]) -> int:

@@ -26,7 +26,6 @@ hold more than MAX_KOSTANT_ENTRIES integers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .cmfield import EmbeddingSet, GaloisPermutation, inversions
 from .errors import NonDominant, UniquenessFailed
@@ -81,11 +80,20 @@ def cycles_str(w: OneLine) -> str:
     return "".join(parts) if parts else "e"
 
 
-@dataclass(frozen=True)
 class WeylElement:
-    """An element of the absolute Weyl group: one permutation per embedding."""
+    """An element of the absolute Weyl group: one permutation per embedding;
+    equal and hashed by ``components``."""
 
-    components: tuple[OneLine, ...]  # indexed by embedding position
+    def __init__(self, components: tuple[OneLine, ...]) -> None:
+        self.components = components  # indexed by embedding position
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash(self.components)
 
     def length(self) -> int:
         return sum(inversions(c) for c in self.components)
@@ -117,17 +125,26 @@ def coset_reps(n: int) -> list[OneLine]:
 # -- Kostant lines -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WedgeMonomial:
-    """A signed, sorted wedge of covector labels (i, j, embedding).
+    """A signed, sorted wedge of covector labels (i, j, embedding); equal
+    and hashed by (sign, labels).
 
     The fixed total order is embedding-position major, then (i, j)
     lexicographic.  Re-sorting an out-of-order label list multiplies the
     sign by the signature of the sorting permutation.
     """
 
-    sign: int
-    labels: tuple[tuple[int, int, int], ...]
+    def __init__(self, sign: int, labels: tuple[tuple[int, int, int], ...]) -> None:
+        self.sign = sign
+        self.labels = labels
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WedgeMonomial):
+            return NotImplemented
+        return (self.sign, self.labels) == (other.sign, other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.labels))
 
     @staticmethod
     def from_labels(labels, sign: int = 1) -> "WedgeMonomial":
@@ -143,15 +160,16 @@ class WedgeMonomial:
         return WedgeMonomial(sign=sgn, labels=ordered)
 
 
-@dataclass(frozen=True)
 class KostantLine:
     """One line of nilpotent cohomology: Weyl element, degree, torus weight
     (per embedding) and the canonical wedge monomial of its covectors."""
 
-    element: WeylElement
-    degree: int
-    torus_weight: tuple[tuple[int, ...], ...]
-    wedge: WedgeMonomial
+    def __init__(self, element: WeylElement, degree: int,
+                 torus_weight: tuple[tuple[int, ...], ...], wedge: WedgeMonomial) -> None:
+        self.element = element
+        self.degree = degree
+        self.torus_weight = torus_weight
+        self.wedge = wedge
 
 
 def _line_weight_component(

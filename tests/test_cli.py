@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from periodlab import cmfield
 from periodlab.cli import main
+from test_golden_cli import README_COMMANDS
 
 QI_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "qi.json")
 QIC_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "qic.json")
@@ -161,6 +162,8 @@ ARGUMENT_ERRORS = [
     ["intertwine-arch", "--n", "2", "--k", "1", "--eta", "1,2", "--beta", "0,1", "--s", "1"],
     ["intertwine-arch", "--n", "2", "--k", "3", "--eta", "0,2", "--beta", "0,2", "--s", "1"],
     ["--tol", "0"] + ARCH + ["--beta", "0,2", "--s", "1"],
+    ["intertwine-arch", "--n", "2", "--k", "1", "--eta", f"0,{2 * 10**400}",
+     "--beta", f"{10**400},{10**400}", "--s", "1"],
     ["--config", QI_CONFIG, "constant-term", "--n", "0", "--ord0", "pos"],
     ["--max-den", "0", "--config", QI_CONFIG, "field-check"],
     ["--precision", "0", "--config", QI_CONFIG, "field-check"],
@@ -498,30 +501,65 @@ def test_negative_value_as_separate_word(separate, joined, capsys):
     assert first == second
 
 
-def test_cli_import_leaves_out_scipy_and_numpy():
-    """Importing the CLI loads no numerical package and no periodlab layer."""
-    code = ("import sys, periodlab.cli; print(sorted(m for m in sys.modules if "
-            "m.split('.')[0] in ('scipy', 'numpy', 'mpmath') or m.startswith('periodlab.')))")
+README_ARGV = {argv[2] if argv[0] == "--config" else argv[0]: argv for argv in README_COMMANDS}
+# Modules whose loading the table below pins; every other module is free.
+WATCHED = ("dataclasses", "inspect", "mpmath", "numpy", "scipy")
+CMFIELD = ["cmfield", "cyclotomic", "errors", "mpmath"]  # what a config's field loads
+WEIGHTS = CMFIELD + ["weights"]
+LOADED = {
+    # one layer imported
+    "errors": ["errors"],
+    "quadrature": ["errors", "quadrature"],
+    "cyclotomic": ["cyclotomic"],
+    "laurent": ["cyclotomic", "laurent"],
+    "lfactors": ["errors", "lfactors"],
+    "intertwine": ["errors", "intertwine", "lfactors", "quadrature"],
+    "cmfield": CMFIELD,
+    "weights": WEIGHTS,
+    "weylkostant": WEIGHTS + ["weylkostant"],
+    "charpeel": ["charpeel"],
+    "cli": ["cli", "errors"],
+    # one arch_intertwining call: no exact arithmetic
+    "arch_intertwining": ["errors", "intertwine", "lfactors", "quadrature"],
+    # main(argv) of each README command
+    "field-check": ["cli"] + CMFIELD,
+    "balanced": ["charpeel", "cli"] + WEIGHTS,
+    "kostant": ["cli"] + WEIGHTS + ["weylkostant"],
+    "find-wk": ["cli"] + WEIGHTS + ["weylkostant"],
+    "wedge-sign": ["cli"] + WEIGHTS + ["weylkostant"],
+    "gauss": ["cli", "cyclotomic", "errors", "lfactors"],
+    "lratio": ["cli", "cyclotomic", "errors", "laurent", "lfactors"],
+    "intertwine-nonarch": ["cli", "cyclotomic", "errors", "intertwine", "laurent", "lfactors",
+                           "quadrature"],
+    "intertwine-arch": ["cli", "errors", "intertwine", "lfactors", "quadrature"],
+    "constant-term": ["cli", "intertwine", "lfactors", "quadrature"] + WEIGHTS,
+}
+
+
+def _run_fresh(case: str) -> str:
+    """The code a fresh interpreter runs for one case of LOADED."""
+    if case in README_ARGV:
+        return ("import contextlib, io, sys\n"
+                "from periodlab.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert main({README_ARGV[case]!r}) == 0\n")
+    if case == "arch_intertwining":
+        return ("from periodlab.intertwine import arch_intertwining\n"
+                "assert arch_intertwining(3, 1, (0, 3), (0, 0, 3), 2.0).verdict\n")
+    return f"import periodlab.{case}\n"
+
+
+@pytest.mark.parametrize("case", LOADED)
+def test_fresh_interpreter_loads_only_what_runs(case):
+    """No layer, README command or arch integral loads dataclasses or
+    inspect; each loads only its own periodlab layers, mpmath only with a
+    field, and the archimedean path no exact arithmetic."""
+    code = _run_fresh(case) + (
+        "import sys\n"
+        f"print(sorted(m.removeprefix('periodlab.') for m in sys.modules "
+        f"if m in {WATCHED!r} or m.startswith('periodlab.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "['periodlab.cli', 'periodlab.errors']"
-
-
-@pytest.mark.parametrize("argv", [
-    ["gauss", "--q", "7", "--chi-order", "6", "--chi-index", "2"],
-    ["lratio", "--n", "3", "--k", "1", "--a", "12,5", "--q", "2"],
-    ["intertwine-nonarch", "--n", "4", "--k", "2", "--a", "12,1", "--q", "5"],
-    ["intertwine-arch", "--n", "2", "--k", "1", "--eta", "0,2", "--beta", "0,2", "--s", "1"],
-], ids=lambda argv: argv[0])
-def test_field_free_subcommand_loads_no_mpmath(argv):
-    """A subcommand without a field runs without mpmath and cmfield."""
-    code = ("import contextlib, io, sys\n"
-            "from periodlab.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    status = main(sys.argv[1:])\n"
-            "print(status, sorted({'mpmath', 'periodlab.cmfield'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "0 []"
+    assert out.stdout.strip() == str(sorted(LOADED[case]))
 
 
 def test_format_after_subcommand_matches_format_before(capsys):
@@ -585,6 +623,18 @@ def test_intertwine_arch_near_the_convergence_bound(capsys):
     got, expected = (complex(record[key].replace("i", "j")) for key in ("got", "expected"))
     assert abs(expected - (2 * math.pi) ** 2 / (1.6 * 0.6)) <= 1e-14 * abs(expected)
     assert abs(got - expected) <= 1e-9 * abs(expected)
+
+
+def test_intertwine_arch_huge_exponents_end_in_a_fresh_process():
+    """beta = 10^9 in the polar check's radial factor r^(P - 1): O(1) work per
+    node, so the whole process ends well within 2 s."""
+    argv = ["intertwine-arch", "--n", "2", "--k", "1", "--beta", "1000000000,1000000000",
+            "--eta", "0,2000000000", "--s", "1"]
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "periodlab.cli", *argv], capture_output=True,
+                         text=True, timeout=60)
+    assert time.perf_counter() - t0 < 2.0
+    assert out.returncode == 0 and "Traceback" not in out.stderr
 
 
 def test_intertwine_arch_exponent_divisible_by_circle_points(capsys):

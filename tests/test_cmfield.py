@@ -73,6 +73,32 @@ def test_restriction_commutes_with_conjugation(built):
             assert w == wb and s == -sb
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(base_disc=12, extension_poly=(0, 1)), "d = 12 must be a squarefree positive integer"),
+    (dict(base_disc=0, extension_poly=(0, 1)), "d = 0 must be a squarefree positive integer"),
+    (dict(base_disc=10**12 + 1, extension_poly=(0, 1)),
+     "d = 1000000000001 is above the limit of 1000000000000"),
+    (dict(base_disc=1, extension_poly=(0, 2)),
+     "extension polynomial must be monic (trailing coefficient 1)"),
+    (dict(base_disc=1, extension_poly=(1,)), "extension polynomial must have degree >= 1"),
+    (dict(base_disc=1, extension_poly=(0, 1), declared_k0_poly=(-2, 1)),
+     "k0 polynomial must be monic of degree >= 2"),
+], ids=["d-12", "d-0", "d-above-limit", "not-monic", "degree-0", "k0-degree-1"])
+def test_tower_declaration_validation(fields, message):
+    with pytest.raises(ValueError) as exc:
+        FieldTower(**fields)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+def test_galois_permutation_equal_and_hashed_by_value(built):
+    emb4 = built[QZ8]
+    g = GaloisPermutation(tuple(range(4)))
+    assert g == identity_permutation(emb4) and g != conjugation_permutation(emb4)
+    assert hash(g) == hash(identity_permutation(emb4))
+    assert len(set(emb4.admissible_permutations() + [g])) == 4
+    assert g != tuple(range(4))
+
+
 def test_declared_k0_not_totally_real_rejected():
     with pytest.raises(NotTotallyImaginary):
         build_field(FieldTower(base_disc=1, extension_poly=(0, 1), declared_k0_poly=(1, 0, 1)), 40)

@@ -23,11 +23,15 @@ from periodlab import quadrature
 # -- sections ----------------------------------------------------------------------
 
 
-def test_section_spec_validation():
-    with pytest.raises(ValueError):
-        SectionSpec(n=2, beta=(0, 1), eta_low=0, eta_high=2)
-    with pytest.raises(ValueError):
-        SectionSpec(n=2, beta=(-1, 3), eta_low=0, eta_high=2)
+@pytest.mark.parametrize("beta, message", [
+    ((0, 2, 0), "beta must have length n"),
+    ((-1, 3), "beta entries must be nonnegative"),
+    ((0, 1), "beta entries must sum to eta_high - eta_low"),
+])
+def test_section_spec_validation(beta, message):
+    with pytest.raises(ValueError) as exc:
+        SectionSpec(n=2, beta=beta, eta_low=0, eta_high=2)
+    assert str(exc.value) == message
 
 
 # -- shell sums ---------------------------------------------------------------------

@@ -71,9 +71,19 @@ def test_eta_linear_in_weights_affine_in_chi(mu, nu, chi, scale):
     assert ws(2, mu, mu, nu, nu, chi + 1, chi + 1).eta()[0] == base + 2
 
 
-def test_non_dominant_rejected():
-    with pytest.raises(NonDominant):
-        ws(2, (0, 1), (0, 0), (0, 0), (0, 0), 0, 0)
+@pytest.mark.parametrize("n, mu, nu, chi, error, message", [
+    (1, {0: (0,)}, {0: (0,)}, {0: 0}, ValueError, "rank must be at least 2"),
+    (2, {0: (0, 0)}, {0: (0,)}, {0: 0}, ValueError, "nu[0] has length 1 != n"),
+    (2, {0: (0, 1)}, {0: (0, 0)}, {0: 0}, NonDominant, "mu[0] = (0, 1) is not weakly decreasing"),
+    (2, {0: (0, 0)}, {1: (0, 0)}, {0: 0}, ValueError,
+     "mu, nu, chi must be keyed by the same embeddings"),
+    (2, {0: (0, 0)}, {0: (0, 0)}, {0: 0, 1: 0}, ValueError,
+     "mu, nu, chi must be keyed by the same embeddings"),
+], ids=["rank-1", "short-nu", "non-dominant", "nu-keys", "chi-keys"])
+def test_weight_system_validation(n, mu, nu, chi, error, message):
+    with pytest.raises(error) as exc:
+        WeightSystem(n=n, mu=mu, nu=nu, chi=chi)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 # -- predicates --------------------------------------------------------------------
@@ -238,6 +248,7 @@ def test_sigma_twist_identity_and_conj(emb2):
     ident = identity_permutation(emb2)
     conj = conjugation_permutation(emb2)
     assert sigma_twist(w, ident) == w
+    assert repr(sigma_twist(w, ident)) == repr(w)
     tw = sigma_twist(w, conj)
     assert tw.mu[0] == w.mu[1] and tw.mu[1] == w.mu[0]
     assert tw.chi[0] == w.chi[1]

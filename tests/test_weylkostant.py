@@ -15,6 +15,7 @@ from periodlab.weights import weight_system_from_eta
 from periodlab import weylkostant
 from periodlab.weylkostant import (
     WedgeMonomial,
+    WeylElement,
     coset_reps,
     cycle_oneline,
     cycles_str,
@@ -160,6 +161,18 @@ def test_wedge_sorting_sign():
         WedgeMonomial.from_labels([(1, 2, 0), (1, 2, 0)])
     with pytest.raises(ValueError):
         WedgeMonomial.from_labels([(2, 1, 0)])
+
+
+def test_records_equal_and_hashed_by_value():
+    m = WedgeMonomial.from_labels([(1, 2, 1), (1, 2, 0)])
+    same = WedgeMonomial(sign=-1, labels=((1, 2, 0), (1, 2, 1)))
+    assert m == same and hash(m) == hash(same)
+    assert m != WedgeMonomial(sign=1, labels=same.labels)
+    a, b = cycle_oneline(1, 2, 2), (1, 2)
+    w = WeylElement(components=(a, b))
+    assert w == WeylElement(components=((2, 1), (1, 2))) and w != WeylElement(components=(b, a))
+    assert len({w, WeylElement(components=(a, b)), WeylElement(components=(b, a))}) == 2
+    assert w != (a, b)
 
 
 def test_wedge_sigma_sign_identity_and_singleton(emb2):
