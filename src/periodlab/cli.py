@@ -4,7 +4,10 @@ Subcommands run one verification suite each and emit a report: an inputs
 echo, one record per check (name, expected, got, tolerance, verdict) and
 summary counts.  Output is deterministic: stable key order, floats try
 15 significant digits, no timestamps.  Exit status is 0 exactly when
-every record passes and no error occurred.
+every record passes and no error occurred.  The class of an error decides
+the rest (see ``errors``): a handler records only its own check's failure
+class, as a failing record (exit 1), and ``main`` alone reports every
+other package error with one ``error:`` line (exit 2).
 
 Structured configs are JSON files; see README for the schema.  Flags
 override config scalars.  The global flags (--format, --config,
@@ -27,10 +30,9 @@ import math
 import operator
 import re
 import sys
-from fractions import Fraction
 
 from . import DEFAULT_MAX_DENOMINATOR
-from .errors import ConfigError, PeriodLabError
+from .errors import AuditFailed, ConfigError, PeriodLabError, ReconstructionFailed, UniquenessFailed
 
 
 # -- report plumbing ------------------------------------------------------------
@@ -40,7 +42,9 @@ def fmt_value(v) -> object:
     """Canonical JSON-friendly rendering with 15 significant digits."""
     if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
         return v
-    if isinstance(v, Fraction):
+    # a Fraction exists only once fractions is loaded: no import for the float paths
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(v, fractions.Fraction):
         return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
     if isinstance(v, float):
         return f"{v:.15g}"
@@ -199,6 +203,8 @@ def weight_points(cfg: dict, degree: int) -> list[weights.WeightSystem]:
             points = weights.grid(n, int(grid["entry_bound"]), degree)
         else:
             raise ConfigError("weights section needs 'points' or 'grid'")
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"bad weights: {type(exc).__name__}: {exc}") from None
     return points
@@ -237,10 +243,7 @@ def check_local_work(args, order: int, telescoping: bool) -> None:
     """
     from . import cyclotomic
 
-    try:
-        f = cyclotomic.check_order(order)
-    except ValueError as exc:
-        raise ConfigError(f"--a {args.a}: {exc}") from None
+    f = cyclotomic.check_order(order)
     m = args.n - args.k
     if m > MAX_POWER_DIGITS / math.log10(args.q):  # exact int/float comparison
         raise ConfigError(f"q^(n-k) has more than {MAX_POWER_DIGITS} digits, the limit")
@@ -335,11 +338,12 @@ def cmd_field_check(args) -> Report:
         c, cert = cmfield.check_discriminant_identity(
             emb, max_denominator=args.max_den, nabla=power_nabla
         )
+    except ReconstructionFailed as exc:
+        report.add("identity_constant_rational", True, f"error: {exc}", verdict=False)
+    else:
         report.add("identity_constant_rational", True, True)
         report.add("identity_constant", c, c)
         report.add("disc_over_q", cert["disc_k"], cert["disc_k"])
-    except PeriodLabError as exc:
-        report.add("identity_constant_rational", True, f"error: {exc}", verdict=False)
     return report
 
 
@@ -376,10 +380,7 @@ def cmd_kostant(args) -> Report:
 
     w, emb = args.w, args.emb
     report = Report("kostant", {"n": w.n, "eta": w.eta(), "degree": args.p})
-    try:
-        lines = weylkostant.kostant_lines(w, emb, args.p)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    lines = weylkostant.kostant_lines(w, emb, args.p)
     report.add("line_count", weylkostant.weyl_count(w.n, emb.degree, args.p), len(lines))
     for i, line in enumerate(lines):
         desc = {
@@ -416,9 +417,7 @@ def cmd_find_wk(args) -> Report:
     report = Report("find-wk", {"n": w.n, "k": args.k, "eta": w.eta(), "full_scan": args.full_scan})
     try:
         element, cert = weylkostant.distinguished_weyl(w, args.emb, args.k, full_scan=args.full_scan)
-    except ValueError as exc:  # the scan is refused: no record, exit 2
-        raise ConfigError(str(exc)) from None
-    except PeriodLabError as exc:
+    except UniquenessFailed as exc:
         report.add("unique_match", 1, f"error: {exc}", verdict=False)
     else:
         report.add("element", element.describe(), element.describe())
@@ -463,10 +462,7 @@ def _permutation_from_args(args, emb) -> cmfield.GaloisPermutation:
 def cmd_gauss(args) -> Report:
     from . import lfactors
 
-    try:
-        spec = lfactors.GaussSumSpec(q=args.q, chi_order=args.chi_order, chi_index=args.chi_index)
-    except ValueError as exc:
-        raise ConfigError(f"bad Gauss sum spec: {exc}") from None
+    spec = lfactors.GaussSumSpec(q=args.q, chi_order=args.chi_order, chi_index=args.chi_index)
     report = Report("gauss", {"q": args.q, "chi_order": args.chi_order, "chi_index": args.chi_index})
     exact, approx = lfactors.gauss_sum(spec)
     report.add("value_float", approx, approx)
@@ -518,10 +514,6 @@ def cmd_intertwine_arch(args) -> Report:
     s = parse_s(args.s)
     if len(eta_pair) != 2:
         raise ConfigError(f"bad --eta {args.eta!r}; expected the pair 'low,high'")
-    try:
-        intertwine.arch_section(args.n, eta_pair, beta)
-    except ValueError as exc:
-        raise ConfigError(f"bad section: {exc}") from None
     report = Report(
         "intertwine-arch",
         {"n": args.n, "k": args.k, "eta": list(eta_pair), "beta": list(beta), "s": s},
@@ -549,9 +541,7 @@ def cmd_constant_term(args) -> Report:
         rep = intertwine.assemble_constant_term(
             args.n, token, complex(big), emb.degree, delta_branch=branch
         )
-    except ValueError as exc:  # the rank is refused: no record, exit 2
-        raise ConfigError(str(exc)) from None
-    except PeriodLabError as exc:
+    except AuditFailed as exc:
         report.add("holomorphic_at_zero", True, f"error: {exc}", verdict=False)
     else:
         report.add("holomorphic_at_zero", True, rep.holomorphic)
@@ -674,10 +664,7 @@ def main(argv=None) -> int:
         if prologue == WEIGHTS:
             from . import weights
 
-            try:
-                args.w = weights.weight_system_from_eta(args.n, _eta_from_args(args))
-            except ValueError as exc:
-                raise ConfigError(f"bad weights: {exc}") from None
+            args.w = weights.weight_system_from_eta(args.n, _eta_from_args(args))
         report = handler(args)
     except PeriodLabError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -32,14 +32,7 @@ from mpmath import mp, mpc, mpf
 
 from . import DEFAULT_MAX_DENOMINATOR
 from .cyclotomic import factorize
-from .errors import (
-    InvalidGaloisPermutation,
-    NotTotallyImaginary,
-    PrecisionExhausted,
-    ReconstructionFailed,
-    ReduciblePolynomial,
-    UnsupportedTower,
-)
+from .errors import ConfigError, PrecisionExhausted, ReconstructionFailed, ReduciblePolynomial
 
 # An element of k (over k0 = Q) is a polynomial in theta whose
 # coefficients are pairs (a, b) <-> a + b*sqrt(-d), with a, b rational.
@@ -111,16 +104,16 @@ class FieldTower:
         declared_k0_poly: tuple[int, ...] | None = None,
     ) -> None:
         if base_disc > MAX_BASE_DISC:
-            raise ValueError(f"d = {base_disc} is above the limit of {MAX_BASE_DISC}")
+            raise ConfigError(f"d = {base_disc} is above the limit of {MAX_BASE_DISC}")
         if base_disc <= 0 or any(e > 1 for e in factorize(base_disc).values()):
-            raise ValueError(f"d = {base_disc} must be a squarefree positive integer")
+            raise ConfigError(f"d = {base_disc} must be a squarefree positive integer")
         if not extension_poly or extension_poly[-1] != 1:
-            raise ValueError("extension polynomial must be monic (trailing coefficient 1)")
+            raise ConfigError("extension polynomial must be monic (trailing coefficient 1)")
         if len(extension_poly) < 2:
-            raise ValueError("extension polynomial must have degree >= 1")
+            raise ConfigError("extension polynomial must have degree >= 1")
         if declared_k0_poly is not None:
             if declared_k0_poly[-1] != 1 or len(declared_k0_poly) < 3:
-                raise ValueError("k0 polynomial must be monic of degree >= 2")
+                raise ConfigError("k0 polynomial must be monic of degree >= 2")
         self.base_disc = base_disc
         self.extension_poly = extension_poly  # low-to-high, monic
         self.k1_basis = k1_basis
@@ -199,7 +192,7 @@ class EmbeddingSet:
 
     def evaluate(self, element: KElement, i: int) -> mpc:
         if self.tower.declared_k0_poly is not None:
-            raise UnsupportedTower("exact elements require k0 = Q")
+            raise ConfigError("exact elements require k0 = Q")
         emb = self.embeddings[i]
         with mp.workdps(self.precision + 15):
             acc = mpc(0)
@@ -232,7 +225,7 @@ class EmbeddingSet:
 
     def admissible_permutations(self) -> list["GaloisPermutation"]:
         if self.degree > 8:
-            raise UnsupportedTower("brute-force enumeration limited to degree <= 8")
+            raise ConfigError("brute-force enumeration limited to degree <= 8")
         out = []
         for p in itertools.permutations(range(self.degree)):
             if self.is_admissible(p):
@@ -270,7 +263,7 @@ class GaloisPermutation:
 
     def validate(self, emb: EmbeddingSet) -> None:
         if not emb.is_admissible(self.perm):
-            raise InvalidGaloisPermutation(f"{self.perm} is not an admissible shadow")
+            raise ConfigError(f"{self.perm} is not an admissible shadow")
 
     def descended_k1(self, emb: EmbeddingSet) -> tuple[int, ...]:
         self.validate(emb)
@@ -314,7 +307,7 @@ def build_field(tower: FieldTower, precision: int = DEFAULT_PRECISION) -> Embedd
     theta images are the roots of f sorted by (re, im) for s = 0 and their
     conjugates for s = 1.  So conj(i) = i +- m and restriction_k1[i] = i // m.
 
-    Raises NotTotallyImaginary when the declared k0 is not totally real,
+    Raises ConfigError when the declared k0 is not totally real,
     ReduciblePolynomial when a polynomial has coincident roots, and
     PrecisionExhausted when the root finder does not converge.
     """
@@ -326,7 +319,7 @@ def build_field(tower: FieldTower, precision: int = DEFAULT_PRECISION) -> Embedd
                 tower.declared_k0_poly, precision, tol, "k0 polynomial has coincident roots"
             )
             if any(abs(mp.im(r)) > tol for r in k0_roots):
-                raise NotTotallyImaginary("declared k0 is not totally real at working precision")
+                raise ConfigError("declared k0 is not totally real at working precision")
             k0_roots = [mp.re(r) for r in k0_roots]
         else:
             k0_roots = [None]
@@ -444,7 +437,7 @@ def relative_discriminant(
     """det[Tr_{k/Q}(x_i x_j)] for exact elements (k0 = Q), reconstructed
     as a Fraction; returns (value, certificate)."""
     if len(basis) != emb.degree:
-        raise ValueError("basis over Q must have [k:Q] elements")
+        raise ConfigError("basis over Q must have [k:Q] elements")
     with mp.workdps(emb.precision + 15):
         det = mp.det(_trace_values(_basis_values(emb, basis), range(emb.degree)))
         return _rational(emb, det, "discriminant over Q", max_denominator)
@@ -490,7 +483,7 @@ def disc_constant_upper(
         if basis is None:
             values = _product_values(emb, 1, [(Fraction(1), Fraction(0))])
         elif len(basis) != emb.tower.theta_degree:
-            raise ValueError("basis over k1 must have [k:k1] elements")
+            raise ConfigError("basis over k1 must have [k:k1] elements")
         else:
             values = _basis_values(emb, basis)
         product = mpc(1)

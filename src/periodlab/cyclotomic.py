@@ -34,6 +34,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import ConfigError
+
 
 def factorize(n: int) -> dict[int, int]:
     """{prime: exponent} of an integer n >= 1, by trial division up to sqrt(n)."""
@@ -61,17 +63,17 @@ MAX_ORDER_WORK = 6_312_000
 
 
 def check_order(n: int) -> int:
-    """phi(n); ValueError if Q(zeta_n) needs more than MAX_ORDER_WORK
+    """phi(n); ConfigError if Q(zeta_n) needs more than MAX_ORDER_WORK
     steps, before any O(n) work.  factorize(n) runs only for n below
     MAX_ORDER_WORK / 37, since the work of n > 1 is at least 37 n."""
     if n > 1 and 37 * n > MAX_ORDER_WORK:
-        raise ValueError(f"Q(zeta_{n}) is above the order work limit of {MAX_ORDER_WORK}")
+        raise ConfigError(f"Q(zeta_{n}) is above the order work limit of {MAX_ORDER_WORK}")
     f = n
     for p in factorize(n):
         f = f // p * (p - 1)
     work = (n - f) * (n + 4 * f) + 36 * n
     if work > MAX_ORDER_WORK:
-        raise ValueError(
+        raise ConfigError(
             f"Q(zeta_{n}) needs {work} steps, above the order work limit of {MAX_ORDER_WORK}"
         )
     return f
@@ -99,7 +101,7 @@ def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[in
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the n-th cyclotomic polynomial;
-    ValueError above the order bound (``check_order``)."""
+    ConfigError above the order bound (``check_order``)."""
     check_order(n)
     if n == 1:
         return (-1, 1)
@@ -193,7 +195,7 @@ class Cyc:
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyc":
-        """zeta_n^k; ValueError above the order bound (``check_order``)."""
+        """zeta_n^k; ConfigError above the order bound (``check_order``)."""
         check_order(n)
         return Cyc._from_exponent_dict(n, {k % n: 1})
 

@@ -1,81 +1,47 @@
-"""Exception taxonomy shared by the verification modules."""
+"""Exception taxonomy shared by the verification modules.
+
+The class of an error decides how a CLI run ends.  ``ConfigError`` (an
+input a layer refuses, before or during its work), ``PrecisionExhausted``
+and ``QuadratureNotConverged`` (a numerical limit) end it with exit
+status 2 and one ``error:`` line.  ``ReconstructionFailed``,
+``UniquenessFailed`` and ``AuditFailed`` are the failing outcomes of a
+check: the handler that runs the check records them and the run exits 1.
+"""
 
 
 class PeriodLabError(Exception):
     """Base class for all package errors."""
 
 
-# -- field towers -----------------------------------------------------------
+class ConfigError(PeriodLabError, ValueError):
+    """An input refused by the layer that owns the rule: a malformed or
+    inconsistent configuration, flag or argument, or one above a work
+    bound.  Also a ValueError, so library callers may catch either."""
 
-class NotTotallyImaginary(PeriodLabError):
-    """A declared k0 is not totally real at working precision."""
 
-
-class ReduciblePolynomial(PeriodLabError):
+class ReduciblePolynomial(ConfigError):
     """Extension polynomial has coincident roots at working precision."""
 
 
+# -- numerical limits ---------------------------------------------------------
+
 class PrecisionExhausted(PeriodLabError):
     """The root finder did not converge."""
-
-
-class ReconstructionFailed(PeriodLabError):
-    """A numeric value is not near a small-height rational."""
-
-
-class UnsupportedTower(PeriodLabError):
-    """Exact element arithmetic requested outside the rational-base case."""
-
-
-class InvalidGaloisPermutation(PeriodLabError):
-    """Permutation does not commute with conjugation or does not descend."""
-
-
-# -- weights ---------------------------------------------------------------
-
-class NonDominant(PeriodLabError):
-    """Weight entries are not weakly decreasing."""
-
-
-class NotRegularAlgebraic(PeriodLabError):
-    """eta value strictly between 0 and n where a two-sided value is needed."""
-
-
-class InconsistentSum(PeriodLabError):
-    """eta_i + eta_ibar varies across conjugate pairs."""
-
-
-class AmbiguousSign(PeriodLabError):
-    """Archimedean sign undefined: eta strictly between 0 and n."""
-
-
-# -- Weyl/Kostant ------------------------------------------------------------
-
-class UniquenessFailed(PeriodLabError):
-    """Scan found zero or several Weyl elements matching the torus weight."""
-
-
-# -- L-factors ---------------------------------------------------------------
-
-class PoleHit(PeriodLabError):
-    """Gamma shift ratio evaluated at a pole."""
-
-
-# -- intertwining ------------------------------------------------------------
-
-class ConvergenceRegionViolated(PeriodLabError):
-    """Archimedean integral requested outside the enforced region."""
 
 
 class QuadratureNotConverged(PeriodLabError):
     """Quadrature missed its tolerance or node budget, or its cross-check disagreed."""
 
 
+# -- failing checks -----------------------------------------------------------
+
+class ReconstructionFailed(PeriodLabError):
+    """A numeric value is not near a small-height rational."""
+
+
+class UniquenessFailed(PeriodLabError):
+    """Scan found zero or several Weyl elements matching the torus weight."""
+
+
 class AuditFailed(PeriodLabError):
     """A constant-term term retains a pole, or the branch flags disagree."""
-
-
-# -- CLI ---------------------------------------------------------------------
-
-class ConfigError(PeriodLabError):
-    """Malformed or inconsistent run configuration."""

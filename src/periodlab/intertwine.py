@@ -44,7 +44,7 @@ the functions that build exact values.
 from __future__ import annotations
 
 from .lfactors import VanishingToken, gamma_ratio, normalizing_factor, unramified_lratio
-from .errors import AuditFailed, ConvergenceRegionViolated
+from .errors import AuditFailed, ConfigError
 from . import quadrature
 
 
@@ -59,11 +59,11 @@ class SectionSpec:
 
     def __init__(self, n: int, beta: tuple[int, ...], eta_low: int, eta_high: int) -> None:
         if len(beta) != n:
-            raise ValueError("beta must have length n")
+            raise ConfigError("beta must have length n")
         if any(b < 0 for b in beta):
-            raise ValueError("beta entries must be nonnegative")
+            raise ConfigError("beta entries must be nonnegative")
         if sum(beta) != eta_high - eta_low:
-            raise ValueError("beta entries must sum to eta_high - eta_low")
+            raise ConfigError("beta entries must sum to eta_high - eta_low")
         self.n = n
         self.beta = beta
         self.eta_low = eta_low    # value <= 0 at the chosen embedding
@@ -119,7 +119,7 @@ def shell_sum(n: int, k: int, a: Cyc, q: int) -> LaurentRatio:
 def nonarch_intertwining(n: int, k: int, a: Cyc, q: int) -> IntertwineResult:
     """Shell-sum evaluation against the product-formula target, exactly."""
     if not 1 <= k <= n:
-        raise ValueError("k out of range")
+        raise ConfigError("k out of range")
     value = shell_sum(n, k, a, q)
     target = unramified_lratio(n, k, a, q)
     return IntertwineResult(value=value, target=target, verdict=(value == target))
@@ -128,8 +128,9 @@ def nonarch_intertwining(n: int, k: int, a: Cyc, q: int) -> IntertwineResult:
 # -- archimedean numerical integrals ------------------------------------------------
 
 
-# Largest |eta| an archimedean integral takes: its integrand is evaluated in
-# doubles, which hold every integer up to 2^53.
+# Largest |eta|, and largest |Re s| and |Im s|, an archimedean integral
+# takes: its integrand is evaluated in doubles, which hold every integer up
+# to 2^53, and a larger s overflows them.
 MAX_ETA = 2**53
 
 
@@ -141,14 +142,14 @@ def _convergence_bound(n: int, k: int, eta_high: int, beta_sum_inner: int) -> fl
 
 
 def arch_section(n: int, eta_pair: tuple[int, int], beta: tuple[int, ...]) -> SectionSpec:
-    """The section an archimedean integral integrates; raises ValueError
+    """The section an archimedean integral integrates; raises ConfigError
     unless eta_low <= 0, eta_high >= n, both lie within MAX_ETA and beta
     fits the pair."""
     eta_low, eta_high = eta_pair
     if eta_low > 0 or eta_high < n:
-        raise ValueError("eta pair must satisfy eta_low <= 0 and eta_high >= n")
+        raise ConfigError("eta pair must satisfy eta_low <= 0 and eta_high >= n")
     if max(eta_high, -eta_low) > MAX_ETA:
-        raise ValueError("eta pair entries must lie within 2^53, the integers a double holds")
+        raise ConfigError("eta pair entries must lie within 2^53, the integers a double holds")
     return SectionSpec(n=n, beta=tuple(beta), eta_low=eta_low, eta_high=eta_high)
 
 
@@ -169,8 +170,10 @@ def arch_intertwining(
     ``quadrature.halfline_with_fallback`` evaluates in one call.
     """
     if not 1 <= k <= n:
-        raise ValueError("k out of range")
+        raise ConfigError("k out of range")
     spec = arch_section(n, eta_pair, beta)
+    if max(abs(s.real), abs(s.imag)) > MAX_ETA:
+        raise ConfigError(f"s = {s} has a part beyond 2^53 in absolute value")
     eta_high = spec.eta_high
     m = n - k
     is_beta0 = tuple(beta) == spec.beta0
@@ -188,7 +191,7 @@ def arch_intertwining(
     inner = [beta[j] for j in range(k - 1, n - 1)]  # exponents on u_k..u_{n-1}
     bound = _convergence_bound(n, k, eta_high, sum(inner))
     if s.real <= bound + 0.5:
-        raise ConvergenceRegionViolated(
+        raise ConfigError(
             f"Re(s) = {s.real} not above the enforced bound {bound + 0.5}"
         )
 
@@ -271,13 +274,13 @@ def assemble_constant_term(
     k = n summand is 1.  The compensating factor from the vanishing
     branch contributes a zero of the same order.  The audit fails if any
     term retains a pole or if the chosen branch contradicts the token.
-    A rank n above ``weights.MAX_RANK`` raises ValueError before any entry
+    A rank n above ``weights.MAX_RANK`` raises ConfigError before any entry
     is built.
     """
     from .weights import MAX_RANK  # here: weights loads cmfield and mpmath
 
     if n > MAX_RANK:
-        raise ValueError(f"rank {n} is above the limit of {MAX_RANK}")
+        raise ConfigError(f"rank {n} is above the limit of {MAX_RANK}")
     factor = normalizing_factor(token, degree_over_q)
     branch = delta_branch if delta_branch is not None else factor.branch
     expected_branch = "one" if token.order_zero == 0 else "compensated"

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import PoleHit
+from .errors import ConfigError
 
 
 # -- unramified ratios ---------------------------------------------------------
@@ -47,7 +47,7 @@ def unramified_lratio(n: int, k: int, a: Cyc, q: int) -> LaurentRatio:
     """L(s - n + k)/L(s) for the unramified character with value a at a
     uniformizer of residue size q: (1 - aX)/(1 - a q^{n-k} X)."""
     if not 1 <= k <= n:
-        raise ValueError("k out of range")
+        raise ConfigError("k out of range")
     from .laurent import LaurentRatio, XPoly
 
     field = a.n
@@ -63,12 +63,12 @@ def unramified_lratio(n: int, k: int, a: Cyc, q: int) -> LaurentRatio:
 def gamma_ratio(m: int, j: int, s: complex) -> complex:
     """prod_{t=1..j} 2*pi/(s + m - t); floating point, poles rejected."""
     if j < 0:
-        raise ValueError("negative step count")
+        raise ConfigError("negative step count")
     out = complex(1)
     for t in range(1, j + 1):
         denom = s + m - t
         if abs(denom) < 1e-12:
-            raise PoleHit(f"shift ratio hits a pole at step t = {t}")
+            raise ConfigError(f"shift ratio hits a pole at step t = {t}")
         out *= 2 * math.pi / denom
     return out
 
@@ -86,7 +86,7 @@ class VanishingToken:
 
     def __init__(self, order_zero: int) -> None:
         if order_zero not in (0, 1):
-            raise ValueError("order flag must be 0 (nonzero) or 1 (vanishing)")
+            raise ConfigError("order flag must be 0 (nonzero) or 1 (vanishing)")
         self.order_zero = order_zero
 
 
@@ -107,7 +107,7 @@ def normalizing_factor(token: VanishingToken, deg: int) -> NormalizingFactor:
     if token.order_zero == 0:
         return NormalizingFactor(branch="one", symbol="1")
     if deg % 2:
-        raise ValueError("field degree must be even")
+        raise ConfigError("field degree must be even")
     return NormalizingFactor(branch="compensated", symbol=f"i^{deg // 2} * Delta * L(s)/L(s-1)")
 
 
@@ -233,13 +233,13 @@ class GaussSumSpec:
             factors = factorize(q)
             if len(factors) == 1:
                 check_order(math.lcm(q - 1, *factors))
-        except ValueError as exc:
-            raise ValueError(f"GF({q}) is above the limit: {exc}") from None
+        except ConfigError as exc:
+            raise ConfigError(f"GF({q}) is above the limit: {exc}") from None
         if len(factors) != 1:
-            raise ValueError(f"{q} is not a prime power")
+            raise ConfigError(f"{q} is not a prime power")
         # chi(gen)^(q-1) must be 1
         if (chi_index * (q - 1)) % chi_order != 0:
-            raise ValueError("character value is not well-defined on GF(q)^x")
+            raise ConfigError("character value is not well-defined on GF(q)^x")
         self.q = q
         self.chi_order = chi_order
         self.chi_index = chi_index

@@ -91,14 +91,22 @@ def _cut(table, g, power: int, others: int) -> tuple[int, int]:
 
         w * x^power * (1 + x^2)^(others / 2) * |g(x^2)|
 
-    is negligible beside the largest seen; for g(u) = (1 + u)^-E this is
-    the integrand's marginal in the coordinate up to a constant factor.
+    is negligible beside the largest seen, or where g(x^2) underflows to 0;
+    for g(u) = (1 + u)^-E this is the integrand's marginal in the
+    coordinate up to a constant factor.  Such a g decays in u, and under a
+    narrow peak at x = 0 it underflows already at t = 0: the walk then
+    starts from the first node toward x = 0 where it does not, and raises
+    ``QuadratureNotConverged`` if there is none.
     """
-    centre = len(table) // 2
+    start = len(table) // 2
+    while g(table[start][1]) == 0.0:
+        start -= 1
+        if start < 0:
+            raise QuadratureNotConverged("the integrand underflows at every node")
     log_peak = -math.inf
     ends = []
     for step in (1, -1):
-        k = centre - step
+        k = start - step
         while 0 <= k + step < len(table):
             _, x2, _, log_x, log_w = table[k + step]
             log_term = log_w + power * log_x

@@ -19,7 +19,7 @@ tensor condition collapses to a single horizontal-strip (interlacing)
 check per embedding.  An independent, slower character-peeling oracle
 lives in ``charpeel``.
 
-``grid`` and ``weight_system_from_eta`` raise ValueError, before building
+``grid`` and ``weight_system_from_eta`` raise ConfigError, before building
 anything, above MAX_GRID_POINTS points and above rank MAX_RANK.
 """
 
@@ -29,12 +29,12 @@ import itertools
 import math
 
 from .cmfield import EmbeddingSet, GaloisPermutation
-from .errors import AmbiguousSign, InconsistentSum, NonDominant, NotRegularAlgebraic
+from .errors import ConfigError
 
 
 def _check_dominant(t: tuple[int, ...], label: str) -> None:
     if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
-        raise NonDominant(f"{label} = {t} is not weakly decreasing")
+        raise ConfigError(f"{label} = {t} is not weakly decreasing")
 
 
 class WeightSystem:
@@ -49,14 +49,14 @@ class WeightSystem:
         chi: dict[int, int],
     ) -> None:
         if n < 2:
-            raise ValueError("rank must be at least 2")
+            raise ConfigError("rank must be at least 2")
         for label, m in (("mu", mu), ("nu", nu)):
             for i, t in m.items():
                 if len(t) != n:
-                    raise ValueError(f"{label}[{i}] has length {len(t)} != n")
+                    raise ConfigError(f"{label}[{i}] has length {len(t)} != n")
                 _check_dominant(t, f"{label}[{i}]")
         if set(mu) != set(nu) or set(mu) != set(chi):
-            raise ValueError("mu, nu, chi must be keyed by the same embeddings")
+            raise ConfigError("mu, nu, chi must be keyed by the same embeddings")
         self.n = n
         self.mu = mu
         self.nu = nu
@@ -92,14 +92,14 @@ def grid(n: int, entry_bound: int, degree: int) -> list[WeightSystem]:
     and chi, all entries in -B..B: (C(n + 2B, n)^2 (2B + 1))^degree points
     for B = entry_bound, refused above MAX_GRID_POINTS before any is built."""
     if entry_bound < 0:
-        raise ValueError(f"entry_bound must be at least 0, got {entry_bound}")
+        raise ConfigError(f"entry_bound must be at least 0, got {entry_bound}")
     values = 2 * entry_bound + 1
     if min(n, values - 1) > MAX_GRID_POINTS.bit_length():
         # C(n + values - 1, n) >= 2^min(n, values - 1): no need for the huge binomial
-        raise ValueError(f"weights.grid has more than {MAX_GRID_POINTS} points, the limit")
+        raise ConfigError(f"weights.grid has more than {MAX_GRID_POINTS} points, the limit")
     count = (math.comb(n + values - 1, n) ** 2 * values) ** degree
     if count > MAX_GRID_POINTS:
-        raise ValueError(f"weights.grid has {count} points, above the limit of {MAX_GRID_POINTS}")
+        raise ConfigError(f"weights.grid has {count} points, above the limit of {MAX_GRID_POINTS}")
     rng = range(-entry_bound, entry_bound + 1)
     doms = [t for t in itertools.product(rng, repeat=n) if all(t[i] >= t[i + 1] for i in range(n - 1))]
     per_emb = [(mu, nu, chi) for mu in doms for nu in doms for chi in rng]
@@ -118,7 +118,7 @@ def weight_system_from_eta(n: int, eta: dict[int, int]) -> WeightSystem:
     """A weight system with nu = 0, chi = 0 and mu placed to realize eta;
     a rank above MAX_RANK is refused before any tuple is built."""
     if n > MAX_RANK:
-        raise ValueError(f"rank {n} is above the limit of {MAX_RANK}")
+        raise ConfigError(f"rank {n} is above the limit of {MAX_RANK}")
     mu = {}
     for i, e in eta.items():
         if e <= 0:
@@ -152,7 +152,7 @@ def highest_weight_from_eta(eta_value: int, n: int) -> tuple[int, ...]:
         return (-eta_value,) + (0,) * (n - 1)
     if eta_value >= n:
         return (-1,) * (n - 1) + (n - 1 - eta_value,)
-    raise NotRegularAlgebraic(
+    raise ConfigError(
         f"eta = {eta_value} lies strictly between 0 and {n}"
     )
 
@@ -183,7 +183,7 @@ def balanced_at(
         base = dual(mu)
         size = eta_value - n
     else:
-        raise NotRegularAlgebraic(f"eta = {eta_value} strictly between 0 and {n}")
+        raise ConfigError(f"eta = {eta_value} strictly between 0 and {n}")
     if sum(lam) - sum(base) != size:
         return False
     return _is_horizontal_strip(lam, base)
@@ -209,7 +209,7 @@ def in_b_plus(w: WeightSystem, emb: EmbeddingSet) -> bool:
     eta = w.eta()
     sums = {eta[i] + eta[j] for i, j in emb.pairs()}
     if len(sums) > 1:
-        raise InconsistentSum(f"eta pair sums differ across places: {sorted(sums)}")
+        raise ConfigError(f"eta pair sums differ across places: {sorted(sums)}")
     total = sums.pop()
     return is_balanced(w, emb) and total >= w.n
 
@@ -267,7 +267,7 @@ def archimedean_constant(w: WeightSystem, emb: EmbeddingSet) -> ArchConstant:
         elif e_iv >= n:
             sign = -1
         else:
-            raise AmbiguousSign(
+            raise ConfigError(
                 f"eta = {e_iv} at the chosen embedding is strictly between 0 and {n}"
             )
         expo = arch_exponent(w, (iv, iv_bar))

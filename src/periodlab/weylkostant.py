@@ -18,7 +18,7 @@ Contents:
 
 ``weyl_count`` counts the elements an enumeration visits (n!^d in all, or
 those of one length).  ``kostant_lines`` and ``distinguished_weyl`` raise
-ValueError, before any work, when they would enumerate more than
+ConfigError, before any work, when they would enumerate more than
 MAX_WEYL_CANDIDATES elements; ``kostant_lines`` also when its lines would
 hold more than MAX_KOSTANT_ENTRIES integers.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 
 from .cmfield import EmbeddingSet, GaloisPermutation, inversions
-from .errors import NonDominant, UniquenessFailed
+from .errors import ConfigError, UniquenessFailed
 from .weights import WeightSystem, highest_weight_from_eta, sigma_twist
 
 OneLine = tuple[int, ...]  # w(1), ..., w(n) with values in 1..n
@@ -151,9 +151,9 @@ class WedgeMonomial:
         labels = [(i, j, e) for (i, j, e) in labels]
         for (i, j, _e) in labels:
             if not i < j:
-                raise ValueError(f"label ({i},{j}) needs i < j")
+                raise ConfigError(f"label ({i},{j}) needs i < j")
         if len(set(labels)) != len(labels):
-            raise ValueError("repeated covector label; wedge vanishes")
+            raise ConfigError("repeated covector label; wedge vanishes")
         keyed = [(e, i, j) for (i, j, e) in labels]
         sgn = sign * (-1) ** inversions(keyed)
         ordered = tuple((i, j, e) for (e, i, j) in sorted(keyed))
@@ -240,14 +240,14 @@ def _elements_of_length(n: int, count: int, total: int):
 
 def kostant_lines(w: WeightSystem, emb: EmbeddingSet, p: int) -> list[KostantLine]:
     """All cohomology lines in degree p: one per absolute Weyl element of
-    length p.  ValueError, before any line is built, above
+    length p.  ConfigError, before any line is built, above
     MAX_WEYL_CANDIDATES elements or MAX_KOSTANT_ENTRIES entries."""
     count = weyl_count(w.n, emb.degree, p)
     # a line holds its element and torus weight (n integers per embedding
     # each) and its p wedge labels (three integers each)
     entries = count * (2 * emb.degree * w.n + 3 * p)
     if entries > MAX_KOSTANT_ENTRIES:
-        raise ValueError(
+        raise ConfigError(
             f"the {count} lines of degree {p} hold {entries} entries, "
             f"above the limit of {MAX_KOSTANT_ENTRIES}"
         )
@@ -266,20 +266,20 @@ MAX_KOSTANT_ENTRIES = 250_000
 
 def weyl_count(n: int, emb_count: int, length: int | None = None) -> int:
     """Elements of S_n^emb_count of the given length (all when None), as
-    enumerated; ValueError above MAX_WEYL_CANDIDATES.  Every enumeration
+    enumerated; ConfigError above MAX_WEYL_CANDIDATES.  Every enumeration
     lists S_n first, so n! is bounded first and a huge n costs nothing."""
     size = 1
     for i in range(2, n + 1):
         size *= i
         if size > MAX_WEYL_CANDIDATES:
-            raise ValueError(f"S_{n} has more than {MAX_WEYL_CANDIDATES} elements, the limit")
+            raise ConfigError(f"S_{n} has more than {MAX_WEYL_CANDIDATES} elements, the limit")
     if length is None:
         count = size**emb_count
     else:
         gen = length_generating_function(n, emb_count)
         count = gen[length] if 0 <= length < len(gen) else 0
     if count > MAX_WEYL_CANDIDATES:
-        raise ValueError(f"the scan would visit {count} Weyl elements, above the limit of {MAX_WEYL_CANDIDATES}")
+        raise ConfigError(f"the scan would visit {count} Weyl elements, above the limit of {MAX_WEYL_CANDIDATES}")
     return count
 
 
@@ -338,7 +338,7 @@ def distinguished_weyl(
     """
     n = w.n
     if not 1 <= k <= n:
-        raise ValueError("k out of range")
+        raise ConfigError("k out of range")
     c_n = bottom_degree(n, emb)
     weyl_count(n, emb.degree, None if full_scan else c_n)
     eta = w.eta()
@@ -349,7 +349,7 @@ def distinguished_weyl(
         elif eta[pos] >= n:
             comps.append(cycle_oneline(1, k, n))
         else:
-            raise NonDominant(f"eta = {eta[pos]} admits no closed form")
+            raise ConfigError(f"eta = {eta[pos]} admits no closed form")
     element = WeylElement(components=tuple(comps))
 
     target = _restricted_target(w, emb, k)
@@ -405,7 +405,7 @@ def omega_monomial(w: WeightSystem, emb: EmbeddingSet, k: int) -> WedgeMonomial:
         if eta[pos] <= 0:
             bar = emb.conj(pos)
             if eta[bar] < n:
-                raise NonDominant("two-sided condition fails at a pair")
+                raise ConfigError("two-sided condition fails at a pair")
             labels.extend((t, k, bar) for t in range(1, k))
             labels.extend((k, t, pos) for t in range(k + 1, n + 1))
     return WedgeMonomial.from_labels(labels)

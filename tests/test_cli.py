@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodlab import cmfield
+from periodlab import cmfield, cyclotomic, intertwine, lfactors, weights, weylkostant
 from periodlab.cli import main
+from periodlab.errors import ConfigError
 from test_golden_cli import README_COMMANDS
 
 QI_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "qi.json")
@@ -164,6 +165,7 @@ ARGUMENT_ERRORS = [
     ["--tol", "0"] + ARCH + ["--beta", "0,2", "--s", "1"],
     ["intertwine-arch", "--n", "2", "--k", "1", "--eta", f"0,{2 * 10**400}",
      "--beta", f"{10**400},{10**400}", "--s", "1"],
+    ARCH + ["--beta", "0,2", "--s", "1,1e308"],
     ["--config", QI_CONFIG, "constant-term", "--n", "0", "--ord0", "pos"],
     ["--max-den", "0", "--config", QI_CONFIG, "field-check"],
     ["--precision", "0", "--config", QI_CONFIG, "field-check"],
@@ -503,15 +505,16 @@ def test_negative_value_as_separate_word(separate, joined, capsys):
 
 README_ARGV = {argv[2] if argv[0] == "--config" else argv[0]: argv for argv in README_COMMANDS}
 # Modules whose loading the table below pins; every other module is free.
-WATCHED = ("dataclasses", "inspect", "mpmath", "numpy", "scipy")
-CMFIELD = ["cmfield", "cyclotomic", "errors", "mpmath"]  # what a config's field loads
+WATCHED = ("dataclasses", "fractions", "inspect", "mpmath", "numpy", "scipy")
+CYCLOTOMIC = ["cyclotomic", "errors", "fractions"]  # what exact arithmetic loads
+CMFIELD = ["cmfield", "mpmath"] + CYCLOTOMIC  # what a config's field loads
 WEIGHTS = CMFIELD + ["weights"]
 LOADED = {
     # one layer imported
     "errors": ["errors"],
     "quadrature": ["errors", "quadrature"],
-    "cyclotomic": ["cyclotomic"],
-    "laurent": ["cyclotomic", "laurent"],
+    "cyclotomic": CYCLOTOMIC,
+    "laurent": CYCLOTOMIC + ["laurent"],
     "lfactors": ["errors", "lfactors"],
     "intertwine": ["errors", "intertwine", "lfactors", "quadrature"],
     "cmfield": CMFIELD,
@@ -527,10 +530,9 @@ LOADED = {
     "kostant": ["cli"] + WEIGHTS + ["weylkostant"],
     "find-wk": ["cli"] + WEIGHTS + ["weylkostant"],
     "wedge-sign": ["cli"] + WEIGHTS + ["weylkostant"],
-    "gauss": ["cli", "cyclotomic", "errors", "lfactors"],
-    "lratio": ["cli", "cyclotomic", "errors", "laurent", "lfactors"],
-    "intertwine-nonarch": ["cli", "cyclotomic", "errors", "intertwine", "laurent", "lfactors",
-                           "quadrature"],
+    "gauss": ["cli", "lfactors"] + CYCLOTOMIC,
+    "lratio": ["cli", "laurent", "lfactors"] + CYCLOTOMIC,
+    "intertwine-nonarch": ["cli", "intertwine", "laurent", "lfactors", "quadrature"] + CYCLOTOMIC,
     "intertwine-arch": ["cli", "errors", "intertwine", "lfactors", "quadrature"],
     "constant-term": ["cli", "intertwine", "lfactors", "quadrature"] + WEIGHTS,
 }
@@ -553,7 +555,7 @@ def _run_fresh(case: str) -> str:
 def test_fresh_interpreter_loads_only_what_runs(case):
     """No layer, README command or arch integral loads dataclasses or
     inspect; each loads only its own periodlab layers, mpmath only with a
-    field, and the archimedean path no exact arithmetic."""
+    field, and the archimedean path no exact arithmetic, not even fractions."""
     code = _run_fresh(case) + (
         "import sys\n"
         f"print(sorted(m.removeprefix('periodlab.') for m in sys.modules "
@@ -637,6 +639,22 @@ def test_intertwine_arch_huge_exponents_end_in_a_fresh_process():
     assert out.returncode == 0 and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ARCH_N2 + ["--eta", "0,2000000000", "--beta", "0,2000000000", "--s", "1"],
+    ARCH_N2 + ["--eta", "0,2", "--beta", "0,2", "--s", "1e15"],
+    ["intertwine-arch", "--n", "3", "--k", "1", "--eta", "0,3", "--beta", "0,0,3", "--s", "1000000"],
+], ids=" ".join)
+def test_intertwine_arch_underflow_at_the_centre_is_no_zero(argv, capsys):
+    """g(1) underflows under a narrow peak at x = 0: the quadrature must
+    not sum the empty cut to a converged 0 and fail the record, but find
+    the peak or give up with exit status 2."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_intertwine_arch_exponent_divisible_by_circle_points(capsys):
     """beta = 256 is a multiple of the default 256 circle nodes: the angular
     factor is 0, not the aliased 2*pi that the radial factor hid."""
@@ -709,3 +727,40 @@ def test_installed_entry_point():
     )
     assert out.returncode == 0
     assert "norm_squared_equals_q" in out.stdout
+
+
+# -- the exception class decides the exit status -----------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda: weylkostant.weyl_count(8, 2),
+    lambda: cyclotomic.check_order(10**6),
+    lambda: lfactors.GaussSumSpec(6, 1),
+    lambda: intertwine.arch_section(2, (1, 2), (0, 1)),
+    lambda: weights.grid(2, 2, 2),
+    lambda: cmfield.FieldTower(12, (0, 1)),
+], ids=["weyl_count", "check_order", "GaussSumSpec", "arch_section", "grid", "FieldTower"])
+def test_layer_refusal_is_a_config_error_and_a_value_error(call):
+    with pytest.raises(ConfigError) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (weylkostant, "distinguished_weyl", ["--config", QI_CONFIG, "find-wk", "--n", "2", "--k", "1"]),
+    (cmfield, "check_discriminant_identity", ["--config", QI_CONFIG, "field-check"]),
+    (intertwine, "assemble_constant_term",
+     ["--config", QI_CONFIG, "constant-term", "--n", "3", "--ord0", "pos"]),
+], ids=["find-wk", "field-check", "constant-term"])
+def test_refusal_inside_a_check_exits_2(module, name, argv, monkeypatch, capsys):
+    """A ConfigError raised where a handler runs its check is no failing
+    record: main reports it alone."""
+    def refuse(*args, **kwargs):
+        raise ConfigError("refused")
+
+    monkeypatch.setattr(module, name, refuse)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: refused\n"

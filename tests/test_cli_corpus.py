@@ -78,7 +78,7 @@ FIELD = (
     + [cfg + ["find-wk", "--n", str(n), "--k", str(k), "--eta", eta] + scan
        for cfg, n, etas in FIND_WK for eta in etas for k in range(1, n + 1)
        for scan in ([], ["--full-scan"])]
-    + [QI + ["find-wk", "--n", "2", "--k", "1", "--eta", "1,1"]]  # no closed form: a failed record
+    + [QI + ["find-wk", "--n", "2", "--k", "1", "--eta", "1,1"]]  # no closed form: refused, exit 2
     + [QI + ["wedge-sign", "--n", "3", "--k", "2", "--g", g] for g in ("id", "conj", "1,0")]
     + [QIC + ["wedge-sign", "--n", "2", "--k", "1", "--g", g] for g in ("conj", "1,2,0,4,5,3")]
     + [cfg + ["constant-term", "--n", "3", "--ord0", ord0] + flip

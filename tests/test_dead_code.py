@@ -1,6 +1,7 @@
 """Dead-code guard: every top-level function, class and method of the
 package (dunders excepted) is named somewhere in src/, tests/ or
-perfbench/ besides its own definition."""
+perfbench/ besides its own definition, and every error class but the
+base is raised somewhere in src/."""
 
 import ast
 import re
@@ -36,3 +37,16 @@ def test_every_definition_is_used():
             words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
     unused = sorted(where + " " + name for name, where in defined if words[name] <= sites[name])
     assert not unused, "named only at their definitions: " + ", ".join(unused)
+
+
+def test_every_error_class_is_raised():
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                if isinstance(node.exc.func, ast.Name):
+                    raised.add(node.exc.func.id)
+    never = sorted(classes - raised - {"PeriodLabError"})
+    assert not never, "error classes never raised in src/: " + ", ".join(never)

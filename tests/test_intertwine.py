@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from periodlab.cyclotomic import Cyc
-from periodlab.errors import AuditFailed, ConvergenceRegionViolated, QuadratureNotConverged
+from periodlab.errors import AuditFailed, ConfigError, QuadratureNotConverged
 from periodlab.intertwine import (
     SectionSpec,
     arch_intertwining,
@@ -273,7 +273,7 @@ def test_arch_k_out_of_range():
 
 
 def test_arch_region_enforced():
-    with pytest.raises(ConvergenceRegionViolated):
+    with pytest.raises(ConfigError, match="not above the enforced bound"):
         arch_intertwining(2, 1, (0, 2), (0, 2), -2.0)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodlab.cyclotomic import Cyc, factorize
-from periodlab.errors import PoleHit
+from periodlab.errors import ConfigError
 from periodlab.laurent import LaurentRatio
 from periodlab.lfactors import (
     FiniteField,
@@ -87,7 +87,7 @@ def test_gamma_ratio_values():
 
 
 def test_gamma_ratio_pole():
-    with pytest.raises(PoleHit):
+    with pytest.raises(ConfigError, match="shift ratio hits a pole at step t = 1"):
         gamma_ratio(2, 1, -1.0)  # s + m - 1 = 0
 
 
