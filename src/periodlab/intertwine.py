@@ -277,7 +277,7 @@ def assemble_constant_term(
     A rank n above ``weights.MAX_RANK`` raises ConfigError before any entry
     is built.
     """
-    from .weights import MAX_RANK  # here: weights loads cmfield and mpmath
+    from .weights import MAX_RANK  # here: the archimedean path loads no weights
 
     if n > MAX_RANK:
         raise ConfigError(f"rank {n} is above the limit of {MAX_RANK}")

@@ -38,9 +38,11 @@ tensor rule, checked whole against the polar form (Folland 2001)
 
 P = sum_j (p_j + 1), one scalar integral for every m, which
 ``exp_sinh_halfline`` evaluates, a scalar exp-sinh rule that shares no code
-with ``quad``.  It adds each finer level's new (odd) nodes to a running sum,
-so it evaluates every node once, takes them from its own table
-(``_xcheck_rows``), and stops on the difference of the last two levels.
+with ``quad``.  Its own table (``_xcheck_rows``) holds every node with
+|t| <= XCHECK_T_MAX at level 0 and only the new (odd) nodes at each finer
+level, so each level adds its whole table to a running sum and every node
+is evaluated once.  It stops when the last two levels agree to tol relative
+to the value.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ MAX_POINTS = 2_000_000  # bound on the multiset points one level evaluates
 LOG_NEGLIGIBLE = math.log(1e-17)
 RERUN_TOL = 0.25  # tolerance of the tensor rule's one rerun, in units of the requested one
 XCHECK_LEVELS = 12  # step halvings of the scalar exp-sinh rule, from h = 1
-XCHECK_MAX_K = 4000  # node budget of one level of the scalar rule, in steps from t = 0
+XCHECK_T_MAX = 6.0  # |t| bound of the scalar rule's own table: x and w stay normal
 CIRCLE_POINTS = 256  # trapezoid nodes on the circle
 
 
@@ -264,10 +266,7 @@ def _polar(g, powers, scale: float, tol: float) -> complex:
     factor = math.exp(log_constant) / scale
 
     def radial(r):
-        r2 = r * r
-        if r2 == math.inf:  # r past ~1e154, where the decaying integrand is 0
-            return 0j
-        y = g(r2) * factor
+        y = g(r * r) * factor
         log_power = degree * math.log(r)
         if abs(log_power) < LOG_HUGE:
             return y * r ** degree
@@ -297,64 +296,39 @@ def halfline_with_fallback(g, powers, tol: float = 1e-10) -> tuple[complex, floa
 
 
 @functools.lru_cache(maxsize=None)
-def _xcheck_rows(level: int) -> tuple[tuple[int, tuple[tuple[float, float], ...]], ...]:
-    """Rows (k, nodes) of the scalar exp-sinh rule that are new at step
-    h = 2^-level: every k >= 0 at level 0, odd k at a finer level.  A row's
-    nodes are the (x, w) at t = k h and t = -k h that lie in double range.
-    The rows end at the first empty one past k = 4, where every walk stops,
-    or at k = XCHECK_MAX_K + 1, where the node budget is spent."""
+def _xcheck_rows(level: int) -> tuple[tuple[float, float], ...]:
+    """Nodes (x, w) of the scalar exp-sinh rule that are new at step
+    h = 2^-level: every t = k h with |t| <= XCHECK_T_MAX at level 0, the
+    odd k at a finer level.  There x lies in [2.5e-138, 4.0e137] and w is a
+    normal double, so x^2 is finite."""
     h = 2.0 ** -level
-    step = 1 if level == 0 else 2
-    rows = []
-    for k in range(step - 1, XCHECK_MAX_K + 2, step):
-        nodes = []
-        for sign in ((1,) if k == 0 else (1, -1)):
-            t = sign * k * h
-            u = 0.5 * math.pi * math.sinh(t)
-            if abs(u) > 600.0:  # node far outside double range
-                continue
-            x = math.exp(u)
-            w = 0.5 * math.pi * math.cosh(t) * x
-            if x > 1e280 or w < 1e-300:
-                continue
-            nodes.append((x, w))
-        rows.append((k, tuple(nodes)))
-        if k > 4 and not nodes:
-            break
-    return tuple(rows)
+    k_max = int(XCHECK_T_MAX / h)
+    nodes = []
+    for k in range(-k_max, k_max + 1):
+        if level == 0 or k % 2:
+            x = math.exp(0.5 * math.pi * math.sinh(k * h))
+            nodes.append((x, 0.5 * math.pi * math.cosh(k * h) * x))
+    return tuple(nodes)
 
 
 def exp_sinh_halfline(f, tol: float = 1e-10) -> tuple[complex, float]:
     """Double-exponential quadrature on [0, inf); independent of ``quad``.
 
-    Level 0 sums the nodes t = k h, h = 1, outward from t = 0; each finer
+    Level 0 sums the nodes t = k h, h = 1, |t| <= XCHECK_T_MAX; each finer
     level halves h and adds only its new nodes, the odd k, to the running
-    sum, so every node is evaluated once.  A level's walk stops at the first
-    row (t = k h and -k h) past k = 4 without a term above 1e-280, and raises
-    past k = XCHECK_MAX_K.  The level's value is h times the running sum;
-    the rule stops when two successive values agree to tol (relative above
-    1, absolute below) and returns (value, their difference).
+    sum, so every node is evaluated once.  The level's value is h times the
+    running sum; the rule stops when two successive values differ by at
+    most tol * |value| and returns (value, their difference).  It raises
+    ``QuadratureNotConverged`` after XCHECK_LEVELS levels.
     """
     total = 0j  # sum of f(x) * w over every node visited so far
     previous = None
     for level in range(XCHECK_LEVELS):
-        for k, nodes in _xcheck_rows(level):
-            contributed = False
-            for x, w in nodes:
-                term = f(x) * w
-                if abs(term) > 1e-280:
-                    contributed = True
-                total += term
-            if k > 4 and not contributed:
-                break
-            if k > XCHECK_MAX_K:  # pragma: no cover - runaway integrand
-                raise QuadratureNotConverged("exp-sinh node budget exhausted")
+        for x, w in _xcheck_rows(level):
+            total += f(x) * w
         value = total * 2.0 ** -level
-        if previous is not None:
-            err = abs(value - previous)
-            scale = max(abs(value), 1.0)
-            if err <= tol * scale:
-                return value, err
+        if previous is not None and abs(value - previous) <= tol * abs(value):
+            return value, abs(value - previous)
         previous = value
     raise QuadratureNotConverged("exp-sinh failed to reach tolerance")
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 
-from .cmfield import EmbeddingSet, GaloisPermutation
 from .errors import ConfigError
 
 

@@ -518,7 +518,7 @@ LOADED = {
     "lfactors": ["errors", "lfactors"],
     "intertwine": ["errors", "intertwine", "lfactors", "quadrature"],
     "cmfield": CMFIELD,
-    "weights": WEIGHTS,
+    "weights": ["errors", "weights"],
     "weylkostant": WEIGHTS + ["weylkostant"],
     "charpeel": ["charpeel"],
     "cli": ["cli", "errors"],
@@ -639,20 +639,41 @@ def test_intertwine_arch_huge_exponents_end_in_a_fresh_process():
     assert out.returncode == 0 and "Traceback" not in out.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ARCH_N2 + ["--eta", "0,2000000000", "--beta", "0,2000000000", "--s", "1"],
-    ARCH_N2 + ["--eta", "0,2", "--beta", "0,2", "--s", "1e15"],
-    ["intertwine-arch", "--n", "3", "--k", "1", "--eta", "0,3", "--beta", "0,0,3", "--s", "1000000"],
-], ids=" ".join)
-def test_intertwine_arch_underflow_at_the_centre_is_no_zero(argv, capsys):
+def assert_all_records_pass(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert {r["verdict"] for r in json.loads(out)["records"]} == {"pass"}
+
+
+@pytest.mark.parametrize("argv, status", [
+    pytest.param(argv, status, id=" ".join(argv)) for argv, status in [
+        (ARCH_N2 + ["--eta", "0,2000000000", "--beta", "0,2000000000", "--s", "1"], 2),
+        (ARCH_N2 + ["--eta", "0,2", "--beta", "0,2", "--s", "1e15"], 2),
+        (["intertwine-arch", "--n", "3", "--k", "1", "--eta", "0,3", "--beta", "0,0,3",
+          "--s", "1000000"], 0),
+    ]
+])
+def test_intertwine_arch_underflow_at_the_centre_is_no_zero(argv, status, capsys):
     """g(1) underflows under a narrow peak at x = 0: the quadrature must
     not sum the empty cut to a converged 0 and fail the record, but find
     the peak or give up with exit status 2."""
+    if status == 0:
+        assert_all_records_pass(argv, capsys)
+        return
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("beta", ["500,500", "600,400"])
+def test_intertwine_arch_narrow_peak_off_the_centre_passes(beta, capsys):
+    """The polar check's radial integrand has a peak about 0.02 wide in t
+    and an integral near 1e-246 (beta 500,500): the coarse levels miss the
+    peak and agree near 0, which the relative stop does not take for
+    convergence."""
+    assert_all_records_pass(ARCH_N2 + ["--eta", "0,1000", "--beta", beta, "--s", "1"], capsys)
 
 
 def test_intertwine_arch_exponent_divisible_by_circle_points(capsys):

@@ -1,7 +1,7 @@
-"""Dead-code guard: every top-level function, class and method of the
-package (dunders excepted) is named somewhere in src/, tests/ or
-perfbench/ besides its own definition, and every error class but the
-base is raised somewhere in src/."""
+"""Dead-code guard: every top-level function, class, method and
+module-level assigned name of the package (dunders excepted) is named
+somewhere in src/, tests/ or perfbench/ besides its own definition, and
+every error class but the base is raised somewhere in src/."""
 
 import ast
 import re
@@ -14,10 +14,16 @@ SEARCHED = ("src", "tests", "perfbench")
 
 
 def _definitions(tree):
-    """(name, line) of the module's functions and classes and their methods."""
+    """(name, line) of the module's functions, classes and their methods,
+    and of the names its top-level assignments bind."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.lineno
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
