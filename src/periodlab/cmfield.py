@@ -42,6 +42,15 @@ KElement = tuple[K1Pair, ...]
 DEFAULT_PRECISION = 50
 # Largest accepted d: its squarefree test is trial division up to sqrt(d).
 MAX_BASE_DISC = 10**12
+# Largest work [k:Q]^3 * (digits + 250)^2 of building a field and checking
+# its constants: the trace forms are [k:Q]-square matrices of digits-digit
+# numbers, and below about 250 digits the cost of an mpmath operation is
+# its overhead.  Fitted by timing fresh field-check processes: 0.1-0.27 s
+# per 10^9 steps for [k:Q] from 4 to 64 and up to 10,000 digits (less at
+# [k:Q] = 2), so the slowest admitted run takes about 3 s on a 2-vCPU host
+# ([k:Q] = 48 at 50 digits: 2.1-2.8 s; x^12 - c over Q(sqrt -d) at 140
+# digits: 0.6 s).
+MAX_FIELD_WORK = 11 * 10**9
 
 
 def tolerance(precision: int) -> mpf:
@@ -93,6 +102,18 @@ def parse_element(data) -> KElement:
     return tuple(out)
 
 
+def _integer(value, what: str) -> int:
+    """A config value that is an integer (1, 1.0, "1") as an int;
+    ConfigError for any other number, where int() would truncate."""
+    try:
+        exact = Fraction(value)
+    except OverflowError:  # an infinite float
+        raise ConfigError(f"{what} {value!r} is not an integer") from None
+    if exact.denominator != 1:
+        raise ConfigError(f"{what} {value!r} is not an integer")
+    return exact.numerator
+
+
 class FieldTower:
     """Declaration of a tower k0 <= k1 = k0(sqrt(-d)) <= k = k1(theta)."""
 
@@ -114,6 +135,9 @@ class FieldTower:
         if declared_k0_poly is not None:
             if declared_k0_poly[-1] != 1 or len(declared_k0_poly) < 3:
                 raise ConfigError("k0 polynomial must be monic of degree >= 2")
+        (a1, b1), (a2, b2) = k1_basis
+        if a1 * b2 - a2 * b1 == 0:
+            raise ConfigError("k1 basis is not a basis of k1 over k0: its determinant is 0")
         self.base_disc = base_disc
         self.extension_poly = extension_poly  # low-to-high, monic
         self.k1_basis = k1_basis
@@ -134,15 +158,17 @@ class FieldTower:
     @staticmethod
     def from_config(cfg: dict) -> "FieldTower":
         kwargs = {
-            "base_disc": int(cfg["d"]),
-            "extension_poly": tuple(int(c) for c in cfg["extension_poly"]),
+            "base_disc": _integer(cfg["d"], "d"),
+            "extension_poly": tuple(
+                _integer(c, "extension_poly entry") for c in cfg["extension_poly"]
+            ),
         }
         if cfg.get("k1_basis") is not None:
             kwargs["k1_basis"] = tuple(
                 (Fraction(a), Fraction(b)) for a, b in cfg["k1_basis"]
             )
         if cfg.get("k0_poly") is not None:
-            kwargs["declared_k0_poly"] = tuple(int(c) for c in cfg["k0_poly"])
+            kwargs["declared_k0_poly"] = tuple(_integer(c, "k0_poly entry") for c in cfg["k0_poly"])
         return FieldTower(**kwargs)
 
 
@@ -223,15 +249,6 @@ class EmbeddingSet:
                 return False
         return True
 
-    def admissible_permutations(self) -> list["GaloisPermutation"]:
-        if self.degree > 8:
-            raise ConfigError("brute-force enumeration limited to degree <= 8")
-        out = []
-        for p in itertools.permutations(range(self.degree)):
-            if self.is_admissible(p):
-                out.append(GaloisPermutation(p))
-        return out
-
 
 class GaloisPermutation:
     """Permutation shadow of a field automorphism acting on embeddings;
@@ -307,10 +324,17 @@ def build_field(tower: FieldTower, precision: int = DEFAULT_PRECISION) -> Embedd
     theta images are the roots of f sorted by (re, im) for s = 0 and their
     conjugates for s = 1.  So conj(i) = i +- m and restriction_k1[i] = i // m.
 
-    Raises ConfigError when the declared k0 is not totally real,
+    Raises ConfigError when the declared k0 is not totally real or, before
+    any root is sought, when the work is above MAX_FIELD_WORK;
     ReduciblePolynomial when a polynomial has coincident roots, and
     PrecisionExhausted when the root finder does not converge.
     """
+    work = tower.degree_over_q**3 * (precision + 250) ** 2
+    if work > MAX_FIELD_WORK:
+        raise ConfigError(
+            f"a degree-{tower.degree_over_q} field at {precision} digits needs {work} steps, "
+            f"above the field work limit of {MAX_FIELD_WORK}"
+        )
     with mp.workdps(precision + 15):
         tol = tolerance(precision)
 
@@ -404,45 +428,6 @@ def _rational(emb: EmbeddingSet, value, what: str, max_denominator: int):
     return frac, cert
 
 
-def power_basis(emb: EmbeddingSet) -> list[KElement]:
-    """theta powers 1, theta, ..., theta^{m-1} as exact elements (k0 = Q)."""
-    m = emb.tower.theta_degree
-    out = []
-    for i in range(m):
-        coeffs = [(Fraction(0), Fraction(0))] * m
-        coeffs[i] = (Fraction(1), Fraction(0))
-        out.append(tuple(coeffs))
-    return out
-
-
-def product_basis(emb: EmbeddingSet) -> list[KElement]:
-    """k1_basis tensor theta powers: a Q-basis of k (k0 = Q)."""
-    out = []
-    for a, b in emb.tower.k1_basis:
-        for p in power_basis(emb):
-            # multiply (a + b sqrt(-d)) * theta^i exactly
-            elem = tuple(
-                (a * pa - emb.tower.base_disc * b * pb, a * pb + b * pa)
-                for pa, pb in p
-            )
-            out.append(elem)
-    return out
-
-
-def relative_discriminant(
-    emb: EmbeddingSet,
-    basis: Sequence[KElement],
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-):
-    """det[Tr_{k/Q}(x_i x_j)] for exact elements (k0 = Q), reconstructed
-    as a Fraction; returns (value, certificate)."""
-    if len(basis) != emb.degree:
-        raise ConfigError("basis over Q must have [k:Q] elements")
-    with mp.workdps(emb.precision + 15):
-        det = mp.det(_trace_values(_basis_values(emb, basis), range(emb.degree)))
-        return _rational(emb, det, "discriminant over Q", max_denominator)
-
-
 def disc_constant_lower(tower: FieldTower, precision: int = DEFAULT_PRECISION):
     """Principal square root of N_{k0/Q}(disc(k1/k0)), to the power [k:k1].
 
@@ -477,7 +462,9 @@ def disc_constant_upper(
     over the fiber of embeddings above t, so the norm is the product of
     the fiber determinants; it is a nonnegative rational (a product of
     conjugate pairs).  Defaults to the power basis in theta; exact
-    ``basis`` elements need k0 = Q.  Returns (mpf value, exact data dict).
+    ``basis`` elements need k0 = Q, and ConfigError refuses a ``basis``
+    whose norm is 0, which is no basis.  Returns (mpf value, exact data
+    dict).
     """
     with mp.workdps(emb.precision + 15):
         if basis is None:
@@ -490,6 +477,8 @@ def disc_constant_upper(
         for indices in emb.fibers().values():
             product *= mp.det(_trace_values(values, indices))
         norm, cert = _rational(emb, product, "norm of disc(k/k1)", max_denominator)
+        if norm == 0:
+            raise ConfigError("not a basis of k over k1: the norm of its discriminant is 0")
         value = mp.sqrt(mpf(norm.numerator) / norm.denominator)
     return value, {"norm_to_q": norm, "certificate": cert}
 

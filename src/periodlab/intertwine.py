@@ -48,32 +48,6 @@ from .errors import AuditFailed, ConfigError
 from . import quadrature
 
 
-# -- sections -------------------------------------------------------------------
-
-
-class SectionSpec:
-    """Archimedean minimal-type section: exponents beta and the eta pair.
-
-    beta has nonnegative entries summing to eta_bar - eta.
-    """
-
-    def __init__(self, n: int, beta: tuple[int, ...], eta_low: int, eta_high: int) -> None:
-        if len(beta) != n:
-            raise ConfigError("beta must have length n")
-        if any(b < 0 for b in beta):
-            raise ConfigError("beta entries must be nonnegative")
-        if sum(beta) != eta_high - eta_low:
-            raise ConfigError("beta entries must sum to eta_high - eta_low")
-        self.n = n
-        self.beta = beta
-        self.eta_low = eta_low    # value <= 0 at the chosen embedding
-        self.eta_high = eta_high  # value >= n at the conjugate embedding
-
-    @property
-    def beta0(self) -> tuple[int, ...]:
-        return (0,) * (self.n - 1) + (self.eta_high - self.eta_low,)
-
-
 # -- results ----------------------------------------------------------------------
 
 
@@ -141,16 +115,22 @@ def _convergence_bound(n: int, k: int, eta_high: int, beta_sum_inner: int) -> fl
     return (n - k) + beta_sum_inner / 2.0 - eta_high
 
 
-def arch_section(n: int, eta_pair: tuple[int, int], beta: tuple[int, ...]) -> SectionSpec:
-    """The section an archimedean integral integrates; raises ConfigError
-    unless eta_low <= 0, eta_high >= n, both lie within MAX_ETA and beta
-    fits the pair."""
+def arch_section(n: int, eta_pair: tuple[int, int], beta: tuple[int, ...]) -> None:
+    """Check the minimal-type section an archimedean integral integrates:
+    raises ConfigError unless eta_low <= 0, eta_high >= n, both lie within
+    MAX_ETA, and beta has n nonnegative entries summing to
+    eta_high - eta_low."""
     eta_low, eta_high = eta_pair
     if eta_low > 0 or eta_high < n:
         raise ConfigError("eta pair must satisfy eta_low <= 0 and eta_high >= n")
     if max(eta_high, -eta_low) > MAX_ETA:
         raise ConfigError("eta pair entries must lie within 2^53, the integers a double holds")
-    return SectionSpec(n=n, beta=tuple(beta), eta_low=eta_low, eta_high=eta_high)
+    if len(beta) != n:
+        raise ConfigError("beta must have length n")
+    if any(b < 0 for b in beta):
+        raise ConfigError("beta entries must be nonnegative")
+    if sum(beta) != eta_high - eta_low:
+        raise ConfigError("beta entries must sum to eta_high - eta_low")
 
 
 def arch_intertwining(
@@ -171,12 +151,12 @@ def arch_intertwining(
     """
     if not 1 <= k <= n:
         raise ConfigError("k out of range")
-    spec = arch_section(n, eta_pair, beta)
+    arch_section(n, eta_pair, beta)
     if max(abs(s.real), abs(s.imag)) > MAX_ETA:
         raise ConfigError(f"s = {s} has a part beyond 2^53 in absolute value")
-    eta_high = spec.eta_high
+    eta_low, eta_high = eta_pair
     m = n - k
-    is_beta0 = tuple(beta) == spec.beta0
+    is_beta0 = tuple(beta) == (0,) * (n - 1) + (eta_high - eta_low,)
 
     if m == 0:
         # no integral: the section at the identity, whose last row is e_n

@@ -1,0 +1,114 @@
+"""Brute-force and exact oracles that the tests check the package against.
+
+No command runs these.  Each takes another route than the code it checks:
+
+* ``admissible_permutations`` filters all [k:Q]! permutations of the
+  embeddings through ``EmbeddingSet.is_admissible``;
+* ``coset_reps`` filters all n! permutations for the minimal-length
+  representatives of the (n-1, 1) parabolic;
+* ``trivial_multiplicity`` peels the full product of all four characters
+  down to the trivial weight, where ``charpeel`` peels the product of
+  three against the dual of the largest factor;
+* ``exact_tower_discriminants`` gives disc(k/Q) and N_{k1/Q}(disc(k/k1))
+  as exact rationals from the discriminants of the tower's polynomials
+  (Cohen 1993, section 3.3).  It imports no mpmath and nothing of
+  ``cmfield``: it reads the declaration's attributes only.
+"""
+
+import itertools
+from fractions import Fraction
+
+
+def admissible_permutations(emb):
+    """Every admissible permutation of the embeddings, as GaloisPermutation."""
+    from periodlab.cmfield import GaloisPermutation
+
+    return [
+        GaloisPermutation(p)
+        for p in itertools.permutations(range(emb.degree))
+        if emb.is_admissible(p)
+    ]
+
+
+def coset_reps(n):
+    """One-line permutations w of 1..n that keep the simple roots
+    e_i - e_{i+1}, i <= n - 2, positive: w(i) < w(i+1)."""
+    return [
+        p for p in itertools.permutations(range(1, n + 1))
+        if all(p[i] < p[i + 1] for i in range(n - 2))
+    ]
+
+
+def trivial_multiplicity(factors, n):
+    """Multiplicity of the trivial rep in a tensor product of irreducibles
+    of the dominant weights ``factors``: peels the lexicographically
+    highest weight of the full product character until the leader falls
+    below zero."""
+    from periodlab.charpeel import character, product_character
+
+    poly = product_character(character(w, n) for w in factors)
+    zero = (0,) * n
+    mult = 0
+    while poly:
+        leader = max(poly)
+        if leader < zero:
+            break
+        coeff = poly[leader]
+        if leader == zero:
+            mult = coeff
+        for e, c in character(leader, n).items():
+            v = poly.get(e, 0) - coeff * c
+            if v:
+                poly[e] = v
+            else:
+                poly.pop(e, None)
+    return mult
+
+
+def int_det(m):
+    """Determinant of a rational matrix by Fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in m]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            for col in range(c, n):
+                m[r][col] -= f * m[c][col]
+    return det
+
+
+def poly_disc(g):
+    """Discriminant of the integer polynomial g (coefficients low to high):
+    (-1)^(d(d-1)/2) Res(g, g') / lc(g), the resultant being the
+    determinant of the Sylvester matrix of g and g'."""
+    d = len(g) - 1
+    high = list(reversed(g))
+    deriv = [c * (d - i) for i, c in enumerate(high[:-1])]
+    size = 2 * d - 1
+    rows = [[0] * i + high + [0] * (size - d - 1 - i) for i in range(d - 1)]
+    rows += [[0] * i + deriv + [0] * (size - d - i) for i in range(d)]
+    return (-1) ** (d * (d - 1) // 2) * int_det(rows) / high[0]
+
+
+def exact_tower_discriminants(tower):
+    """(disc(k/Q), N_{k1/Q}(disc(k/k1))) for the product basis of a declared
+    tower.  With m = [k:k1], r = [k0:Q], f the extension polynomial and
+    delta1 = -4 d det(k1_basis)^2 the discriminant of k1 over k0:
+
+        disc(k/Q) = disc(k0)^(2m) * delta1^(m r) * disc(f)^(2r),
+        N_{k1/Q}(disc(k/k1)) = disc(f)^(2r).
+    """
+    m, r = tower.theta_degree, tower.k0_degree
+    disc_k0 = 1 if tower.declared_k0_poly is None else poly_disc(tower.declared_k0_poly)
+    (a1, b1), (a2, b2) = tower.k1_basis
+    delta1 = -4 * tower.base_disc * (a1 * b2 - a2 * b1) ** 2
+    norm_upper = poly_disc(tower.extension_poly) ** (2 * r)
+    return disc_k0 ** (2 * m) * delta1 ** (m * r) * norm_upper, norm_upper

@@ -53,6 +53,8 @@ from periodlab.weylkostant import (
 from periodlab.lfactors import unramified_lratio
 from periodlab.intertwine import shell_sum
 
+from oracles import admissible_permutations
+
 
 TOWERS = {
     "deg2": FieldTower(base_disc=1, extension_poly=(0, 1)),
@@ -352,7 +354,7 @@ def test_criterion_6_wedge_sign_vs_epsilon():
     checked = 0
     for name in ("deg4", "deg6"):
         emb = _emb(name)
-        perms = emb.admissible_permutations()
+        perms = admissible_permutations(emb)
         for n in (2, 3):
             eta = {i: (0 if i in emb.cm_type else n) for i in range(emb.degree)}
             w = weight_system_from_eta(n, eta)
@@ -442,7 +444,7 @@ def test_criterion_9_sigma_equivariance():
     failures = []
     for name in TOWERS:
         emb = _emb(name)
-        perms = emb.admissible_permutations()
+        perms = admissible_permutations(emb)
         gs = [rng.choice(perms) for _ in range(20)]
         n = 2
         # predicate invariance on random systems

@@ -236,6 +236,27 @@ CONFIG_ERRORS = {
     "precision-digits-4": dict(CONFIG, field=dict(CONFIG["field"], precision_digits=4)),
     "d-1e18-plus-3": dict(CONFIG, field=dict(CONFIG["field"], d=10**18 + 3)),
     "k0-poly-not-totally-real": dict(CONFIG, field=dict(CONFIG["field"], k0_poly=[1, 0, 1])),
+    # declarations that are no tower: int() would truncate these to d = 1 and x
+    "d-1.5": dict(CONFIG, field=dict(CONFIG["field"], d=1.5)),
+    "extension-poly-0.5": dict(CONFIG, field=dict(CONFIG["field"], extension_poly=[0.5, 1])),
+    "k1-basis-singular": dict(CONFIG, field=dict(CONFIG["field"], k1_basis=[[1, 0], [2, 0]])),
+    "k1-basis-three-elements": dict(CONFIG, field=dict(CONFIG["field"],
+                                                       k1_basis=[[1, 0], [0, 1], [1, 1]])),
+    "k-basis-singular": dict(CONFIG, field={"d": 1, "extension_poly": [-2, 0, 1],
+                                            "k_basis": [[1], [2]]}),
+    # the work of building the field, along both axes
+    "extension-degree-100": dict(CONFIG, field=dict(CONFIG["field"],
+                                                    extension_poly=[-2] + [0] * 99 + [1])),
+    "precision-digits-100000": dict(CONFIG, field=dict(CONFIG["field"], precision_digits=100000)),
+    # one point whose character peeling is above charpeel.MAX_PEEL_WORK
+    "peel-work-above-limit": _qi_config(n=2, points=[{"mu": {"0": [2000, 0], "1": [2000, 0]},
+                                                      "nu": {"0": [0, -2000], "1": [0, -2000]},
+                                                      "chi": {"0": 0, "1": 1}}]),
+}
+# the command of a CONFIG_ERRORS case, when it is not balanced
+CONFIG_ERROR_COMMANDS = {
+    "k-basis-singular": ["field-check"],
+    "peel-work-above-limit": ["balanced", "--oracle"],
 }
 
 
@@ -244,12 +265,30 @@ def test_config_error_exits_2(name, tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(CONFIG_ERRORS[name]))
     t0 = time.perf_counter()
-    code = main(["--config", str(p), "balanced"])
+    code = main(["--config", str(p)] + CONFIG_ERROR_COMMANDS.get(name, ["balanced"]))
     elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("n, a", [(6, 3), (8, 2), (6, 4)])
+def test_balanced_oracle_point_runs_in_under_a_second(n, a, tmp_path, capsys):
+    """One two-sided point over Q(i), mu = (a^h, 0^h) and nu = (0^h, -a^h)
+    at both embeddings, h = n/2: the peel against the dual of the largest
+    factor multiplies one character of dimension 980 to 4116."""
+    h = n // 2
+    mu, nu = [a] * h + [0] * h, [0] * h + [-a] * h
+    point = {"mu": {"0": mu, "1": mu}, "nu": {"0": nu, "1": nu}, "chi": {"0": 0, "1": 1}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_qi_config(n=n, points=[point])))
+    t0 = time.perf_counter()
+    code, out = run_cli(["--config", str(p), "balanced", "--oracle"], capsys)
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert json.loads(out)["records"][0]["got"] is True
     assert elapsed < 1.0
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,10 @@ from periodlab.cmfield import (
     disc_constant_upper,
     disc_over_q,
     identity_permutation,
-    power_basis,
-    product_basis,
-    relative_discriminant,
 )
 from periodlab.errors import ConfigError, ReduciblePolynomial
+
+from oracles import admissible_permutations, exact_tower_discriminants, int_det, poly_disc
 
 
 QI = FieldTower(base_disc=1, extension_poly=(0, 1))
@@ -83,11 +83,44 @@ def test_restriction_commutes_with_conjugation(built):
     (dict(base_disc=1, extension_poly=(1,)), "extension polynomial must have degree >= 1"),
     (dict(base_disc=1, extension_poly=(0, 1), declared_k0_poly=(-2, 1)),
      "k0 polynomial must be monic of degree >= 2"),
-], ids=["d-12", "d-0", "d-above-limit", "not-monic", "degree-0", "k0-degree-1"])
+    (dict(base_disc=1, extension_poly=(0, 1),
+          k1_basis=((Fraction(1), Fraction(0)), (Fraction(2), Fraction(0)))),
+     "k1 basis is not a basis of k1 over k0: its determinant is 0"),
+], ids=["d-12", "d-0", "d-above-limit", "not-monic", "degree-0", "k0-degree-1", "k1-singular"])
 def test_tower_declaration_validation(fields, message):
     with pytest.raises(ValueError) as exc:
         FieldTower(**fields)
     assert type(exc.value) is ConfigError and str(exc.value) == message
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"d": 1, "extension_poly": [0, 1], "k0_poly": ["-2.5", 0, 1]},
+     "k0_poly entry '-2.5' is not an integer"),
+    ({"d": float("inf"), "extension_poly": [0, 1]}, "d inf is not an integer"),
+])
+def test_config_values_must_be_integers(field, message):
+    with pytest.raises(ConfigError) as exc:
+        FieldTower.from_config(field)
+    assert str(exc.value) == message
+
+
+def test_integral_config_values_of_any_type_are_accepted():
+    tower = FieldTower.from_config({"d": 1.0, "extension_poly": ["-2", 0, 1.0]})
+    assert (tower.base_disc, tower.extension_poly) == (1, (-2, 0, 1))
+
+
+def test_field_work_refused_before_roots():
+    """qic.json at 10,000 digits: about 2.4 s of work, refused at once."""
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigError, match="above the field work limit"):
+        build_field(QIC, 10**4)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_field_work_admits_the_sweep_corner():
+    """x^12 - 5 over Q(sqrt -7) at 140 digits: [k:Q] = 24."""
+    emb = build_field(FieldTower(base_disc=7, extension_poly=(-5,) + (0,) * 11 + (1,)), 140)
+    assert emb.degree == 24
 
 
 def test_galois_permutation_equal_and_hashed_by_value(built):
@@ -95,7 +128,7 @@ def test_galois_permutation_equal_and_hashed_by_value(built):
     g = GaloisPermutation(tuple(range(4)))
     assert g == identity_permutation(emb4) and g != conjugation_permutation(emb4)
     assert hash(g) == hash(identity_permutation(emb4))
-    assert len(set(emb4.admissible_permutations() + [g])) == 4
+    assert len(set(admissible_permutations(emb4) + [g])) == 4
     assert g != tuple(range(4))
 
 
@@ -109,76 +142,41 @@ def test_reducible_polynomial_rejected():
         build_field(FieldTower(base_disc=1, extension_poly=(1, 2, 1)), 40)  # (x+1)^2
 
 
-def test_relative_discriminant_examples(built):
-    d, _ = relative_discriminant(built[QI], product_basis(built[QI]))
-    assert d == Fraction(-4)
-    d3, _ = relative_discriminant(built[QS3], product_basis(built[QS3]))
-    assert d3 == Fraction(-12)
+def test_disc_over_q_examples(built):
+    assert disc_over_q(built[QI])[0] == Fraction(-4)
+    assert disc_over_q(built[QS3])[0] == Fraction(-12)
 
 
-def test_disc_over_q_matches_exact_product_basis(built):
-    """The numeric product-basis route against the exact-element route."""
-    for emb in built.values():
-        d, _ = disc_over_q(emb)
-        oracle, _ = relative_discriminant(emb, product_basis(emb))
-        assert d == oracle
+def test_poly_disc_examples():
+    """The exact oracle's polynomial discriminants: x, x^2 + x + 1,
+    x^2 - 2, x^3 - 2 and x^3 + x + 1 (-4p^3 - 27q^2 = -31)."""
+    got = [poly_disc(g) for g in [(0, 1), (1, 1, 1), (-2, 0, 1), (-2, 0, 0, 1), (1, 1, 0, 1)]]
+    assert got == [1, -3, 8, -108, -31]
 
 
-def _int_det(m):
-    import copy
-
-    m = [[Fraction(x) for x in row] for row in copy.deepcopy(m)]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            for col in range(c, n):
-                m[r][col] -= f * m[c][col]
-    return det
+def theta_basis(rows):
+    """Elements sum_j rows[i][j] theta^j of k over k1, as exact coordinates."""
+    return [tuple((Fraction(c), Fraction(0)) for c in row) for row in rows]
 
 
-def test_discriminant_square_class_invariance(built):
-    """A rational change of basis scales the discriminant by det^2."""
-    emb = built[QZ8]
+@pytest.mark.parametrize("tower", [QZ8, QIC], ids=["QZ8", "QIC"])
+def test_discriminant_square_class_invariance(built, tower):
+    """A rational change M of the theta basis over k1 scales disc(k/k1) by
+    det(M)^2 at each of the two embeddings of k1, so its norm by det(M)^4;
+    the user basis goes through EmbeddingSet.evaluate."""
+    emb = built[tower]
+    m = tower.theta_degree
+    _, base = disc_constant_upper(emb)
     rng = random.Random(7)
-    base = product_basis(emb)
-    d0, _ = relative_discriminant(emb, base)
     trials = 0
     while trials < 3:
-        m = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
-        det = _int_det(m)
+        rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+        det = int_det(rows)
         if det == 0:
             continue
         trials += 1
-        newbase = []
-        for row in m:
-            elem = [
-                (
-                    sum(Fraction(row[b]) * base[b][p][0] for b in range(4)),
-                    sum(Fraction(row[b]) * base[b][p][1] for b in range(4)),
-                )
-                for p in range(len(base[0]))
-            ]
-            newbase.append(tuple(elem))
-        d1, _ = relative_discriminant(emb, newbase, max_denominator=10**6)
-        assert d1 == d0 * det**2
-
-
-def test_scaling_square_class(built):
-    emb = built[QI]
-    base = product_basis(emb)
-    scaled = [tuple((3 * a, 3 * b) for a, b in x) for x in base]
-    d0, _ = relative_discriminant(emb, base)
-    d1, _ = relative_discriminant(emb, scaled)
-    assert d1 == d0 * Fraction(3) ** (2 * emb.degree)
+        _, data = disc_constant_upper(emb, basis=theta_basis(rows))
+        assert data["norm_to_q"] == base["norm_to_q"] * det**4
 
 
 # Q(sqrt -3, sqrt 2) with the k1 basis {1, (1 + sqrt -3)/2}, the integers of k1
@@ -188,7 +186,20 @@ K0_SQRT2 = FieldTower(base_disc=1, extension_poly=(-3, 0, 1), declared_k0_poly=(
 K0_SQRT5 = FieldTower(base_disc=3, extension_poly=(-2, 0, 0, 1), declared_k0_poly=(-5, 0, 1))
 
 
-@pytest.mark.parametrize("tower", TOWERS + [QS3_HALF, K0_SQRT2, K0_SQRT5])
+ALL_TOWERS = TOWERS + [QS3_HALF, K0_SQRT2, K0_SQRT5]
+
+
+@pytest.mark.parametrize("tower", ALL_TOWERS)
+def test_tower_discriminants_match_exact_oracle(tower):
+    """disc_over_q and the norm in disc_constant_upper, both reconstructed
+    from numeric trace forms, against the exact polynomial discriminants."""
+    emb = build_field(tower, 60)
+    disc_k, norm_upper = exact_tower_discriminants(tower)
+    assert disc_over_q(emb)[0] == disc_k
+    assert disc_constant_upper(emb)[1]["norm_to_q"] == norm_upper
+
+
+@pytest.mark.parametrize("tower", ALL_TOWERS)
 def test_tower_law(tower):
     """disc(k/Q) = disc(k0)^[k:k0] * N(disc(k1/k0))^[k:k1] * N(disc(k/k1)),
     with every factor exact."""
@@ -249,22 +260,26 @@ def test_discriminant_identity(built):
 def test_identity_constant_under_scaled_basis(built):
     """User bases change disc by squares; c stays rational."""
     emb = built[QZ8]
-    base = [tuple((2 * a, 2 * b) for a, b in x) for x in power_basis(emb)]
-    v, data = disc_constant_upper(emb, basis=base)
+    v, data = disc_constant_upper(emb, basis=theta_basis([[2, 0], [0, 2]]))
     # scaling theta-basis by 2 multiplies the relative disc 8 by 2^(2*2) = 16,
     # and its norm to Q by 16^2
     assert data["norm_to_q"] == 128**2
     assert abs(float(v) - 128) < 1e-10
 
 
+def test_singular_k_basis_refused(built):
+    with pytest.raises(ConfigError, match="not a basis of k over k1"):
+        disc_constant_upper(built[QZ8], basis=theta_basis([[1, 0], [2, 0]]))
+
+
 def test_admissible_permutations(built):
     emb4 = built[QZ8]
-    perms = emb4.admissible_permutations()
+    perms = admissible_permutations(emb4)
     assert len(perms) == 4
     assert identity_permutation(emb4) in perms
     assert conjugation_permutation(emb4) in perms
     emb6 = built[QIC]
-    assert len(emb6.admissible_permutations()) == 12
+    assert len(admissible_permutations(emb6)) == 12
 
 
 def test_invalid_permutation_rejected(built):

@@ -9,8 +9,8 @@ import pytest
 from periodlab.cyclotomic import Cyc
 from periodlab.errors import AuditFailed, ConfigError, QuadratureNotConverged
 from periodlab.intertwine import (
-    SectionSpec,
     arch_intertwining,
+    arch_section,
     assemble_constant_term,
     nonarch_intertwining,
     shell_sum,
@@ -23,14 +23,17 @@ from periodlab import quadrature
 # -- sections ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("beta, message", [
-    ((0, 2, 0), "beta must have length n"),
-    ((-1, 3), "beta entries must be nonnegative"),
-    ((0, 1), "beta entries must sum to eta_high - eta_low"),
+@pytest.mark.parametrize("eta_pair, beta, message", [
+    ((0, 2), (0, 2, 0), "beta must have length n"),
+    ((0, 2), (-1, 3), "beta entries must be nonnegative"),
+    ((0, 2), (0, 1), "beta entries must sum to eta_high - eta_low"),
+    # the eta pair is checked first
+    ((1, 2), (0, 2, 0), "eta pair must satisfy eta_low <= 0 and eta_high >= n"),
+    ((0, 2**53 + 1), (0, 1), "eta pair entries must lie within 2^53, the integers a double holds"),
 ])
-def test_section_spec_validation(beta, message):
-    with pytest.raises(ValueError) as exc:
-        SectionSpec(n=2, beta=beta, eta_low=0, eta_high=2)
+def test_section_validation(eta_pair, beta, message):
+    with pytest.raises(ConfigError) as exc:
+        arch_section(2, eta_pair, beta)
     assert str(exc.value) == message
 
 
@@ -346,16 +349,9 @@ def test_rerun_that_disagrees_again_raises(monkeypatch):
     assert len(calls) == 2
 
 
-def test_polar_check_shares_no_code_with_quad(monkeypatch):
-    from periodlab import lfactors
-
-    def broken(*args, **kwargs):
-        raise AssertionError("the polar check used the tensor rule's code")
-
-    for name in ("_nodes", "_cut", "_three_level_error", "_new_points_sum", "_level_sums", "quad"):
-        monkeypatch.setattr(quadrature, name, broken)
-    monkeypatch.setattr(lfactors, "gamma_ratio", broken)
-    quadrature._xcheck_rows.cache_clear()
+def test_polar_form_matches_exact_radial():
+    """The polar check's value to 1e-12 of the Beta closed form; that it runs
+    without the tensor rule is a row of test_oracle_ledger.py."""
     for powers, d in [((1,), 2.0), ((1, 1), 0.6), ((2, 1, 3), 2.5 + 1j), ((2, 1, 1, 1), 4.0)]:
         e = sum(p + 1 for p in powers) / 2 + d
         exact = exact_radial(powers, e)
@@ -449,13 +445,9 @@ def test_exp_sinh_evaluates_each_node_once():
         assert sorted(xs) == sorted(table)
 
 
-def test_exp_sinh_shares_no_code_with_quad(monkeypatch):
-    def broken(*args, **kwargs):
-        raise AssertionError("the scalar rule used the tensor rule's code")
-
-    for name in ("_nodes", "_cut", "_three_level_error", "_new_points_sum", "_level_sums", "quad"):
-        monkeypatch.setattr(quadrature, name, broken)
-    quadrature._xcheck_rows.cache_clear()
+def test_exp_sinh_matches_exact_slice():
+    """The scalar rule alone; that it runs without the tensor rule is a row
+    of test_oracle_ledger.py."""
     value, _ = quadrature.exp_sinh_halfline(slice_integrand(1, 3.0, 0.0), 1e-10)
     assert abs(value - 0.25) < 1e-10  # int x / (1 + x^2)^3 dx = 1/4
 

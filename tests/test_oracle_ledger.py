@@ -1,0 +1,127 @@
+"""One table of the package's kernels and their independent oracles.
+
+Each row computes the fast path's values first.  Then it patches the fast
+path's private helpers to raise and runs the oracle, which must reach the
+same values without them.  A row names the helpers that both routes share
+on purpose; they stay intact.
+
+Two pairs get no row:
+
+* Weyl elements: the closed form and the exhaustive scan both run inside
+  ``weylkostant.distinguished_weyl``, so neither can be broken without the
+  other until a factorized certificate separates the two routes.
+* Gauss sums: the Hasse-Davenport and Jacobi relations compare outputs of
+  ``lfactors.gauss_sum`` with each other; there is no second route to keep
+  apart from the first.
+"""
+
+import operator
+
+import mpmath
+import pytest
+
+from periodlab import charpeel, cmfield, intertwine, lfactors, quadrature, weights
+from periodlab.cmfield import build_field, disc_constant_upper, disc_over_q
+from periodlab.cyclotomic import Cyc
+
+from oracles import exact_tower_discriminants
+from test_cmfield import ALL_TOWERS
+from test_weights import peel_sample
+
+
+def tower_discriminants():
+    out = []
+    for tower in ALL_TOWERS:
+        emb = build_field(tower, 60)
+        out.append((disc_over_q(emb)[0], disc_constant_upper(emb)[1]["norm_to_q"]))
+    return out
+
+
+POINTS = peel_sample(seed=11, count=40)
+LRATIO_CASES = [(3, 1, Cyc.zeta(12, 1), 3), (4, 2, Cyc.zeta(12, 5), 2),
+                (2, 1, Cyc.zeta(6, 1), 5), (3, 3, Cyc.zeta(4, 1), 2), (5, 1, Cyc.zeta(8, 3), 7)]
+# (powers, d) of the radial integrals int (1 + |x|^2)^-e prod x_j^p_j dx,
+# e = sum (p_j + 1) / 2 + d
+POLAR_CASES = [((1,), 2.0), ((1, 1), 0.6), ((2, 1, 3), 2.5 + 1j), ((2, 1, 1, 1), 4.0)]
+TENSOR_RULE = [(quadrature, name) for name in
+               ("_nodes", "_cut", "_three_level_error", "_new_points_sum", "_level_sums", "quad")]
+
+
+def radial(powers, d):
+    e = sum(p + 1 for p in powers) / 2 + d
+    return lambda u: (1.0 + u) ** -e
+
+
+def polar_check(fast):
+    """The polar form of each radial integral over the fast path's
+    magnitude, so that the scalar rule stops relative to the value; the
+    scalar rule builds its own node table."""
+    quadrature._xcheck_rows.cache_clear()
+    return [quadrature._polar(radial(p, d), p, abs(v), 1e-10) * abs(v)
+            for (p, d), v in zip(POLAR_CASES, fast)]
+
+
+def scalar_rule(fast):
+    """int x (1 + x^2)^-3 dx = 1/4 by the scalar exp-sinh rule alone."""
+    quadrature._xcheck_rows.cache_clear()
+    return [quadrature.exp_sinh_halfline(lambda x: x * (1.0 + x * x) ** -3.0, 1e-10)[0]]
+
+
+def close(fast, oracle):
+    return all(abs(o - f) <= 1e-8 * abs(f) for f, o in zip(fast, oracle))
+
+
+# name: (fast path, oracle of the fast values, helpers broken while the
+#        oracle runs, helpers both routes share on purpose, agreement)
+ROWS = {
+    "tower-discriminants": (
+        tower_discriminants,
+        lambda fast: [exact_tower_discriminants(tower) for tower in ALL_TOWERS],
+        [(cmfield, "_trace_values"), (cmfield, "_product_values"), (cmfield, "_basis_values"),
+         (cmfield, "_rational"), (cmfield, "build_field"), (mpmath.mp, "det")],
+        (),
+        operator.eq,
+    ),
+    "balanced": (
+        lambda: [weights.balanced_at(*point) for point in POINTS],
+        lambda fast: [charpeel.balanced_at_oracle(*point) for point in POINTS],
+        [(weights, "balanced_at"), (weights, "_is_horizontal_strip"), (weights, "is_balanced")],
+        ("weights.highest_weight_from_eta",),
+        operator.eq,
+    ),
+    "l-ratios": (
+        lambda: [lfactors.unramified_lratio(*case) for case in LRATIO_CASES],
+        lambda fast: [intertwine.shell_sum(*case) for case in LRATIO_CASES],
+        [(lfactors, "unramified_lratio"), (intertwine, "unramified_lratio"),
+         (lfactors, "single_step_ratio")],
+        ("cyclotomic.Cyc", "laurent.XPoly", "laurent.LaurentRatio"),
+        operator.eq,
+    ),
+    "polar-check": (
+        lambda: [quadrature.quad(radial(p, d), list(p), 1e-10)[0] for p, d in POLAR_CASES],
+        polar_check,
+        TENSOR_RULE + [(lfactors, "gamma_ratio")],
+        (),
+        close,
+    ),
+    "scalar-rule": (
+        lambda: [quadrature.quad(lambda u: (1.0 + u) ** -3.0, [1], 1e-10)[0]],
+        scalar_rule,
+        TENSOR_RULE,
+        (),
+        close,
+    ),
+}
+
+
+def broken(*args, **kwargs):
+    raise AssertionError("the oracle used a helper of the fast path")
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_oracle_runs_without_the_fast_path(name, monkeypatch):
+    fast, oracle, breaks, _shares, agree = ROWS[name]
+    expected = fast()
+    for module, attr in breaks:
+        monkeypatch.setattr(module, attr, broken)
+    assert agree(expected, oracle(expected))

@@ -1,11 +1,12 @@
 import itertools
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodlab.charpeel import balanced_at_oracle, schur_polynomial, trivial_multiplicity  # noqa: E501
+from periodlab.charpeel import balanced_at_oracle, character, dimension, multiplicity, schur_polynomial
 from periodlab.cmfield import FieldTower, build_field, conjugation_permutation, identity_permutation
 from periodlab.errors import ConfigError
 from periodlab.weights import (
@@ -24,6 +25,8 @@ from periodlab.weights import (
     sigma_twist,
     weight_system_from_eta,
 )
+
+from oracles import admissible_permutations, trivial_multiplicity
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +266,7 @@ def test_arch_sign_transformation_law(emb2, emb4):
         chi={i: 0 for i in range(4)},
     )
     base = archimedean_constant(w4, emb4)
-    for g in emb4.admissible_permutations():
+    for g in admissible_permutations(emb4):
         tw = sigma_twist(w4, g)
         got = archimedean_constant(tw, emb4)
         for iv in emb4.cm_type:
@@ -277,7 +280,7 @@ def test_arch_sign_transformation_law(emb2, emb4):
 
 def test_balanced_invariant_under_twist(emb2, emb4):
     w = ws(2, (0, 0), (0, 0), (0, 0), (0, 0), 0, 1)
-    for g in emb2.admissible_permutations():
+    for g in admissible_permutations(emb2):
         assert is_balanced(sigma_twist(w, g), emb2) == is_balanced(w, emb2)
     w4 = WeightSystem(
         n=2,
@@ -285,7 +288,7 @@ def test_balanced_invariant_under_twist(emb2, emb4):
         nu={i: (0, 0) for i in range(4)},
         chi={0: 1, 1: 1, 2: 0, 3: 0},
     )
-    vals = {is_balanced(sigma_twist(w4, g), emb4) for g in emb4.admissible_permutations()}
+    vals = {is_balanced(sigma_twist(w4, g), emb4) for g in admissible_permutations(emb4)}
     assert len(vals) == 1
 
 
@@ -298,12 +301,55 @@ def test_schur_dimensions():
     assert schur_polynomial((0, 0, 0), 3) == {(0, 0, 0): 1}
 
 
-def test_trivial_multiplicity_basics():
-    # V (x) V* contains the trivial exactly once
-    assert trivial_multiplicity([(1, 0), (0, -1)], 2) == 1
-    assert trivial_multiplicity([(1, 0), (1, 0)], 2) == 0
-    # adjoint-type product for n = 2: (1,-1) (x) (1,-1) contains trivial once
-    assert trivial_multiplicity([(1, -1), (1, -1)], 2) == 1
+@pytest.mark.parametrize("factors, mult", [
+    ([(1, 0), (0, -1)], 1),  # V (x) V* contains the trivial exactly once
+    ([(1, 0), (1, 0)], 0),
+    ([(1, -1), (1, -1)], 1),  # adjoint-type product for n = 2
+    ([(2, 0), (0, -2), (1, -1)], 1),
+])
+def test_trivial_multiplicity_basics(factors, mult):
+    """The full-product peel of the oracle and charpeel's peel down to the
+    trivial weight."""
+    assert trivial_multiplicity(factors, 2) == mult
+    assert multiplicity((0, 0), factors, 2) == mult
+
+
+def test_weyl_dimension_matches_character_size():
+    """The Weyl dimension formula against the sum of the tableau
+    character's coefficients, and its cap."""
+    for n in (1, 2, 3, 4):
+        for w in itertools.product(range(-2, 3), repeat=n):
+            if all(w[i] >= w[i + 1] for i in range(n - 1)):
+                size = sum(character(w, n).values())
+                assert dimension(w, 10**6) == size
+                assert dimension(w, size - 1) > size - 1
+    assert dimension((10**9, 0, -10**9), 10**6) == 10**6 + 1
+
+
+def peel_sample(seed=23, count=60):
+    """Two-sided (mu, nu, chi, eta, n) at one embedding, n <= 4, entries in
+    -2..2 (-1..1 at n = 4, where the full product is slow)."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        n = rng.randint(2, 4)
+        b = 2 if n < 4 else 1
+        mu, nu = (tuple(sorted((rng.randint(-b, b) for _ in range(n)), reverse=True))
+                  for _ in range(2))
+        chi = rng.randint(-b, b)
+        eta = sum(mu) + sum(nu) + n * chi
+        if not 0 < eta < n:
+            points.append((mu, nu, chi, eta, n))
+    return points
+
+
+def test_dual_peel_matches_full_product_peel():
+    """charpeel peels the product of three characters against the dual of
+    the largest factor; the reference peels the full product of all four
+    down to the trivial weight."""
+    for mu, nu, chi, eta, n in peel_sample():
+        full = trivial_multiplicity([mu, nu, highest_weight_from_eta(eta, n), (chi,) * n], n)
+        assert balanced_at_oracle(mu, nu, chi, eta, n) == (full >= 1)
 
 
 # -- work bounds ------------------------------------------------------------------
@@ -315,8 +361,10 @@ def test_trivial_multiplicity_basics():
     lambda: grid(2, -1, 2),
     lambda: weight_system_from_eta(1001, {0: 0, 1: 1001}),
     lambda: weight_system_from_eta(10**18, {0: 0, 1: 10**18}),
+    lambda: balanced_at_oracle((2000, 0), (0, -2000), 0, 0, 2),
+    lambda: balanced_at_oracle((7,) * 3 + (0,) * 3, (0,) * 3 + (-7,) * 3, 0, 0, 6),
 ], ids=["grid-1265625-points", "grid-n-and-bound-1e6", "grid-bound-minus-1", "rank-1001",
-        "rank-1e18"])
+        "rank-1e18", "peel-n2-a2000", "peel-n6-a7"])
 def test_builder_refused_before_work(build):
     t0 = time.perf_counter()
     with pytest.raises(ValueError):

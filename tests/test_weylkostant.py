@@ -11,12 +11,11 @@ from periodlab.cmfield import (
     conjugation_permutation,
     identity_permutation,
 )
-from periodlab.weights import weight_system_from_eta
+from periodlab.weights import sigma_twist, weight_system_from_eta
 from periodlab import weylkostant
 from periodlab.weylkostant import (
     WedgeMonomial,
     WeylElement,
-    coset_reps,
     cycle_oneline,
     cycles_str,
     distinguished_weyl,
@@ -31,6 +30,8 @@ from periodlab.weylkostant import (
     sigma_on_monomial,
     wedge_sigma_sign,
 )
+
+from oracles import admissible_permutations, coset_reps
 
 
 @pytest.fixture(scope="module")
@@ -55,12 +56,13 @@ def aligned_eta(emb, n):
 # -- coset representatives ------------------------------------------------------
 
 
-def test_coset_reps_small():
-    assert coset_reps(2) == [(2, 1), (1, 2)]
-    reps3 = coset_reps(3)
-    assert len(reps3) == 3
-    assert sorted(inversions(r) for r in reps3) == [0, 1, 2]
-    assert len(coset_reps(4)) == 4
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_coset_reps_match_cycle_formula(n):
+    """The brute-force coset representatives are the cycles (k k+1 ... n),
+    one of each length 0..n-1."""
+    reps = coset_reps(n)
+    assert sorted(reps) == sorted(cycle_oneline(k, n, n) for k in range(1, n + 1))
+    assert sorted(inversions(r) for r in reps) == list(range(n))
 
 
 def test_cycle_oneline_matches_matrix_convention():
@@ -180,7 +182,7 @@ def test_wedge_sigma_sign_identity_and_singleton(emb2):
     m = omega_monomial(w, emb2, 1)
     assert wedge_sigma_sign(m, identity_permutation(emb2), emb2) == 1
     single = WedgeMonomial.from_labels([(1, 2, 0)])
-    for g in emb2.admissible_permutations():
+    for g in admissible_permutations(emb2):
         assert wedge_sigma_sign(single, g, emb2) == 1
 
 
@@ -188,7 +190,7 @@ def test_wedge_cocycle(emb4):
     """Relabeling sign is multiplicative along composition."""
     rng = random.Random(3)
     w = weight_system_from_eta(3, aligned_eta(emb4, 3))
-    perms = emb4.admissible_permutations()
+    perms = admissible_permutations(emb4)
     for _ in range(10):
         g, h = rng.choice(perms), rng.choice(perms)
         for k in (1, 2, 3):
@@ -212,7 +214,7 @@ def test_wedge_sign_by_cycle_count(emb4, emb6):
             w = weight_system_from_eta(3, eta)
             for k in (1, 2, 3):
                 m = omega_monomial(w, emb, k)
-                for g in emb.admissible_permutations():
+                for g in admissible_permutations(emb):
                     relabeled = [(g(e), i, j) for (i, j, e) in m.labels]
                     order = sorted(range(len(relabeled)), key=relabeled.__getitem__)
                     seen, cycles = set(), 0
@@ -245,7 +247,7 @@ def test_transfer_sign_k_independent(emb4, emb6):
     for emb in (emb4, emb6):
         for n in (2, 3):
             w = weight_system_from_eta(n, aligned_eta(emb, n))
-            for g in emb.admissible_permutations():
+            for g in admissible_permutations(emb):
                 signs = {
                     omega_transfer_sign(w, emb, k, g) for k in range(1, n + 1)
                 }
@@ -256,10 +258,29 @@ def test_transfer_sign_epsilon_law_n3(emb4, emb6):
     """At n = 3 the transfer sign equals the fiber-trivial signature power."""
     for emb in (emb4, emb6):
         w = weight_system_from_eta(3, aligned_eta(emb, 3))
-        for g in emb.admissible_permutations():
+        for g in admissible_permutations(emb):
             _, _, eps = sigma_decompose(g, emb)
             for k in (1, 2, 3):
                 assert omega_transfer_sign(w, emb, k, g) == eps ** (3 - k)
+
+
+def test_relabeled_generator_has_the_twisted_support(emb2, emb4, emb6):
+    """omega_transfer_sign compares signs only: for every admissible g the
+    relabeled generator monomial has the labels of the twisted data's
+    generator, over random two-sided etas at each k."""
+    rng = random.Random(17)
+    for emb in (emb2, emb4, emb6):
+        for n in (2, 3):
+            for _ in range(5):
+                eta = {}
+                for i, j in emb.pairs():
+                    low, high = rng.randint(-3, 0), rng.randint(n, n + 3)
+                    eta[i], eta[j] = (low, high) if rng.random() < 0.5 else (high, low)
+                w = weight_system_from_eta(n, eta)
+                for g in admissible_permutations(emb):
+                    for k in range(1, n + 1):
+                        moved = sigma_on_monomial(omega_monomial(w, emb, k), g, emb)
+                        assert moved.labels == omega_monomial(sigma_twist(w, g), emb, k).labels
 
 
 # -- order/fiber factorization ----------------------------------------------------------
@@ -298,7 +319,7 @@ def test_sigma_decompose_three_cycles(emb6):
 
 def test_sigma_decompose_properties(emb4, emb6):
     for emb in (emb4, emb6):
-        for g in emb.admissible_permutations():
+        for g in admissible_permutations(emb):
             s1, s2, eps = sigma_decompose(g, emb)
             assert s2.compose(s1) == g
             assert eps in (-1, 1)
