@@ -5,17 +5,20 @@ The package checks, against independent oracles, the explicit objects that
 enter constant-term and rationality computations for GL(n) x GL(n)
 convolutions over fields containing a CM subfield:
 
-* ``cmfield``     -- number-field towers, embedding sets, discriminant
+* ``towers``      -- tower declarations and the index layout of their
+                     embeddings (conjugation, restriction, CM type), checked
+                     exactly by Sturm chains; Galois permutation shadows;
+                     the constant Delta as a correctly rounded double;
+* ``cmfield``     -- numeric embeddings on that layout, discriminant
                      constants and the square-root discriminant identity;
 * ``weights``     -- integer calculus on dominant weights and character
                      infinity types (regularity, the two-sided sign
                      condition, the balanced predicate, archimedean units);
 * ``charpeel``    -- the slow independent oracle for the balanced
                      predicate, by peeling product characters;
-* ``weylkostant`` -- Weyl-group combinatorics: parabolic coset
-                     representatives, nilpotent-cohomology lines, the
-                     distinguished bottom-degree element, wedge monomials
-                     and Galois relabeling signs;
+* ``weylkostant`` -- Weyl-group combinatorics: nilpotent-cohomology
+                     lines, the distinguished bottom-degree element, wedge
+                     monomials and Galois relabeling signs;
 * ``cyclotomic``  -- exact arithmetic in cyclotomic fields Q(zeta_N);
 * ``laurent``     -- polynomials and ratios in X = q^{-s} over Q(zeta_N);
                      equality is cross multiplication, and the reduced

@@ -137,15 +137,17 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
-def tower_from_config(cfg: dict, precision_override=None) -> tuple[cmfield.FieldTower, int]:
-    from . import cmfield
+def tower_from_config(cfg: dict, precision_override=None) -> tuple[towers.FieldTower, int]:
+    from . import towers
 
     if "field" not in cfg:
         raise ConfigError("config lacks a 'field' section")
     fc = cfg["field"]
     try:
-        tower = cmfield.FieldTower.from_config(fc)
-        precision = int(fc.get("precision_digits", cmfield.DEFAULT_PRECISION))
+        tower = towers.FieldTower.from_config(fc)
+        precision = towers._integer(
+            fc.get("precision_digits", towers.DEFAULT_PRECISION), "precision_digits"
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad field config: {exc}") from None
     if precision_override is not None:
@@ -297,7 +299,9 @@ def check_flags(args) -> None:
 #
 # Handlers take the parsed flags.  For the commands that need a field, main
 # has already set args.cfg, args.tower, args.precision (the working digits)
-# and args.emb; for those that take --n/--eta also args.w, the weight system
+# and args.emb: the numeric cmfield.EmbeddingSet for field-check, and for
+# the others the towers.Layout of the checked tower, which reads no root.  For
+# those that take --n/--eta main has also set args.w, the weight system
 # with that eta.
 
 
@@ -443,18 +447,18 @@ def cmd_wedge_sign(args) -> Report:
     return report
 
 
-def _permutation_from_args(args, emb) -> cmfield.GaloisPermutation:
-    from . import cmfield
+def _permutation_from_args(args, emb) -> towers.GaloisPermutation:
+    from . import towers
 
     if args.g == "id":
-        return cmfield.identity_permutation(emb)
+        return towers.identity_permutation(emb)
     if args.g == "conj":
-        return cmfield.conjugation_permutation(emb)
+        return towers.conjugation_permutation(emb)
     try:
         perm = tuple(int(x) for x in args.g.split(","))
     except ValueError:
         raise ConfigError("permutation must be 'id', 'conj' or a 0-based list") from None
-    g = cmfield.GaloisPermutation(perm)
+    g = towers.GaloisPermutation(perm)
     g.validate(emb)
     return g
 
@@ -525,10 +529,9 @@ def cmd_intertwine_arch(args) -> Report:
 
 
 def cmd_constant_term(args) -> Report:
-    from . import cmfield, intertwine, lfactors
+    from . import intertwine, lfactors, towers
 
     emb = args.emb
-    big, _ = cmfield.disc_constant_lower(args.tower, precision=args.precision)
     token = lfactors.VanishingToken(order_zero=0 if args.ord0 == "0" else 1)
     report = Report(
         "constant-term",
@@ -539,7 +542,7 @@ def cmd_constant_term(args) -> Report:
         branch = "compensated" if token.order_zero == 0 else "one"
     try:
         rep = intertwine.assemble_constant_term(
-            args.n, token, complex(big), emb.degree, delta_branch=branch
+            args.n, token, towers.delta_double(args.tower), emb.degree, delta_branch=branch
         )
     except AuditFailed as exc:
         report.add("holomorphic_at_zero", True, f"error: {exc}", verdict=False)
@@ -558,8 +561,9 @@ def cmd_constant_term(args) -> Report:
 
 # -- driver ----------------------------------------------------------------------
 
-# What main derives from the flags before the handler runs (see above).
-NO_FIELD, FIELD, WEIGHTS = 0, 1, 2
+# What main derives from the flags before the handler runs (see above):
+# nothing, the numeric embeddings, the index layout, the layout and weights.
+NO_FIELD, EMBEDDINGS, LAYOUT, WEIGHTS = 0, 1, 2, 3
 
 INT = {"type": int, "required": True}
 ETA = {"default": None, "help": "comma list per embedding, or one pair"}
@@ -568,8 +572,8 @@ FLAG = {"action": "store_true"}
 
 # subcommand: (handler, prologue, help, {flag: add_argument keywords})
 COMMANDS = {
-    "field-check": (cmd_field_check, FIELD, "tower invariants and the discriminant identity", {}),
-    "balanced": (cmd_balanced, FIELD, "balanced predicate over a weight grid", {
+    "field-check": (cmd_field_check, EMBEDDINGS, "tower invariants and the discriminant identity", {}),
+    "balanced": (cmd_balanced, LAYOUT, "balanced predicate over a weight grid", {
         "--oracle": dict(FLAG, help="compare with character peeling"),
     }),
     "kostant": (cmd_kostant, WEIGHTS, "cohomology lines in a given degree", {
@@ -597,7 +601,7 @@ COMMANDS = {
         "--beta": {"required": True, "help": "comma list of exponents"},
         "--s": {"required": True, "help": "'re,im' or 're'"},
     }),
-    "constant-term": (cmd_constant_term, FIELD, "symbolic expansion with holomorphy audit", {
+    "constant-term": (cmd_constant_term, LAYOUT, "symbolic expansion with holomorphy audit", {
         "--n": INT,
         "--ord0": {"choices": ("0", "pos"), "required": True},
         "--flip-branch": dict(FLAG, help="deliberately select the wrong normalizing branch"),
@@ -654,13 +658,19 @@ def main(argv=None) -> int:
     handler, prologue, _, _ = COMMANDS[args.command]
     try:
         check_flags(args)
-        if prologue >= FIELD:
-            from . import cmfield
+        if prologue != NO_FIELD:
+            from . import towers
 
             args.cfg = load_config(args.config)
             args.tower, args.precision = tower_from_config(args.cfg, args.precision)
             check_precision(args.precision, args.max_den)
-            args.emb = cmfield.build_field(args.tower, args.precision)
+            if prologue == EMBEDDINGS:
+                from . import cmfield
+
+                args.emb = cmfield.build_field(args.tower, args.precision)
+            else:
+                towers.check_tower(args.tower, args.precision)
+                args.emb = towers.Layout(args.tower)
         if prologue == WEIGHTS:
             from . import weights
 

@@ -132,7 +132,7 @@ def is_regular_algebraic(eta: dict[int, int], n: int) -> bool:
     return all(e * (e - n) >= 0 for e in eta.values())
 
 
-def is_case_pm(eta: dict[int, int], n: int, emb: EmbeddingSet) -> bool:
+def is_case_pm(eta: dict[int, int], n: int, emb: Layout) -> bool:
     """Per conjugate pair: min(eta_i, eta_ibar) <= 0 and max >= n."""
     for i, j in emb.pairs():
         lo, hi = min(eta[i], eta[j]), max(eta[i], eta[j])
@@ -188,7 +188,7 @@ def balanced_at(
     return _is_horizontal_strip(lam, base)
 
 
-def is_balanced(w: WeightSystem, emb: EmbeddingSet) -> bool:
+def is_balanced(w: WeightSystem, emb: Layout) -> bool:
     """True iff the balanced condition holds at every embedding.
 
     Requires regular-algebraicity and the two-sided condition; without
@@ -203,7 +203,7 @@ def is_balanced(w: WeightSystem, emb: EmbeddingSet) -> bool:
     )
 
 
-def in_b_plus(w: WeightSystem, emb: EmbeddingSet) -> bool:
+def in_b_plus(w: WeightSystem, emb: Layout) -> bool:
     """Balanced and eta_i + eta_ibar >= n; the sum must not vary by pair."""
     eta = w.eta()
     sums = {eta[i] + eta[j] for i, j in emb.pairs()}
@@ -251,7 +251,7 @@ def arch_unit_value(sign: int, exponent: int) -> tuple[int, int]:
     return (0, -sign)
 
 
-def archimedean_constant(w: WeightSystem, emb: EmbeddingSet) -> ArchConstant:
+def archimedean_constant(w: WeightSystem, emb: Layout) -> ArchConstant:
     """The product over places of (sign * i)^e, with e = arch_exponent and
     sign +1 when eta <= 0 at the chosen embedding, -1 when >= n."""
     eta = w.eta()

@@ -1,4 +1,4 @@
-"""Weyl-group machinery over an embedding set.
+"""Weyl-group machinery over the index layout of a tower's embeddings.
 
 Contents:
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 
-from .cmfield import EmbeddingSet, GaloisPermutation, inversions
+from .towers import GaloisPermutation, Layout, inversions
 from .errors import ConfigError, UniquenessFailed
 from .weights import WeightSystem, highest_weight_from_eta, sigma_twist
 
@@ -175,7 +175,7 @@ def _line_weight_component(
     return tuple(weight)
 
 
-def make_line(element: WeylElement, w: WeightSystem, emb: EmbeddingSet) -> KostantLine:
+def make_line(element: WeylElement, w: WeightSystem, emb: Layout) -> KostantLine:
     """The line of ``element``: one pass over each component's inverted
     pairs gives its degree, torus weight and wedge labels."""
     eta = w.eta()
@@ -219,7 +219,7 @@ def _elements_of_length(n: int, count: int, total: int):
     yield from rec(count, total)
 
 
-def kostant_lines(w: WeightSystem, emb: EmbeddingSet, p: int) -> list[KostantLine]:
+def kostant_lines(w: WeightSystem, emb: Layout, p: int) -> list[KostantLine]:
     """All cohomology lines in degree p: one per absolute Weyl element of
     length p.  ConfigError, before any line is built, above
     MAX_WEYL_CANDIDATES elements or MAX_KOSTANT_ENTRIES entries."""
@@ -286,12 +286,12 @@ def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
     return res
 
 
-def bottom_degree(n: int, emb: EmbeddingSet) -> int:
+def bottom_degree(n: int, emb: Layout) -> int:
     """(n-1) * [k:Q] / 2."""
     return (n - 1) * (emb.degree // 2)
 
 
-def _restricted_target(w: WeightSystem, emb: EmbeddingSet, k: int) -> tuple[tuple[int, ...], ...]:
+def _restricted_target(w: WeightSystem, emb: Layout, k: int) -> tuple[tuple[int, ...], ...]:
     """Expected torus weight per embedding, in embedding order.
 
     Variable t_k carries eta - (n-k) at the embedding, variables past k
@@ -307,7 +307,7 @@ def _restricted_target(w: WeightSystem, emb: EmbeddingSet, k: int) -> tuple[tupl
 
 
 def distinguished_weyl(
-    w: WeightSystem, emb: EmbeddingSet, k: int, full_scan: bool = False
+    w: WeightSystem, emb: Layout, k: int, full_scan: bool = False
 ) -> tuple[WeylElement, dict]:
     """The closed-form element w(k) plus a uniqueness certificate.
 
@@ -370,7 +370,7 @@ def distinguished_weyl(
 # -- generator monomials and Galois signs --------------------------------------
 
 
-def omega_monomial(w: WeightSystem, emb: EmbeddingSet, k: int) -> WedgeMonomial:
+def omega_monomial(w: WeightSystem, emb: Layout, k: int) -> WedgeMonomial:
     """The generator wedge monomial of the degree-k induced model.
 
     For each embedding with eta <= 0 (taken in embedding order) the block
@@ -392,7 +392,7 @@ def omega_monomial(w: WeightSystem, emb: EmbeddingSet, k: int) -> WedgeMonomial:
     return WedgeMonomial.from_labels(labels)
 
 
-def wedge_sigma_sign(m: WedgeMonomial, g: GaloisPermutation, emb: EmbeddingSet) -> int:
+def wedge_sigma_sign(m: WedgeMonomial, g: GaloisPermutation, emb: Layout) -> int:
     """Parity of re-sorting the monomial after relabeling embeddings by g.
 
     The monomial must be in canonical (sorted) label order; the returned
@@ -404,7 +404,7 @@ def wedge_sigma_sign(m: WedgeMonomial, g: GaloisPermutation, emb: EmbeddingSet) 
     return sigma_on_monomial(m, g, emb).sign * m.sign
 
 
-def sigma_on_monomial(m: WedgeMonomial, g: GaloisPermutation, emb: EmbeddingSet) -> WedgeMonomial:
+def sigma_on_monomial(m: WedgeMonomial, g: GaloisPermutation, emb: Layout) -> WedgeMonomial:
     """The relabeled monomial in canonical form, sign tracked."""
     g.validate(emb)
     return WedgeMonomial.from_labels(
@@ -413,7 +413,7 @@ def sigma_on_monomial(m: WedgeMonomial, g: GaloisPermutation, emb: EmbeddingSet)
 
 
 def omega_transfer_sign(
-    w: WeightSystem, emb: EmbeddingSet, k: int, g: GaloisPermutation
+    w: WeightSystem, emb: Layout, k: int, g: GaloisPermutation
 ) -> int:
     """Coefficient (+-1) taking the relabeled generator monomial to the
     generator monomial of the twisted weight data.
@@ -434,7 +434,7 @@ def omega_transfer_sign(
 
 
 def sigma_decompose(
-    g: GaloisPermutation, emb: EmbeddingSet
+    g: GaloisPermutation, emb: Layout
 ) -> tuple[GaloisPermutation, GaloisPermutation, int]:
     """Factor g = s2 o s1 with s1 order-preserving between fibers and s2
     fiber-trivial; returns (s1, s2, signature of s2 on the embeddings)."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 def admissible_permutations(emb):
     """Every admissible permutation of the embeddings, as GaloisPermutation."""
-    from periodlab.cmfield import GaloisPermutation
+    from periodlab.towers import GaloisPermutation
 
     return [
         GaloisPermutation(p)

@@ -248,15 +248,48 @@ CONFIG_ERRORS = {
     "extension-degree-100": dict(CONFIG, field=dict(CONFIG["field"],
                                                     extension_poly=[-2] + [0] * 99 + [1])),
     "precision-digits-100000": dict(CONFIG, field=dict(CONFIG["field"], precision_digits=100000)),
+    # int() would truncate this to 60 digits
+    "precision-digits-60.7": dict(CONFIG, field=dict(CONFIG["field"], precision_digits=60.7)),
+    # repeated roots: x^2 over Q(i), and (x - 2)^2 for k0
+    "extension-poly-square": dict(CONFIG, field=dict(CONFIG["field"], extension_poly=[0, 0, 1])),
+    "k0-poly-square": dict(CONFIG, field=dict(CONFIG["field"], k0_poly=[4, -4, 1])),
+    # (x - 2)^4, on which the root finder does not converge
+    "extension-poly-fourth-power": dict(CONFIG, field=dict(CONFIG["field"],
+                                                           extension_poly=[16, -32, 24, -8, 1])),
     # one point whose character peeling is above charpeel.MAX_PEEL_WORK
     "peel-work-above-limit": _qi_config(n=2, points=[{"mu": {"0": [2000, 0], "1": [2000, 0]},
                                                       "nu": {"0": [0, -2000], "1": [0, -2000]},
                                                       "chi": {"0": 0, "1": 1}}]),
 }
-# the command of a CONFIG_ERRORS case, when it is not balanced
+# the commands of a CONFIG_ERRORS case, when they are not balanced alone:
+# a tower refused before balanced builds its layout is refused, for the same
+# reason, before field-check seeks a root
+BOTH = [["balanced"], ["field-check"]]
 CONFIG_ERROR_COMMANDS = {
-    "k-basis-singular": ["field-check"],
-    "peel-work-above-limit": ["balanced", "--oracle"],
+    "k-basis-singular": [["field-check"]],
+    "peel-work-above-limit": [["balanced", "--oracle"]],
+    "precision-digits-60.7": BOTH,
+    "k0-poly-not-totally-real": BOTH,
+    "extension-poly-square": BOTH,
+    "k0-poly-square": BOTH,
+    "extension-poly-fourth-power": BOTH,
+}
+# the reason the error line of each tower case must give
+TOWER_REASONS = {
+    "precision-digits-4": "precision 4 is below 18",
+    "d-1e18-plus-3": "d = 1000000000000000003 is above the limit",
+    "k0-poly-not-totally-real": "declared k0 is not totally real",
+    "d-1.5": "d 1.5 is not an integer",
+    "extension-poly-0.5": "extension_poly entry 0.5 is not an integer",
+    "k1-basis-singular": "k1 basis is not a basis of k1 over k0",
+    "k1-basis-three-elements": "bad field config: too many values to unpack",
+    "k-basis-singular": "not a basis of k over k1",
+    "extension-degree-100": "above the field work limit",
+    "precision-digits-100000": "above the field work limit",
+    "precision-digits-60.7": "precision_digits 60.7 is not an integer",
+    "extension-poly-square": "extension polynomial has coincident roots",
+    "k0-poly-square": "k0 polynomial has coincident roots",
+    "extension-poly-fourth-power": "extension polynomial has coincident roots",
 }
 
 
@@ -264,14 +297,16 @@ CONFIG_ERROR_COMMANDS = {
 def test_config_error_exits_2(name, tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(CONFIG_ERRORS[name]))
-    t0 = time.perf_counter()
-    code = main(["--config", str(p)] + CONFIG_ERROR_COMMANDS.get(name, ["balanced"]))
-    elapsed = time.perf_counter() - t0
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
-    assert elapsed < 1.0
+    for command in CONFIG_ERROR_COMMANDS.get(name, [["balanced"]]):
+        t0 = time.perf_counter()
+        code = main(["--config", str(p)] + command)
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert TOWER_REASONS.get(name, "") in captured.err
+        assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("n, a", [(6, 3), (8, 2), (6, 4)])
@@ -546,8 +581,9 @@ README_ARGV = {argv[2] if argv[0] == "--config" else argv[0]: argv for argv in R
 # Modules whose loading the table below pins; every other module is free.
 WATCHED = ("dataclasses", "fractions", "inspect", "mpmath", "numpy", "scipy")
 CYCLOTOMIC = ["cyclotomic", "errors", "fractions"]  # what exact arithmetic loads
-CMFIELD = ["cmfield", "mpmath"] + CYCLOTOMIC  # what a config's field loads
-WEIGHTS = CMFIELD + ["weights"]
+TOWERS = ["errors", "fractions", "towers"]  # what a config's index layout loads
+CMFIELD = ["cmfield", "mpmath"] + TOWERS  # what field-check's numeric field loads
+WEIGHTS = TOWERS + ["weights"]
 LOADED = {
     # one layer imported
     "errors": ["errors"],
@@ -556,6 +592,7 @@ LOADED = {
     "laurent": CYCLOTOMIC + ["laurent"],
     "lfactors": ["errors", "lfactors"],
     "intertwine": ["errors", "intertwine", "lfactors", "quadrature"],
+    "towers": TOWERS,
     "cmfield": CMFIELD,
     "weights": ["errors", "weights"],
     "weylkostant": WEIGHTS + ["weylkostant"],
@@ -593,8 +630,9 @@ def _run_fresh(case: str) -> str:
 @pytest.mark.parametrize("case", LOADED)
 def test_fresh_interpreter_loads_only_what_runs(case):
     """No layer, README command or arch integral loads dataclasses or
-    inspect; each loads only its own periodlab layers, mpmath only with a
-    field, and the archimedean path no exact arithmetic, not even fractions."""
+    inspect; each loads only its own periodlab layers, mpmath only with
+    field-check's numeric field, and the archimedean path no exact
+    arithmetic, not even fractions."""
     code = _run_fresh(case) + (
         "import sys\n"
         f"print(sorted(m.removeprefix('periodlab.') for m in sys.modules "

@@ -3,7 +3,11 @@
 Each row computes the fast path's values first.  Then it patches the fast
 path's private helpers to raise and runs the oracle, which must reach the
 same values without them.  A row names the helpers that both routes share
-on purpose; they stay intact.
+on purpose; they stay intact.  The row "exact-layout" reads its first
+values from the golden data instead: the README runs of the five config
+commands but field-check, recorded when they ran on ``build_field``'s
+numeric embeddings, must print the same bytes on the exact layout with
+every root finder broken.
 
 Two pairs get no row:
 
@@ -15,6 +19,7 @@ Two pairs get no row:
   apart from the first.
 """
 
+import json
 import operator
 
 import mpmath
@@ -26,6 +31,7 @@ from periodlab.cyclotomic import Cyc
 
 from oracles import exact_tower_discriminants
 from test_cmfield import ALL_TOWERS
+from test_golden_cli import CASES, GOLDEN, case_id, run
 from test_weights import peel_sample
 
 
@@ -35,6 +41,15 @@ def tower_discriminants():
         emb = build_field(tower, 60)
         out.append((disc_over_q(emb)[0], disc_constant_upper(emb)[1]["norm_to_q"]))
     return out
+
+
+LAYOUT_COMMANDS = {"balanced", "kostant", "find-wk", "wedge-sign", "constant-term"}
+LAYOUT_CASES = [(fmt, argv) for fmt, argv in CASES if LAYOUT_COMMANDS & set(argv)]
+
+
+def recorded_layout_runs():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return [golden[case_id(fmt, argv)] for fmt, argv in LAYOUT_CASES]
 
 
 POINTS = peel_sample(seed=11, count=40)
@@ -80,6 +95,13 @@ ROWS = {
         [(cmfield, "_trace_values"), (cmfield, "_product_values"), (cmfield, "_basis_values"),
          (cmfield, "_rational"), (cmfield, "build_field"), (mpmath.mp, "det")],
         (),
+        operator.eq,
+    ),
+    "exact-layout": (
+        recorded_layout_runs,
+        lambda fast: [run(fmt, argv) for fmt, argv in LAYOUT_CASES],
+        [(cmfield, "build_field"), (cmfield, "_sorted_roots"), (mpmath.mp, "polyroots")],
+        ("towers.Layout", "towers.check_tower"),
         operator.eq,
     ),
     "balanced": (

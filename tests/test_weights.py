@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodlab.charpeel import balanced_at_oracle, character, dimension, multiplicity, schur_polynomial
-from periodlab.cmfield import FieldTower, build_field, conjugation_permutation, identity_permutation
+from periodlab.cmfield import FieldTower, build_field
+from periodlab.towers import conjugation_permutation, identity_permutation
 from periodlab.errors import ConfigError
 from periodlab.weights import (
     ArchConstant,

@@ -5,12 +5,8 @@ import time
 
 import pytest
 
-from periodlab.cmfield import (
-    FieldTower,
-    build_field,
-    conjugation_permutation,
-    identity_permutation,
-)
+from periodlab.cmfield import FieldTower, build_field
+from periodlab.towers import conjugation_permutation, identity_permutation
 from periodlab.weights import sigma_twist, weight_system_from_eta
 from periodlab import weylkostant
 from periodlab.weylkostant import (
@@ -307,7 +303,7 @@ def test_sigma_decompose_three_cycles(emb6):
         perm[src] = dst
     for src, dst in zip(minus, minus[1:] + minus[:1]):
         perm[src] = dst
-    from periodlab.cmfield import GaloisPermutation
+    from periodlab.towers import GaloisPermutation
 
     g = GaloisPermutation(tuple(perm))
     g.validate(emb6)
