@@ -8,9 +8,10 @@ convolutions over fields containing a CM subfield:
 * ``towers``      -- tower declarations and the index layout of their
                      embeddings (conjugation, restriction, CM type), checked
                      exactly by Sturm chains; Galois permutation shadows;
-                     the constant Delta as a correctly rounded double;
-* ``cmfield``     -- numeric embeddings on that layout, discriminant
-                     constants and the square-root discriminant identity;
+                     the constant Delta, exact and as a correctly
+                     rounded double;
+* ``cmfield``     -- numeric embeddings on that layout, the constant Nabla
+                     and the square-root discriminant identity;
 * ``weights``     -- integer calculus on dominant weights and character
                      infinity types (regularity, the two-sided sign
                      condition, the balanced predicate, archimedean units);
@@ -24,10 +25,12 @@ convolutions over fields containing a CM subfield:
                      equality is cross multiplication, and the reduced
                      form is computed only to print a ratio;
 * ``lfactors``    -- exact local L-factor ratios, Gamma_C shift ratios,
-                     finite-field Gauss sums, vanishing-order tokens;
+                     finite-field Gauss sums, vanishing-order tokens and
+                     the normalizing factor they select;
 * ``intertwine``  -- spherical shell sums (non-archimedean), numerical
                      intertwining integrals (complex places) and the
-                     symbolic constant-term assembly with holomorphy audit;
+                     symbolic constant-term assembly, audited by
+                     checking its normalizing branch against the token;
 * ``quadrature``  -- the double-exponential rules behind the complex-place
                      integrals, with an independent polar check of each;
 * ``errors``      -- the package's exception classes, all under PeriodLabError;

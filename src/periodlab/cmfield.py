@@ -16,7 +16,9 @@ Exact values (disc(k/Q), the norm N_{k1/Q}(disc(k/k1)) as the product of
 the fiber determinants of the trace form, the constant in the
 square-root identity) are obtained from high-precision numerics by
 rational reconstruction; each reconstruction ships a certificate (value,
-residual, bound).
+residual, bound).  The constant Delta is not reconstructed: its exact
+norm is ``towers.lower_norm``, which also gives its double
+(``towers.delta_double``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 from mpmath import mp, mpc, mpf
 
 from . import DEFAULT_MAX_DENOMINATOR
-from .errors import ConfigError, PrecisionExhausted, ReconstructionFailed, ReduciblePolynomial
+from .errors import ConfigError, PrecisionExhausted, ReconstructionFailed
 from .towers import DEFAULT_PRECISION, FieldTower, K1Pair, Layout, check_tower, lower_norm
 
 # An element of k (over k0 = Q) is a polynomial in theta whose
@@ -39,28 +41,6 @@ KElement = tuple[K1Pair, ...]
 def tolerance(precision: int) -> mpf:
     """Root separation and reconstruction tolerance at ``precision`` digits."""
     return mpf(10) ** (-(precision // 2))
-
-
-def mpf_to_fraction(x) -> Fraction:
-    """Exact Fraction equal to a finite mpf (dyadic rational)."""
-    sign, man, exp, _ = mpf(x)._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man) * Fraction(2) ** exp
-    return -v if sign else v
-
-
-def reconstruct_fraction(value, max_denominator: int, tol) -> tuple[Fraction, mpf]:
-    """Nearest small-height rational with its residual; raises if too far."""
-    exact = mpf_to_fraction(value)
-    cand = exact.limit_denominator(max_denominator)
-    residual = abs(mpf(value) - mpf(cand.numerator) / mpf(cand.denominator))
-    if residual > tol:
-        raise ReconstructionFailed(
-            f"value {mp.nstr(mpf(value), 20)} not within {mp.nstr(tol, 3)} of a "
-            f"rational with denominator <= {max_denominator}"
-        )
-    return cand, residual
 
 
 def parse_element(data) -> KElement:
@@ -116,16 +96,20 @@ class EmbeddingSet(Layout):
 
 # -- construction -------------------------------------------------------------
 
-def _sorted_roots(poly: tuple[int, ...], precision: int, tol, coincident: str) -> list:
-    """Roots of a monic integer polynomial (low-to-high), sorted by exact
-    (re, im); raises ReduciblePolynomial(coincident) if two are within tol."""
+def _sorted_roots(poly: tuple[int, ...], precision: int, tol) -> list:
+    """Roots of a squarefree monic integer polynomial (low-to-high), sorted
+    by (re, im); raises PrecisionExhausted if two are within tol, which
+    ``precision`` digits cannot tell apart."""
     try:
         roots = mp.polyroots([mpf(c) for c in reversed(poly)], maxsteps=400, extraprec=precision)
     except mp.NoConvergence as exc:  # pragma: no cover - extreme inputs
         raise PrecisionExhausted(str(exc)) from None
     if any(abs(a - b) < tol for a, b in itertools.combinations(roots, 2)):
-        raise ReduciblePolynomial(coincident)
-    return sorted(roots, key=lambda r: (mpf_to_fraction(mp.re(r)), mpf_to_fraction(mp.im(r))))
+        raise PrecisionExhausted(
+            f"distinct roots lie within the tolerance {mp.nstr(tol, 3)} at {precision} digits; "
+            "raise the precision"
+        )
+    return sorted(roots, key=lambda r: (mp.re(r), mp.im(r)))
 
 
 def build_field(tower: FieldTower, precision: int = DEFAULT_PRECISION) -> EmbeddingSet:
@@ -139,26 +123,20 @@ def build_field(tower: FieldTower, precision: int = DEFAULT_PRECISION) -> Embedd
 
     Before any root is sought, ``towers.check_tower`` refuses the work
     above MAX_FIELD_WORK, a repeated root and a k0 that is not totally
-    real.  Then ReduciblePolynomial refuses two roots closer than the
-    tolerance, and PrecisionExhausted a root finder that does not
-    converge.
+    real.  Then PrecisionExhausted refuses two roots closer than the
+    tolerance and a root finder that does not converge.
     """
     check_tower(tower, precision)
     with mp.workdps(precision + 15):
         tol = tolerance(precision)
 
         if tower.declared_k0_poly is not None:
-            k0_roots = [mp.re(r) for r in _sorted_roots(
-                tower.declared_k0_poly, precision, tol, "k0 polynomial has coincident roots"
-            )]
+            k0_roots = [mp.re(r) for r in _sorted_roots(tower.declared_k0_poly, precision, tol)]
         else:
             k0_roots = [None]
 
         sqrt_pos = mpc(0, mp.sqrt(tower.base_disc))
-        theta_sorted = [mpc(r) for r in _sorted_roots(
-            tower.extension_poly, precision, tol,
-            "extension polynomial has coincident roots; embeddings would not be distinct",
-        )]
+        theta_sorted = [mpc(r) for r in _sorted_roots(tower.extension_poly, precision, tol)]
         theta_conj = [mp.conj(r) for r in theta_sorted]
 
         embeddings = [
@@ -210,33 +188,28 @@ def _product_values(emb: EmbeddingSet, k0_powers: int, k1_elements) -> list[list
 
 
 def _rational(emb: EmbeddingSet, value, what: str, max_denominator: int):
-    """A numerically real ``value`` reconstructed as a Fraction; returns
-    (value, certificate)."""
+    """A numerically real ``value`` reconstructed as the Fraction with
+    denominator <= max_denominator nearest the exact dyadic value of its
+    real part; returns (value, certificate).  ReconstructionFailed when
+    the value is not real or that Fraction is beyond the tolerance."""
     tol = emb.tolerance()
     if abs(mp.im(value)) > tol:
         raise ReconstructionFailed(f"{what} is not real")
-    frac, residual = reconstruct_fraction(mp.re(value), max_denominator, tol)
+    real = mp.re(value)
+    sign, man, exp, _ = real._mpf_
+    frac = (Fraction(-man if sign else man) * Fraction(2) ** exp).limit_denominator(max_denominator)
+    residual = abs(real - mpf(frac.numerator) / mpf(frac.denominator))
+    if residual > tol:
+        raise ReconstructionFailed(
+            f"value {mp.nstr(real, 20)} not within {mp.nstr(tol, 3)} of a "
+            f"rational with denominator <= {max_denominator}"
+        )
     cert = {
-        "numeric": mp.nstr(mp.re(value), 20),
+        "numeric": mp.nstr(real, 20),
         "residual": mp.nstr(residual, 5),
         "max_denominator": max_denominator,
     }
     return frac, cert
-
-
-def disc_constant_lower(tower: FieldTower, precision: int = DEFAULT_PRECISION):
-    """Principal square root of N_{k0/Q}(disc(k1/k0)), to the power [k:k1].
-
-    The k1/k0 step uses the tower's declared basis of k1 over k0; its
-    discriminant is the exact rational det of the trace form
-    (``towers.lower_norm``).  Returns
-    (complex value, exact data dict).
-    """
-    delta1, norm = lower_norm(tower)
-    with mp.workdps(precision + 15):
-        root = mp.sqrt(mpc(norm.numerator) / norm.denominator)
-        value = root ** tower.theta_degree
-    return value, {"disc_k1_over_k0": delta1, "norm_to_q": norm}
 
 
 def disc_constant_upper(
@@ -289,16 +262,18 @@ def check_discriminant_identity(
     """Solve |disc(k)|^(1/2) = c * i^([k:Q]/2) * Delta * Nabla for rational c.
 
     Delta and Nabla are the two principal-branch square-root constants of
-    the tower; disc(k) is computed from the product basis, so all three
-    depend on basis choices and c is only canonical in Q^x, which is
-    exactly what is certified.  ``nabla`` is the value of
+    the tower, Delta = sqrt(N)^[k:k1] at working precision for the exact
+    N of ``towers.lower_norm``; disc(k) is computed from the product
+    basis, so all three depend on basis choices and c is only canonical
+    in Q^x, which is exactly what is certified.  ``nabla`` is the value of
     ``disc_constant_upper(emb, max_denominator=max_denominator)`` when the
     caller already has it; otherwise it is computed here.
     """
     tower = emb.tower
     with mp.workdps(emb.precision + 15):
         delta_k, cert_k = disc_over_q(emb, max_denominator=max_denominator)
-        big, _ = disc_constant_lower(tower, precision=emb.precision)
+        _, norm = lower_norm(tower)
+        big = mp.sqrt(mpc(norm.numerator) / norm.denominator) ** tower.theta_degree
         if nabla is None:
             nabla, _ = disc_constant_upper(emb, max_denominator=max_denominator)
         i_pow = mpc(0, 1) ** (emb.degree // 2)

@@ -20,13 +20,15 @@ class ConfigError(PeriodLabError, ValueError):
 
 
 class ReduciblePolynomial(ConfigError):
-    """Extension polynomial has coincident roots at working precision."""
+    """The extension or k0 polynomial has a repeated root, found exactly
+    (``towers.check_tower``) before any root is sought."""
 
 
 # -- numerical limits ---------------------------------------------------------
 
 class PrecisionExhausted(PeriodLabError):
-    """The root finder did not converge."""
+    """The working precision cannot place the roots: the root finder did
+    not converge, or two distinct roots lie within its tolerance."""
 
 
 class QuadratureNotConverged(PeriodLabError):
@@ -44,4 +46,5 @@ class UniquenessFailed(PeriodLabError):
 
 
 class AuditFailed(PeriodLabError):
-    """A constant-term term retains a pole, or the branch flags disagree."""
+    """The normalizing branch of a constant term contradicts its vanishing
+    token, so a summand would keep its pole at s = 0."""

@@ -33,7 +33,8 @@ section at the identity, whose last row is e_n, so it is 1 for beta0 and
 
 The symbolic constant-term assembly lists one summand per k with its
 global L-ratio token, its normalizing prefactor and the extra factor
-required when the global value at 0 vanishes, and audits pole orders.
+required when the global value at 0 vanishes, and audits that the
+normalizing branch matches the declared vanishing order.
 
 The archimedean path is floating point: importing this module loads only
 ``lfactors``, ``quadrature`` and ``errors``.  The exact arithmetic of the
@@ -213,29 +214,18 @@ def arch_intertwining(
 
 class ConstantTermEntry:
     """One summand k: its L-ratio token, its prefactor
-    (i^{deg/2} * Delta)^{k - n}, its delta symbol and the residual pole
-    order at s = 0 after all factors; equal by value."""
+    (i^{deg/2} * Delta)^{k - n} and its delta symbol; equal by value."""
 
-    def __init__(self, k: int, lratio_token: str, prefactor: complex, delta_symbol: str,
-                 pole_order: int) -> None:
+    def __init__(self, k: int, lratio_token: str, prefactor: complex, delta_symbol: str) -> None:
         self.k = k
         self.lratio_token = lratio_token
         self.prefactor = prefactor
         self.delta_symbol = delta_symbol
-        self.pole_order = pole_order
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConstantTermEntry):
             return NotImplemented
         return vars(self) == vars(other)
-
-
-class ConstantTermReport:
-    def __init__(self, delta_branch: str, entries: list[ConstantTermEntry],
-                 holomorphic: bool) -> None:
-        self.delta_branch = delta_branch
-        self.entries = entries
-        self.holomorphic = holomorphic
 
 
 def assemble_constant_term(
@@ -244,57 +234,36 @@ def assemble_constant_term(
     delta_constant: complex,
     degree_over_q: int,
     delta_branch: str | None = None,
-) -> ConstantTermReport:
-    """Symbolic constant-term expansion with a per-term holomorphy audit.
+) -> list[ConstantTermEntry]:
+    """Symbolic constant-term expansion, audited for holomorphy at s = 0.
 
     Token semantics: the global L-function of the character is entire
     (two-sided case) and vanishes at 0 to the declared order.  Each
     summand k < n carries the ratio L(s - n + k)/L(s), whose pole order
     at s = 0 equals the declared vanishing order of the denominator; the
-    k = n summand is 1.  The compensating factor from the vanishing
-    branch contributes a zero of the same order.  The audit fails if any
-    term retains a pole or if the chosen branch contradicts the token.
-    A rank n above ``weights.MAX_RANK`` raises ConfigError before any entry
-    is built.
+    k = n summand is 1.  The normalizing branch the token selects
+    (``lfactors.normalizing_factor``) has a zero of that same order, so
+    every summand is holomorphic exactly when the branch in use is that
+    one: AuditFailed refuses a ``delta_branch`` that contradicts the
+    token.  A rank n above ``weights.MAX_RANK`` raises ConfigError, and an
+    odd degree with a vanishing token raises ConfigError, before that.
     """
     from .weights import MAX_RANK  # here: the archimedean path loads no weights
 
     if n > MAX_RANK:
         raise ConfigError(f"rank {n} is above the limit of {MAX_RANK}")
-    factor = normalizing_factor(token, degree_over_q)
-    branch = delta_branch if delta_branch is not None else factor.branch
-    expected_branch = "one" if token.order_zero == 0 else "compensated"
-    branch_zero_order = 0 if branch == "one" else token.order_zero
-
-    entries = []
-    all_holomorphic = True
-    for k in range(1, n + 1):
-        shift = k - n
-        tok = f"L(s{shift:+d},eta)/L(s,eta)" if shift else "1"
-        denominator_zero = token.order_zero if k < n else 0
-        residual_pole = max(denominator_zero - branch_zero_order, 0)
-        prefactor = ((1j) ** (degree_over_q // 2) * complex(delta_constant)) ** (k - n)
-        entries.append(
-            ConstantTermEntry(
-                k=k,
-                lratio_token=tok,
-                prefactor=prefactor,
-                delta_symbol=factor.symbol if branch == "compensated" else "1",
-                pole_order=residual_pole,
-            )
-        )
-        if residual_pole > 0:
-            all_holomorphic = False
-
-    if branch != expected_branch:
+    branch, symbol = normalizing_factor(token, degree_over_q)
+    if delta_branch not in (None, branch):
         raise AuditFailed(
-            f"normalizing branch {branch!r} contradicts vanishing order "
+            f"normalizing branch {delta_branch!r} contradicts vanishing order "
             f"{token.order_zero}"
         )
-    if not all_holomorphic:
-        raise AuditFailed("a constant-term summand retains a pole at s = 0")
-    return ConstantTermReport(
-        delta_branch=branch,
-        entries=entries,
-        holomorphic=all_holomorphic,
-    )
+    return [
+        ConstantTermEntry(
+            k=k,
+            lratio_token=f"L(s{k - n:+d},eta)/L(s,eta)" if k < n else "1",
+            prefactor=((1j) ** (degree_over_q // 2) * complex(delta_constant)) ** (k - n),
+            delta_symbol=symbol,
+        )
+        for k in range(1, n + 1)
+    ]

@@ -90,25 +90,19 @@ class VanishingToken:
         self.order_zero = order_zero
 
 
-class NormalizingFactor:
-    """The extra factor multiplying the truncated series at s = 0."""
+def normalizing_factor(token: VanishingToken, deg: int) -> tuple[str, str]:
+    """The holomorphy-restoring factor from the vanishing token, as
+    (branch, symbol).
 
-    def __init__(self, branch: str, symbol: str) -> None:
-        self.branch = branch  # "one" or "compensated"
-        self.symbol = symbol
-
-
-def normalizing_factor(token: VanishingToken, deg: int) -> NormalizingFactor:
-    """Choose the holomorphy-restoring factor from the vanishing token.
-
-    Nonvanishing: the factor is 1.  Vanishing: the factor is
-    i^{deg/2} * Delta * L(s)/L(s-1), carried symbolically.
+    Nonvanishing: the branch "one", whose factor is 1.  Vanishing: the
+    branch "compensated", whose factor i^{deg/2} * Delta * L(s)/L(s-1) is
+    carried symbolically; its zero at s = 0 cancels the pole of each ratio.
     """
     if token.order_zero == 0:
-        return NormalizingFactor(branch="one", symbol="1")
+        return "one", "1"
     if deg % 2:
         raise ConfigError("field degree must be even")
-    return NormalizingFactor(branch="compensated", symbol=f"i^{deg // 2} * Delta * L(s)/L(s-1)")
+    return "compensated", f"i^{deg // 2} * Delta * L(s)/L(s-1)"
 
 
 # -- finite fields and Gauss sums -------------------------------------------------
@@ -188,14 +182,6 @@ class FiniteField:
             base = self.mul(base, base)
             k >>= 1
         return out
-
-    def order(self, a) -> int:
-        x = a
-        for k in range(1, self.q):
-            if x == self.one:
-                return k
-            x = self.mul(x, a)
-        raise ValueError(f"{a} is not a unit")
 
     def _find_generator(self):
         """First element, in enumeration order, with a^((q-1)/r) != 1 for

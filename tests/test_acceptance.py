@@ -18,12 +18,7 @@ import time
 import pytest
 
 from periodlab.charpeel import balanced_at_oracle
-from periodlab.cmfield import (
-    FieldTower,
-    build_field,
-    check_discriminant_identity,
-    disc_constant_lower,
-)
+from periodlab.cmfield import FieldTower, build_field, check_discriminant_identity
 from periodlab.cyclotomic import Cyc
 from periodlab.errors import AuditFailed
 from periodlab.intertwine import (
@@ -32,6 +27,7 @@ from periodlab.intertwine import (
     nonarch_intertwining,
 )
 from periodlab.lfactors import GaussSumSpec, VanishingToken, gauss_sum, gauss_sum_norm_check
+from periodlab.towers import delta_double
 from periodlab.weights import (
     WeightSystem,
     archimedean_constant,
@@ -320,7 +316,8 @@ def test_criterion_4_balanced_oracle_equivalence():
 
 def test_criterion_5_discriminant_identity():
     """Recovered constant passes rational reconstruction (denominator
-    <= 1e4) at 60-digit precision for all four bundled towers."""
+    <= 1e4) at 60-digit precision for all four bundled towers, and the
+    identity's working-precision Delta rounds to ``towers.delta_double``."""
     failures = []
     values = {}
     for name, tower in TOWERS.items():
@@ -328,8 +325,11 @@ def test_criterion_5_discriminant_identity():
         try:
             c, cert = check_discriminant_identity(emb, max_denominator=10**4)
             values[name] = str(c)
+            delta = delta_double(tower)
             if c == 0 or c.denominator > 10**4:
                 failures.append(name)
+            if abs(complex(cert["delta_constant"].replace(" ", "")) - delta) > 1e-15 * abs(delta):
+                failures.append((name, "Delta"))
         except Exception as exc:
             failures.append((name, str(exc)))
     ok = not failures
@@ -400,21 +400,20 @@ def test_criterion_7_gauss_sums():
 
 
 def test_criterion_8_constant_term_audit():
-    """Both vanishing-order branches audit holomorphic; flipping the
-    normalizing branch against the declared order raises the audit error."""
-    delta, _ = disc_constant_lower(TOWERS["deg2"])
+    """Both vanishing-order branches audit holomorphic (the assembly
+    returns its n terms); flipping the normalizing branch against the
+    declared order raises the audit error."""
+    delta = delta_double(TOWERS["deg2"])
     results = []
     for n in (2, 3):
         for ord0 in (0, 1):
-            rep = assemble_constant_term(
-                n, VanishingToken(order_zero=ord0), complex(delta), 2
-            )
-            results.append(rep.holomorphic)
+            entries = assemble_constant_term(n, VanishingToken(order_zero=ord0), delta, 2)
+            results.append(len(entries) == n)
     flips = 0
     for ord0, wrong in ((0, "compensated"), (1, "one")):
         with pytest.raises(AuditFailed):
             assemble_constant_term(
-                3, VanishingToken(order_zero=ord0), complex(delta), 2,
+                3, VanishingToken(order_zero=ord0), delta, 2,
                 delta_branch=wrong,
             )
         flips += 1

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from periodlab import cmfield, cyclotomic, intertwine, lfactors, weights, weylkostant
 from periodlab.cli import main
-from periodlab.errors import ConfigError
+from periodlab.errors import ConfigError, PrecisionExhausted
 from test_golden_cli import README_COMMANDS
 
 QI_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "qi.json")
@@ -307,6 +307,25 @@ def test_config_error_exits_2(name, tmp_path, capsys):
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert TOWER_REASONS.get(name, "") in captured.err
         assert elapsed < 1.0
+
+
+def test_roots_within_the_tolerance_are_a_precision_limit(tmp_path, capsys):
+    """The Mignotte polynomial x^8 - 2(100x - 1)^2 is squarefree, with two
+    real roots about 1.4e-10 apart: 18 digits (tolerance 1e-9) cannot tell
+    them apart, which is a precision limit and no repeated root; 30 can."""
+    poly = [-2, 400, -20000, 0, 0, 0, 0, 0, 1]
+    with pytest.raises(PrecisionExhausted):
+        cmfield.build_field(cmfield.FieldTower(1, tuple(poly)), 18)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"field": {"d": 1, "extension_poly": poly}}))
+    code = main(["--config", str(p), "field-check", "--precision", "18"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: distinct roots lie within the tolerance 1.0e-9 at 18 digits; raise the precision\n"
+    )
+    assert main(["--config", str(p), "field-check", "--precision", "30"]) == 0
 
 
 @pytest.mark.parametrize("n, a", [(6, 3), (8, 2), (6, 4)])

@@ -9,11 +9,16 @@ from periodlab.cmfield import (
     FieldTower,
     build_field,
     check_discriminant_identity,
-    disc_constant_lower,
     disc_constant_upper,
     disc_over_q,
 )
-from periodlab.towers import GaloisPermutation, conjugation_permutation, identity_permutation
+from periodlab.towers import (
+    GaloisPermutation,
+    conjugation_permutation,
+    delta_double,
+    identity_permutation,
+    lower_norm,
+)
 from periodlab.errors import ConfigError, ReduciblePolynomial
 
 from oracles import admissible_permutations, exact_tower_discriminants, int_det, poly_disc
@@ -207,28 +212,25 @@ def test_tower_law(tower):
     else:
         c, b, _ = tower.declared_k0_poly  # quadratic k0: disc = b^2 - 4c
         disc_k0 = b * b - 4 * c
-    _, lower = disc_constant_lower(tower)
+    _, lower = lower_norm(tower)
     _, upper = disc_constant_upper(emb)
     k_over_k0 = 2 * tower.theta_degree
     assert disc_over_q(emb)[0] == (
-        disc_k0**k_over_k0 * lower["norm_to_q"] ** tower.theta_degree * upper["norm_to_q"]
+        disc_k0**k_over_k0 * lower ** tower.theta_degree * upper["norm_to_q"]
     )
 
 
-def test_delta_constants(built):
-    v, _ = disc_constant_lower(QI)
-    assert abs(complex(v) - 2j) < 1e-12
-    v, _ = disc_constant_lower(QIC)
-    assert abs(complex(v) - (-8j)) < 1e-12
-    v, _ = disc_constant_lower(QS3)
-    assert abs(complex(v) - complex(0, 2 * 3 ** 0.5)) < 1e-12
+def test_delta_constants():
+    assert abs(delta_double(QI) - 2j) < 1e-12
+    assert abs(delta_double(QIC) - (-8j)) < 1e-12
+    assert abs(delta_double(QS3) - complex(0, 2 * 3 ** 0.5)) < 1e-12
 
 
 def test_delta_depends_only_on_d_and_extension_degree():
     """Same d and same [k:k1] give the same constant across towers."""
-    a, _ = disc_constant_lower(FieldTower(base_disc=1, extension_poly=(-2, 0, 1)))
-    b, _ = disc_constant_lower(FieldTower(base_disc=1, extension_poly=(-3, 0, 1)))
-    assert abs(complex(a) - complex(b)) < 1e-12
+    a = delta_double(FieldTower(base_disc=1, extension_poly=(-2, 0, 1)))
+    b = delta_double(FieldTower(base_disc=1, extension_poly=(-3, 0, 1)))
+    assert abs(a - b) < 1e-12
 
 
 def test_nabla_constants(built):

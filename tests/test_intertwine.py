@@ -466,22 +466,19 @@ def test_trapezoid_circle():
 
 
 def test_constant_term_nonvanishing_branch():
-    rep = assemble_constant_term(3, VanishingToken(order_zero=0), 2j, 2)
-    assert rep.holomorphic
-    assert [e.lratio_token for e in rep.entries] == [
+    entries = assemble_constant_term(3, VanishingToken(order_zero=0), 2j, 2)
+    assert [e.lratio_token for e in entries] == [
         "L(s-2,eta)/L(s,eta)",
         "L(s-1,eta)/L(s,eta)",
         "1",
     ]
-    assert all(e.pole_order == 0 for e in rep.entries)
-    assert rep.entries[-1].prefactor == 1
+    assert all(e.delta_symbol == "1" for e in entries)
+    assert entries[-1].prefactor == 1
 
 
 def test_constant_term_vanishing_branch():
-    rep = assemble_constant_term(3, VanishingToken(order_zero=1), 2j, 2)
-    assert rep.holomorphic
-    assert rep.delta_branch == "compensated"
-    assert all(e.pole_order == 0 for e in rep.entries)
+    entries = assemble_constant_term(3, VanishingToken(order_zero=1), 2j, 2)
+    assert all(e.delta_symbol == "i^1 * Delta * L(s)/L(s-1)" for e in entries)
 
 
 def test_constant_term_flip_fails():
@@ -493,11 +490,56 @@ def test_constant_term_flip_fails():
         )
 
 
+def test_constant_term_refusals_come_before_the_branch_audit():
+    """A rank above MAX_RANK, and an odd degree with a vanishing token,
+    are refused as ConfigError even with a contradicting branch."""
+    from periodlab.weights import MAX_RANK
+
+    with pytest.raises(ConfigError, match="above the limit"):
+        assemble_constant_term(MAX_RANK + 1, VanishingToken(order_zero=0), 2j, 2,
+                               delta_branch="compensated")
+    with pytest.raises(ConfigError, match="field degree must be even"):
+        assemble_constant_term(3, VanishingToken(order_zero=1), 2j, 3, delta_branch="one")
+
+
+def _expected_terms(n, order, degree, delta):
+    """The summands k = 1..n as (L-ratio token, delta symbol, prefactor),
+    the prefactor (i^{deg/2} * Delta)^{k - n} by polar form."""
+    symbol = "1" if order == 0 else f"i^{degree // 2} * Delta * L(s)/L(s-1)"
+    scale = cmath.rect(abs(delta), cmath.phase(delta) + math.pi / 2 * (degree // 2))
+    return [(f"L(s-{n - k},eta)/L(s,eta)" if k < n else "1", symbol, scale ** (k - n))
+            for k in range(1, n + 1)]
+
+
+def test_constant_term_audit_over_the_grid():
+    """Every n <= 5, vanishing order, degree 2, 4, 6 and requested branch:
+    the assembly returns exactly when no branch or the token's branch is
+    requested, and then gives the expected summands; any other branch
+    raises AuditFailed."""
+    delta = 2j
+    for n, order, degree, branch in itertools.product(
+        range(1, 6), (0, 1), (2, 4, 6), (None, "one", "compensated", "foo")
+    ):
+        token_branch = "one" if order == 0 else "compensated"
+        args = (n, VanishingToken(order_zero=order), delta, degree)
+        if branch in (None, token_branch):
+            entries = assemble_constant_term(*args, delta_branch=branch)
+            expected = _expected_terms(n, order, degree, delta)
+            assert [e.k for e in entries] == list(range(1, n + 1))
+            assert [(e.lratio_token, e.delta_symbol) for e in entries] == [
+                (tok, sym) for tok, sym, _ in expected
+            ]
+            for e, (_, _, prefactor) in zip(entries, expected):
+                assert abs(e.prefactor - prefactor) <= 1e-12 * abs(prefactor)
+        else:
+            with pytest.raises(AuditFailed, match=f"normalizing branch {branch!r} contradicts"):
+                assemble_constant_term(*args, delta_branch=branch)
+
+
 def test_constant_term_n1_edge():
-    rep = assemble_constant_term(1, VanishingToken(order_zero=0), 2j, 2)
-    assert len(rep.entries) == 1
-    assert rep.entries[0].lratio_token == "1"
-    assert rep.holomorphic
+    entries = assemble_constant_term(1, VanishingToken(order_zero=0), 2j, 2)
+    assert len(entries) == 1
+    assert entries[0].lratio_token == "1"
 
 
 def test_constant_term_depends_only_on_summary_data():
@@ -506,11 +548,11 @@ def test_constant_term_depends_only_on_summary_data():
     the report is reproduced term by term."""
     a = assemble_constant_term(3, VanishingToken(order_zero=1), 2j, 4)
     b = assemble_constant_term(3, VanishingToken(order_zero=1), 2j, 4)
-    assert a.entries == b.entries
+    assert a == b
 
 
 def test_constant_term_prefactors():
-    rep = assemble_constant_term(3, VanishingToken(order_zero=0), 2j, 2)
+    entries = assemble_constant_term(3, VanishingToken(order_zero=0), 2j, 2)
     # i^1 * 2i = -2; prefactors are (-2)^(k-3)
-    assert abs(rep.entries[0].prefactor - 0.25) < 1e-12
-    assert abs(rep.entries[1].prefactor + 0.5) < 1e-12
+    assert abs(entries[0].prefactor - 0.25) < 1e-12
+    assert abs(entries[1].prefactor + 0.5) < 1e-12

@@ -153,14 +153,22 @@ def test_involution_identity():
             assert ginv == chi_minus_one * g.conj()
 
 
+def _order(field: FiniteField, a) -> int:
+    """Multiplicative order of the unit a, by repeated multiplication."""
+    x, k = a, 1
+    while x != field.one:
+        x, k = field.mul(x, a), k + 1
+    return k
+
+
 def test_finite_field_structure():
     f9 = FiniteField(9)
     assert f9.p == 3 and f9.e == 2
-    assert f9.order(f9.generator) == 8
+    assert _order(f9, f9.generator) == 8
     assert f9.trace(f9.one) == 2  # Tr(1) = e * 1 = 2 mod 3
     f8 = FiniteField(8)
     assert f8.p == 2 and f8.e == 3
-    assert f8.order(f8.generator) == 7
+    assert _order(f8, f8.generator) == 7
 
 
 @pytest.mark.parametrize("q", [16, 32, 64, 81, 128, 243, 256])
@@ -168,7 +176,7 @@ def test_prime_power_fields(q):
     """Only a field has an element of order q - 1; the Gauss sum over it
     has |G|^2 = q exactly."""
     field = FiniteField(q)
-    assert field.order(field.generator) == q - 1
+    assert _order(field, field.generator) == q - 1
     assert gauss_sum_norm_check(GaussSumSpec(q=q, chi_order=q - 1, chi_index=1))
 
 
@@ -297,7 +305,7 @@ def test_vanishing_token_validation():
 
 
 def test_normalizing_factor_branches():
-    one = normalizing_factor(VanishingToken(order_zero=0), 2)
-    assert one.branch == "one"
-    comp = normalizing_factor(VanishingToken(order_zero=1), 2)
-    assert comp.branch == "compensated"
+    assert normalizing_factor(VanishingToken(order_zero=0), 2) == ("one", "1")
+    assert normalizing_factor(VanishingToken(order_zero=1), 2) == (
+        "compensated", "i^1 * Delta * L(s)/L(s-1)"
+    )

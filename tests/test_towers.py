@@ -6,11 +6,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpc
 
-from periodlab.cmfield import FieldTower, build_field, disc_constant_lower
+from periodlab.cmfield import FieldTower, build_field
 from periodlab.errors import ConfigError, ReduciblePolynomial
-from periodlab.towers import Layout, check_tower, delta_double, real_root_count, sturm_chain
+from periodlab.towers import (
+    Layout,
+    check_tower,
+    delta_double,
+    lower_norm,
+    real_root_count,
+    sturm_chain,
+)
 
 from test_cmfield import ALL_TOWERS
 
@@ -147,7 +154,11 @@ DELTA_TOWERS = [
 
 @pytest.mark.parametrize("tower", DELTA_TOWERS)
 def test_delta_double_equals_mpmath(tower):
-    assert delta_double(tower) == complex(disc_constant_lower(tower, 50)[0])
+    """The double against sqrt(N)^m in 65-digit mpmath, rounded part by part."""
+    _, norm = lower_norm(tower)
+    with mp.workdps(65):
+        reference = complex(mp.sqrt(mpc(norm.numerator) / norm.denominator) ** tower.theta_degree)
+    assert delta_double(tower) == reference
 
 
 @pytest.mark.parametrize("fields, error, message", [
