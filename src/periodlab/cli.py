@@ -12,7 +12,8 @@ other package error with one ``error:`` line (exit 2).
 Structured configs are JSON files; see README for the schema.  Flags
 override config scalars.  The global flags (--format, --config,
 --precision, --tol, --max-den) may come before or after the subcommand;
-one written after it wins.
+one written after it wins.  Only field-check reads --precision and
+--max-den, and only intertwine-arch reads --tol.
 
 Importing this module loads no periodlab layer: the prologue in ``main``
 and each handler import the layers they run, so a subcommand loads only
@@ -137,38 +138,14 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
-def tower_from_config(cfg: dict, precision_override=None) -> tuple[towers.FieldTower, int]:
-    from . import towers
-
+def field_config(cfg: dict, read):
+    """read(the config's field section), a malformed entry a ConfigError."""
     if "field" not in cfg:
         raise ConfigError("config lacks a 'field' section")
-    fc = cfg["field"]
     try:
-        tower = towers.FieldTower.from_config(fc)
-        precision = towers._integer(
-            fc.get("precision_digits", towers.DEFAULT_PRECISION), "precision_digits"
-        )
+        return read(cfg["field"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad field config: {exc}") from None
-    if precision_override is not None:
-        precision = precision_override
-    return tower, precision
-
-
-def check_precision(precision: int, max_den: int) -> None:
-    """Require 2 * max_den^2 * 10^-(precision // 2) < 1, so that the
-    reconstruction tolerance 10^-(precision // 2) is below half the gap
-    1/max_den^2 between two rationals with denominators up to max_den.
-
-    2 * max_den^2 is never a power of 10, so the least admissible
-    precision // 2 is its number of digits.
-    """
-    least = 2 * len(str(2 * max_den * max_den))
-    if precision < least:
-        raise ConfigError(
-            f"precision {precision} is below {least}, the least that separates "
-            f"rationals with denominators up to --max-den {max_den}"
-        )
 
 
 def weight_points(cfg: dict, degree: int) -> list[weights.WeightSystem]:
@@ -280,7 +257,7 @@ def parse_s(spec: str) -> complex:
 
 
 # Smallest accepted value of each integer flag; --k must also lie in 1..n.
-LOWER_BOUNDS = {"n": 1, "p": 0, "q": 2, "chi_order": 1, "max_den": 1}
+LOWER_BOUNDS = {"n": 1, "p": 0, "q": 2, "chi_order": 1}
 
 
 def check_flags(args) -> None:
@@ -291,28 +268,31 @@ def check_flags(args) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
     if hasattr(args, "k") and not 1 <= args.k <= args.n:
         raise ConfigError(f"--k must lie in 1..{args.n}, got {args.k}")
-    if not 0 < args.tol < math.inf:
-        raise ConfigError(f"--tol must be a positive number, got {args.tol}")
 
 
 # -- subcommands ------------------------------------------------------------------
 #
 # Handlers take the parsed flags.  For the commands that need a field, main
-# has already set args.cfg, args.tower, args.precision (the working digits)
-# and args.emb: the numeric cmfield.EmbeddingSet for field-check, and for
-# the others the towers.Layout of the checked tower, which reads no root.  For
-# those that take --n/--eta main has also set args.w, the weight system
-# with that eta.
+# has already set args.cfg, args.tower and args.emb, the towers.Layout of
+# the checked tower, which reads no root; field-check builds its numeric
+# field itself.  For those that take --n/--eta main has also set args.w,
+# the weight system with that eta.
 
 
 def cmd_field_check(args) -> Report:
     from . import cmfield, towers
 
-    cfg, tower, emb = args.cfg, args.tower, args.emb
+    cfg, tower = args.cfg, args.tower
+    precision = field_config(cfg, lambda fc: towers._integer(
+        fc.get("precision_digits", cmfield.DEFAULT_PRECISION), "precision_digits"))
+    if args.precision is not None:
+        precision = args.precision
+    cmfield.check_precision(precision, args.max_den)
+    emb = cmfield.build_field(tower, precision)
     report = Report("field-check", {
         "d": tower.base_disc,
         "extension_poly": list(tower.extension_poly),
-        "precision": args.precision,
+        "precision": precision,
         "k1_maximality_asserted": True,
     })
     report.add("embedding_count", tower.degree_over_q, emb.degree)
@@ -464,7 +444,7 @@ def _permutation_from_args(args, emb) -> towers.GaloisPermutation:
 
 
 def cmd_gauss(args) -> Report:
-    from . import lfactors
+    from . import cyclotomic, lfactors
 
     spec = lfactors.GaussSumSpec(q=args.q, chi_order=args.chi_order, chi_index=args.chi_index)
     report = Report("gauss", {"q": args.q, "chi_order": args.chi_order, "chi_index": args.chi_index})
@@ -473,7 +453,8 @@ def cmd_gauss(args) -> Report:
     if spec.is_trivial():
         report.add("trivial_is_minus_one", True, exact.is_rational() and exact.rational_value() == -1)
     else:
-        report.add("norm_squared_equals_q", True, lfactors.gauss_sum_norm_check(spec))
+        report.add("norm_squared_equals_q", True,
+                   exact.norm_squared() == cyclotomic.Cyc.rational(args.q, exact.n))
     return report
 
 
@@ -564,8 +545,8 @@ def cmd_constant_term(args) -> Report:
 # -- driver ----------------------------------------------------------------------
 
 # What main derives from the flags before the handler runs (see above):
-# nothing, the numeric embeddings, the index layout, the layout and weights.
-NO_FIELD, EMBEDDINGS, LAYOUT, WEIGHTS = 0, 1, 2, 3
+# nothing, the index layout, the layout and weights.
+NO_FIELD, LAYOUT, WEIGHTS = 0, 1, 2
 
 INT = {"type": int, "required": True}
 ETA = {"default": None, "help": "comma list per embedding, or one pair"}
@@ -574,7 +555,7 @@ FLAG = {"action": "store_true"}
 
 # subcommand: (handler, prologue, help, {flag: add_argument keywords})
 COMMANDS = {
-    "field-check": (cmd_field_check, EMBEDDINGS, "tower invariants and the discriminant identity", {}),
+    "field-check": (cmd_field_check, LAYOUT, "tower invariants and the discriminant identity", {}),
     "balanced": (cmd_balanced, LAYOUT, "balanced predicate over a weight grid", {
         "--oracle": dict(FLAG, help="compare with character peeling"),
     }),
@@ -611,14 +592,15 @@ COMMANDS = {
 }
 
 
-# Flags every subcommand reads, written before or after its name.
+# Flags every subcommand accepts, written before or after its name; a
+# command that does not read one ignores its value.
 GLOBAL_FLAGS = {
     "--format": {"choices": ("records", "table"), "default": "records"},
     "--config": {"default": None, "help": "JSON config file"},
-    "--precision": {"type": int, "default": None, "help": "working decimal digits"},
-    "--tol": {"type": float, "default": 1e-9, "help": "quadrature tolerance"},
+    "--precision": {"type": int, "default": None, "help": "working decimal digits of field-check"},
+    "--tol": {"type": float, "default": 1e-9, "help": "quadrature tolerance of intertwine-arch"},
     "--max-den": {"type": int, "default": DEFAULT_MAX_DENOMINATOR,
-                  "help": "denominator bound for rational reconstruction"},
+                  "help": "denominator bound of field-check's rational reconstruction"},
 }
 
 
@@ -664,15 +646,9 @@ def main(argv=None) -> int:
             from . import towers
 
             args.cfg = load_config(args.config)
-            args.tower, args.precision = tower_from_config(args.cfg, args.precision)
-            check_precision(args.precision, args.max_den)
-            if prologue == EMBEDDINGS:
-                from . import cmfield
-
-                args.emb = cmfield.build_field(args.tower, args.precision)
-            else:
-                towers.check_tower(args.tower, args.precision)
-                args.emb = towers.Layout(args.tower)
+            args.tower = field_config(args.cfg, towers.FieldTower.from_config)
+            towers.check_tower(args.tower)
+            args.emb = towers.Layout(args.tower)
         if prologue == WEIGHTS:
             from . import weights
 

@@ -10,7 +10,8 @@ sorted by the image of theta, and the conjugate fibers inherit the
 transported order, which makes conjugation order-preserving between
 paired fibers.  The tower constants read these images, so they exist for
 every declared k0; exact elements in coordinates (user bases,
-``evaluate``) require k0 = Q.
+``evaluate``) require k0 = Q.  The working precision is this module's
+alone: ``check_precision`` and MAX_FIELD_WORK bound it.
 
 Exact values (disc(k/Q), the norm N_{k1/Q}(disc(k/k1)) as the product of
 the fiber determinants of the trace form, the constant in the
@@ -31,16 +32,39 @@ from mpmath import mp, mpc, mpf
 
 from . import DEFAULT_MAX_DENOMINATOR
 from .errors import ConfigError, PrecisionExhausted, ReconstructionFailed
-from .towers import DEFAULT_PRECISION, FieldTower, K1Pair, Layout, check_tower, lower_norm
+from .towers import FieldTower, K1Pair, Layout, check_tower, lower_norm
 
 # An element of k (over k0 = Q) is a polynomial in theta whose
 # coefficients are pairs (a, b) <-> a + b*sqrt(-d), with a, b rational.
 KElement = tuple[K1Pair, ...]
 
 
+DEFAULT_PRECISION = 50
+# Largest work [k:Q]^3 * (digits + 250)^2 of building a field and checking
+# its constants: [k:Q]-square trace forms of digits-digit numbers, and below
+# about 250 digits an mpmath operation costs its overhead.  Fitted by timing
+# fresh field-check processes (0.1-0.27 s per 10^9 steps for [k:Q] from 4
+# to 64 and up to 10,000 digits): the slowest admitted run takes about 3 s
+# on a 2-vCPU host ([k:Q] = 48 at 50 digits).
+MAX_FIELD_WORK = 11 * 10**9
+
+
 def tolerance(precision: int) -> mpf:
     """Root separation and reconstruction tolerance at ``precision`` digits."""
     return mpf(10) ** (-(precision // 2))
+
+
+def check_precision(precision: int, max_den: int) -> None:
+    """Refuse a denominator bound below 1, and a precision whose
+    ``tolerance`` is not below half the gap 1/max_den^2 between rationals
+    with denominators up to max_den.  2 * max_den^2 is never a power of 10,
+    so the least admissible precision // 2 is its number of digits."""
+    if max_den < 1:
+        raise ConfigError(f"--max-den must be at least 1, got {max_den}")
+    least = 2 * len(str(2 * max_den * max_den))
+    if precision < least:
+        raise ConfigError(f"precision {precision} is below {least}, the least that separates "
+                          f"rationals with denominators up to --max-den {max_den}")
 
 
 def parse_element(data) -> KElement:
@@ -121,12 +145,17 @@ def build_field(tower: FieldTower, precision: int = DEFAULT_PRECISION) -> Embedd
     of f sorted by (re, im) for s = 0 and their conjugates for s = 1, which
     is the layout's conj(i) = i +- m and restriction_k1[i] = i // m.
 
-    Before any root is sought, ``towers.check_tower`` refuses the work
-    above MAX_FIELD_WORK, a repeated root and a k0 that is not totally
-    real.  Then PrecisionExhausted refuses two roots closer than the
-    tolerance and a root finder that does not converge.
+    Before any root is sought, ConfigError refuses the work above
+    MAX_FIELD_WORK, and ``towers.check_tower`` the degree above its bound,
+    a repeated root and a k0 that is not totally real.  Then
+    PrecisionExhausted refuses two roots closer than the tolerance and a
+    root finder that does not converge.
     """
-    check_tower(tower, precision)
+    work = tower.degree_over_q**3 * (precision + 250) ** 2
+    if work > MAX_FIELD_WORK:
+        raise ConfigError(f"a degree-{tower.degree_over_q} field at {precision} digits needs "
+                          f"{work} steps, above the field work limit of {MAX_FIELD_WORK}")
+    check_tower(tower)
     with mp.workdps(precision + 15):
         tol = tolerance(precision)
 
@@ -190,9 +219,16 @@ def _product_values(emb: EmbeddingSet, k0_powers: int, k1_elements) -> list[list
 def _rational(emb: EmbeddingSet, value, what: str, max_denominator: int):
     """A numerically real ``value`` reconstructed as the Fraction with
     denominator <= max_denominator nearest the exact dyadic value of its
-    real part; returns (value, certificate).  ReconstructionFailed when
-    the value is not real or that Fraction is beyond the tolerance."""
+    real part; returns (value, certificate).  PrecisionExhausted when the
+    rounding of the working digits, |value| * 10^-(precision + 15), is
+    above the tolerance; ReconstructionFailed when the value is not real
+    or that Fraction is beyond the tolerance."""
     tol = emb.tolerance()
+    if abs(value) * mpf(10) ** -(emb.precision + 15) > tol:
+        raise PrecisionExhausted(
+            f"{what} is about {mp.nstr(abs(value), 3)}, more than {emb.precision} digits "
+            "can reconstruct; raise the precision"
+        )
     if abs(mp.im(value)) > tol:
         raise ReconstructionFailed(f"{what} is not real")
     real = mp.re(value)

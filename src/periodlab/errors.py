@@ -27,8 +27,10 @@ class ReduciblePolynomial(ConfigError):
 # -- numerical limits ---------------------------------------------------------
 
 class PrecisionExhausted(PeriodLabError):
-    """The working precision cannot place the roots: the root finder did
-    not converge, or two distinct roots lie within its tolerance."""
+    """The working precision cannot place the roots or hold a value: the
+    root finder did not converge, two distinct roots lie within its
+    tolerance, or a value to reconstruct is so large that the rounding of
+    its working digits is above that tolerance."""
 
 
 class QuadratureNotConverged(PeriodLabError):

@@ -44,6 +44,8 @@ the functions that build exact values.
 
 from __future__ import annotations
 
+import cmath
+
 from .lfactors import VanishingToken, gamma_ratio, normalizing_factor, unramified_lratio
 from .errors import AuditFailed, ConfigError
 from . import quadrature
@@ -148,8 +150,11 @@ def arch_intertwining(
     integrand's angular dependence in each coordinate is a pure phase
     e^{i beta_j theta_j}, so the integral factors into circle integrals
     times one (n-k)-dimensional radial integral, which
-    ``quadrature.halfline_with_fallback`` evaluates in one call.
+    ``quadrature.halfline_with_fallback`` evaluates in one call, to the
+    relative tolerance ``tol``: ConfigError unless it is positive and finite.
     """
+    if not 0 < tol < float("inf"):
+        raise ConfigError(f"tol must be a positive number, got {tol}")
     if not 1 <= k <= n:
         raise ConfigError("k out of range")
     arch_section(n, eta_pair, beta)
@@ -246,7 +251,8 @@ def assemble_constant_term(
     every summand is holomorphic exactly when the branch in use is that
     one: AuditFailed refuses a ``delta_branch`` that contradicts the
     token.  A rank n above ``weights.MAX_RANK`` raises ConfigError, and an
-    odd degree with a vanishing token raises ConfigError, before that.
+    odd degree with a vanishing token raises ConfigError, before that; after
+    it, so does a prefactor that is not a finite nonzero complex double.
     """
     from .weights import MAX_RANK  # here: the archimedean path loads no weights
 
@@ -258,12 +264,15 @@ def assemble_constant_term(
             f"normalizing branch {delta_branch!r} contradicts vanishing order "
             f"{token.order_zero}"
         )
-    return [
-        ConstantTermEntry(
-            k=k,
-            lratio_token=f"L(s{k - n:+d},eta)/L(s,eta)" if k < n else "1",
-            prefactor=((1j) ** (degree_over_q // 2) * complex(delta_constant)) ** (k - n),
-            delta_symbol=symbol,
-        )
-        for k in range(1, n + 1)
-    ]
+    base = (1j) ** (degree_over_q // 2) * complex(delta_constant)
+    entries = []
+    for k in range(1, n + 1):
+        try:
+            prefactor = base ** (k - n)
+        except (ZeroDivisionError, OverflowError):
+            prefactor = 0j
+        if not prefactor or not cmath.isfinite(prefactor):
+            raise ConfigError(f"the prefactor of term_{k} is not a finite nonzero complex double")
+        lratio_token = f"L(s{k - n:+d},eta)/L(s,eta)" if k < n else "1"
+        entries.append(ConstantTermEntry(k, lratio_token, prefactor, symbol))
+    return entries

@@ -260,10 +260,3 @@ def gauss_sum(spec: GaussSumSpec) -> tuple[Cyc, complex]:
     total = Cyc._from_exponent_dict(ncyc, counts)
     return total, total.to_complex()
 
-
-def gauss_sum_norm_check(spec: GaussSumSpec) -> bool:
-    """Exact check |G|^2 = q for nontrivial characters."""
-    from .cyclotomic import Cyc
-
-    g, _ = gauss_sum(spec)
-    return g.norm_squared() == Cyc.rational(spec.q, g.n)

@@ -13,7 +13,7 @@ root of any polynomial is needed to know them.  ``cmfield.build_field``
 attaches numeric images to this layout.
 
 ``check_tower`` decides without roots whether a declaration can be built:
-the field work bound, then a Sturm chain over the integers that tells
+the degree bound, then a Sturm chain over the integers that tells
 whether f and k0_poly are squarefree and counts the real roots of
 k0_poly.  ``delta_double`` is the constant Delta as the complex double
 nearest its exact value.  This module loads neither mpmath nor
@@ -30,18 +30,13 @@ from .errors import ConfigError, ReduciblePolynomial
 
 K1Pair = tuple[Fraction, Fraction]
 
-DEFAULT_PRECISION = 50
 # Largest accepted d: its squarefree test is trial division up to sqrt(d).
 MAX_BASE_DISC = 10**12
-# Largest work [k:Q]^3 * (digits + 250)^2 of building a field and checking
-# its constants: the trace forms are [k:Q]-square matrices of digits-digit
-# numbers, and below about 250 digits the cost of an mpmath operation is
-# its overhead.  Fitted by timing fresh field-check processes: 0.1-0.27 s
-# per 10^9 steps for [k:Q] from 4 to 64 and up to 10,000 digits (less at
-# [k:Q] = 2), so the slowest admitted run takes about 3 s on a 2-vCPU host
-# ([k:Q] = 48 at 50 digits: 2.1-2.8 s; x^12 - c over Q(sqrt -d) at 140
-# digits: 0.6 s).  Every command with a config applies it.
-MAX_FIELD_WORK = 11 * 10**9
+# Largest accepted [k:Q]: the Sturm chains, the Weyl counts and the weight
+# maps of every config command grow with it.  It is the largest degree that
+# cmfield.MAX_FIELD_WORK admits at 2 digits, the least precision
+# cmfield.check_precision admits: 54^3 * 252^2 <= 1.1e10 < 56^3 * 252^2.
+MAX_DEGREE = 54
 
 
 def _integer(value, what: str) -> int:
@@ -280,18 +275,13 @@ def real_root_count(chain: list[list[int]]) -> int:
     return changes(at_minus) - changes(at_plus)
 
 
-def check_tower(tower: FieldTower, precision: int) -> None:
+def check_tower(tower: FieldTower) -> None:
     """Refuse a declaration before any root is sought: ConfigError when
-    building its field at ``precision`` digits would take more than
-    MAX_FIELD_WORK steps, ReduciblePolynomial when k0_poly has a repeated
-    root, ConfigError when k0 is not totally real, ReduciblePolynomial
-    when f has a repeated root."""
-    work = tower.degree_over_q**3 * (precision + 250) ** 2
-    if work > MAX_FIELD_WORK:
-        raise ConfigError(
-            f"a degree-{tower.degree_over_q} field at {precision} digits needs {work} steps, "
-            f"above the field work limit of {MAX_FIELD_WORK}"
-        )
+    [k:Q] is above MAX_DEGREE, ReduciblePolynomial when k0_poly has a
+    repeated root, ConfigError when k0 is not totally real,
+    ReduciblePolynomial when f has a repeated root."""
+    if tower.degree_over_q > MAX_DEGREE:
+        raise ConfigError(f"[k:Q] = {tower.degree_over_q} is above the limit of {MAX_DEGREE}")
     if tower.declared_k0_poly is not None:
         chain = sturm_chain(tower.declared_k0_poly)
         if len(chain[-1]) > 1:

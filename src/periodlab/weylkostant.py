@@ -18,7 +18,8 @@ Contents:
 those of one length).  ``kostant_lines`` and ``distinguished_weyl`` raise
 ConfigError, before any work, when they would enumerate more than
 MAX_WEYL_CANDIDATES elements; ``kostant_lines`` also when its lines would
-hold more than MAX_KOSTANT_ENTRIES integers.
+hold more than MAX_KOSTANT_ENTRIES integers, and ``omega_monomial`` when
+its monomial would hold more than MAX_WEDGE_LABELS labels.
 """
 
 from __future__ import annotations
@@ -243,6 +244,11 @@ MAX_WEYL_CANDIDATES = 10**5
 # take under 2 s on a 2-vCPU host (n = 4, p = 19 over a degree-4 field:
 # 1.7 s); n = 8, p = 7 over Q(i) (55,320 lines) is refused.
 MAX_KOSTANT_ENTRIES = 250_000
+# Most labels of one generator monomial: sorting it counts its inversions
+# in O(labels^2), five times per wedge-sign run.  Fitted by timing fresh
+# wedge-sign processes: 2,997 labels (n = 1,000 over a degree-6 field, or
+# n = 112 over a degree-54 one) take 1.1-1.8 s on a 2-vCPU host.
+MAX_WEDGE_LABELS = 3000
 
 
 def weyl_count(n: int, emb_count: int, length: int | None = None) -> int:
@@ -377,10 +383,14 @@ def omega_monomial(w: WeightSystem, emb: Layout, k: int) -> WedgeMonomial:
     is the k-th-column covectors at the conjugate embedding followed by
     the k-th-row covectors at the embedding itself.  The monomial is
     stored canonically sorted; the sign records the parity of sorting
-    this defining arrangement.
+    this defining arrangement.  ConfigError, before any label is built,
+    when the monomial would hold more than MAX_WEDGE_LABELS labels.
     """
     n = w.n
     eta = w.eta()
+    count = (n - 1) * sum(1 for pos in range(emb.degree) if eta[pos] <= 0)
+    if count > MAX_WEDGE_LABELS:
+        raise ConfigError(f"the generator monomial has {count} labels, above the limit of {MAX_WEDGE_LABELS}")
     labels = []
     for pos in range(emb.degree):
         if eta[pos] <= 0:

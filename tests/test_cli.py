@@ -15,10 +15,13 @@ from hypothesis import strategies as st
 from periodlab import cmfield, cyclotomic, intertwine, lfactors, weights, weylkostant
 from periodlab.cli import main
 from periodlab.errors import ConfigError, PrecisionExhausted
-from test_golden_cli import README_COMMANDS
+from oracles import exact_tower_discriminants
+from test_golden_cli import GOLDEN, README_COMMANDS, case_id
 
 QI_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "qi.json")
 QIC_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "qic.json")
+# x^24 - 2 over Q(i), [k:Q] = 48
+X24_CONFIG = str(Path(__file__).resolve().parent / "data" / "x24_over_qi.json")
 
 
 CONFIG = {
@@ -172,7 +175,7 @@ ARGUMENT_ERRORS = [
     ["--precision", "1", "--config", QI_CONFIG, "field-check"],
     ["--precision", "4", "--config", QI_CONFIG, "field-check"],
     ["--config", QI_CONFIG, "field-check", "--precision", "5"],
-    ["--precision", "17", "--config", QI_CONFIG, "balanced"],
+    ["--precision", "17", "--config", QI_CONFIG, "field-check"],
     ["--precision", "25", "--max-den", "10000000", "--config", QI_CONFIG, "field-check"],
     # work bounds: Q(zeta_N) for N = lcm(q - 1, p), and the Weyl elements a scan visits
     ["gauss", "--q", "101", "--chi-order", "2"],
@@ -184,6 +187,8 @@ ARGUMENT_ERRORS = [
     ["--config", QI_CONFIG, "find-wk", "--n", "7", "--k", "1", "--full-scan"],
     ["--config", QI_CONFIG, "find-wk", "--n", "1000000", "--k", "1"],
     ["--config", QI_CONFIG, "wedge-sign", "--n", "1000000", "--k", "1", "--g", "conj"],
+    # 23,976 labels in the generator monomial
+    ["--config", X24_CONFIG, "wedge-sign", "--n", "1000", "--k", "1", "--g", "conj"],
     ["--config", QI_CONFIG, "constant-term", "--n", "10000000000", "--ord0", "pos"],
     # lratio and intertwine-nonarch: the order of the root of unity, the digits
     # of q^(n - k) and the work estimate
@@ -244,15 +249,27 @@ CONFIG_ERRORS = {
                                                        k1_basis=[[1, 0], [0, 1], [1, 1]])),
     "k-basis-singular": dict(CONFIG, field={"d": 1, "extension_poly": [-2, 0, 1],
                                             "k_basis": [[1], [2]]}),
-    # the work of building the field, along both axes
+    # the degree of the field, and the work of building it at a precision
     "extension-degree-100": dict(CONFIG, field=dict(CONFIG["field"],
                                                     extension_poly=[-2] + [0] * 99 + [1])),
+    "extension-degree-28": dict(CONFIG, field=dict(CONFIG["field"],
+                                                   extension_poly=[-2] + [0] * 27 + [1])),
     "precision-digits-100000": dict(CONFIG, field=dict(CONFIG["field"], precision_digits=100000)),
     # int() would truncate this to 60 digits
     "precision-digits-60.7": dict(CONFIG, field=dict(CONFIG["field"], precision_digits=60.7)),
     # repeated roots: x^2 over Q(i), and (x - 2)^2 for k0
     "extension-poly-square": dict(CONFIG, field=dict(CONFIG["field"], extension_poly=[0, 0, 1])),
     "k0-poly-square": dict(CONFIG, field=dict(CONFIG["field"], k0_poly=[4, -4, 1])),
+    # a Delta whose prefactors leave the doubles, and a discriminant over Q
+    # of 121 digits, which 50 digits cannot reconstruct
+    "k1-basis-1e-200": dict(CONFIG, field=dict(CONFIG["field"],
+                                               k1_basis=[["1e-200", 0], [0, "1e-200"]])),
+    "k1-basis-1/1000": dict(CONFIG, field=dict(CONFIG["field"],
+                                               k1_basis=[["1/1000", 0], [0, "1/1000"]])),
+    "k1-basis-1e200": dict(CONFIG, field=dict(CONFIG["field"],
+                                              k1_basis=[["1e200", 0], [0, "1e200"]])),
+    "k1-basis-1e30": dict(CONFIG, field=dict(CONFIG["field"],
+                                             k1_basis=[["1e30", 0], [0, "1e30"]])),
     # (x - 2)^4, on which the root finder does not converge
     "extension-poly-fourth-power": dict(CONFIG, field=dict(CONFIG["field"],
                                                            extension_poly=[16, -32, 24, -8, 1])),
@@ -263,12 +280,24 @@ CONFIG_ERRORS = {
 }
 # the commands of a CONFIG_ERRORS case, when they are not balanced alone:
 # a tower refused before balanced builds its layout is refused, for the same
-# reason, before field-check seeks a root
+# reason, before field-check seeks a root; only field-check reads the precision
 BOTH = [["balanced"], ["field-check"]]
+CONFIG_COMMANDS = [["field-check"], ["balanced"], ["kostant", "--n", "2", "--p", "1"],
+                   ["find-wk", "--n", "2", "--k", "2"],
+                   ["wedge-sign", "--n", "3", "--k", "2", "--g", "conj"],
+                   ["constant-term", "--n", "3", "--ord0", "pos"]]
 CONFIG_ERROR_COMMANDS = {
     "k-basis-singular": [["field-check"]],
     "peel-work-above-limit": [["balanced", "--oracle"]],
-    "precision-digits-60.7": BOTH,
+    "precision-digits-4": [["field-check"]],
+    "precision-digits-100000": [["field-check"]],
+    "precision-digits-60.7": [["field-check"]],
+    "extension-degree-100": CONFIG_COMMANDS,
+    "extension-degree-28": CONFIG_COMMANDS,
+    "k1-basis-1e-200": [["constant-term", "--n", "3", "--ord0", "0"]],
+    "k1-basis-1/1000": [["constant-term", "--n", "200", "--ord0", "0"]],
+    "k1-basis-1e200": [["constant-term", "--n", "3", "--ord0", "0"]],
+    "k1-basis-1e30": [["field-check"]],
     "k0-poly-not-totally-real": BOTH,
     "extension-poly-square": BOTH,
     "k0-poly-square": BOTH,
@@ -284,12 +313,17 @@ TOWER_REASONS = {
     "k1-basis-singular": "k1 basis is not a basis of k1 over k0",
     "k1-basis-three-elements": "bad field config: too many values to unpack",
     "k-basis-singular": "not a basis of k over k1",
-    "extension-degree-100": "above the field work limit",
+    "extension-degree-100": "[k:Q] = 200 is above the limit of 54",
+    "extension-degree-28": "[k:Q] = 56 is above the limit of 54",
     "precision-digits-100000": "above the field work limit",
     "precision-digits-60.7": "precision_digits 60.7 is not an integer",
     "extension-poly-square": "extension polynomial has coincident roots",
     "k0-poly-square": "k0 polynomial has coincident roots",
     "extension-poly-fourth-power": "extension polynomial has coincident roots",
+    "k1-basis-1e-200": "the prefactor of term_1 is not a finite nonzero complex double",
+    "k1-basis-1/1000": "the prefactor of term_1 is not a finite nonzero complex double",
+    "k1-basis-1e200": "the prefactor of term_1 is not a finite nonzero complex double",
+    "k1-basis-1e30": "discriminant over Q is about 4.0e+120, more than 50 digits can reconstruct",
 }
 
 
@@ -312,7 +346,10 @@ def test_config_error_exits_2(name, tmp_path, capsys):
 def test_roots_within_the_tolerance_are_a_precision_limit(tmp_path, capsys):
     """The Mignotte polynomial x^8 - 2(100x - 1)^2 is squarefree, with two
     real roots about 1.4e-10 apart: 18 digits (tolerance 1e-9) cannot tell
-    them apart, which is a precision limit and no repeated root; 30 can."""
+    them apart, which is a precision limit and no repeated root.  30 digits
+    separate the roots but cannot hold the 48-digit norm of disc(k/k1),
+    whose reconstruction would print a wrong disc_over_q; 120 digits print
+    the exact one."""
     poly = [-2, 400, -20000, 0, 0, 0, 0, 0, 1]
     with pytest.raises(PrecisionExhausted):
         cmfield.build_field(cmfield.FieldTower(1, tuple(poly)), 18)
@@ -325,7 +362,71 @@ def test_roots_within_the_tolerance_are_a_precision_limit(tmp_path, capsys):
     assert captured.err == (
         "error: distinct roots lie within the tolerance 1.0e-9 at 18 digits; raise the precision\n"
     )
-    assert main(["--config", str(p), "field-check", "--precision", "30"]) == 0
+    assert main(["--config", str(p), "field-check", "--precision", "30"]) == 2
+    assert capsys.readouterr().err == (
+        "error: norm of disc(k/k1) is about 2.28e+47, more than 30 digits can reconstruct; "
+        "raise the precision\n"
+    )
+    code, out = run_cli(["--config", str(p), "field-check", "--precision", "120"], capsys)
+    assert code == 0
+    records = {r["name"]: r["got"] for r in json.loads(out)["records"]}
+    disc_k, _ = exact_tower_discriminants(cmfield.FieldTower(1, tuple(poly)))
+    assert records["disc_over_q"] == str(disc_k)
+
+
+# README commands that read no precision, --max-den or --tol: the five
+# layout commands and gauss
+UNREAD = [argv for argv in README_COMMANDS
+          if argv[0] == "--config" and argv[2] != "field-check" or argv[0] == "gauss"]
+
+
+def test_unread_settings_change_no_output(tmp_path):
+    """Each layout command prints the README bytes, and exits as there, with
+    no precision setting at all, with any --precision, --max-den or --tol,
+    and with any precision_digits in its config; gauss with any --tol or
+    --max-den.  Only field-check reads the precision and --max-den, and
+    only intertwine-arch --tol."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    qi = json.loads(Path(QI_CONFIG).read_text(encoding="utf-8"))
+    configs = {}
+    for digits in (None, 4, 60.7, 100000):
+        field = {key: v for key, v in qi["field"].items() if key != "precision_digits"}
+        if digits is not None:
+            field["precision_digits"] = digits
+        configs[digits] = tmp_path / f"qi-{digits}.json"
+        configs[digits].write_text(json.dumps(dict(qi, field=field)))
+    flags = [["--precision", "2"], ["--precision", "17"], ["--max-den", "0"], ["--tol", "0"]]
+    for argv in UNREAD:
+        for fmt in ("records", "table"):
+            expected = golden[case_id(fmt, argv)]
+            runs = [(["--max-den", "0"], argv), (["--tol", "0"], argv)]
+            if argv[0] == "--config":
+                runs = [(extra, ["--config", str(path)] + argv[2:])
+                        for path in configs.values() for extra in [[]] + flags]
+            for extra, words in runs:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["--format", fmt] + extra + words)
+                assert {"exit": code, "stdout": out.getvalue()} == expected, extra + words
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS[1:], ids=" ".join)
+def test_degree_54_tower_runs_the_layout_commands(command, tmp_path, capsys):
+    """x^27 - 2 over Q(i), [k:Q] = 54 = towers.MAX_DEGREE, at the default
+    precision: the layout commands run, and find-wk stops only at its scan
+    bound (the bottom degree 27 has C(54, 27) elements)."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"field": {"d": 1, "extension_poly": [-2] + [0] * 26 + [1]},
+                             "weights": {"n": 2, "points": []}}))
+    code = main(["--config", str(p)] + command)
+    captured = capsys.readouterr()
+    if command[0] == "find-wk":
+        assert code == 2
+        assert captured.err == ("error: the scan would visit 1946939425648112 Weyl elements, "
+                                "above the limit of 100000\n")
+    else:
+        assert code == 0
+        assert {r["verdict"] for r in json.loads(captured.out)["records"]} <= {"pass"}
 
 
 @pytest.mark.parametrize("n, a", [(6, 3), (8, 2), (6, 4)])
@@ -856,7 +957,9 @@ def test_installed_entry_point():
     lambda: intertwine.arch_section(2, (1, 2), (0, 1)),
     lambda: weights.grid(2, 2, 2),
     lambda: cmfield.FieldTower(12, (0, 1)),
-], ids=["weyl_count", "check_order", "GaussSumSpec", "arch_section", "grid", "FieldTower"])
+    lambda: intertwine.arch_intertwining(2, 1, (0, 2), (0, 2), 1.0, tol=0),
+], ids=["weyl_count", "check_order", "GaussSumSpec", "arch_section", "grid", "FieldTower",
+        "arch_intertwining"])
 def test_layer_refusal_is_a_config_error_and_a_value_error(call):
     with pytest.raises(ConfigError) as exc:
         call()

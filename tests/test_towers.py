@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc
 
-from periodlab.cmfield import FieldTower, build_field
+from periodlab.cmfield import MAX_FIELD_WORK, FieldTower, build_field, check_precision
 from periodlab.errors import ConfigError, ReduciblePolynomial
 from periodlab.towers import (
+    MAX_DEGREE,
     Layout,
     check_tower,
     delta_double,
@@ -177,9 +178,22 @@ def test_check_tower_refusals(fields, error, message):
     """Each refusal also ends build_field, before any root is sought."""
     tower = FieldTower(base_disc=1, **fields)
     with pytest.raises(error) as exc:
-        check_tower(tower, 50)
+        check_tower(tower)
     assert type(exc.value) is error and str(exc.value).startswith(message)
     with pytest.raises(error) as exc:
         build_field(tower, 50)
     assert type(exc.value) is error and str(exc.value).startswith(message)
 
+
+
+def test_check_tower_bounds_the_degree():
+    """x^27 - 2 over Q(i) has [k:Q] = MAX_DEGREE = 54 and x^28 - 2 is
+    refused: the largest even degree whose field work cmfield admits at 2
+    digits, the least precision it admits."""
+    check_tower(FieldTower(base_disc=1, extension_poly=(-2,) + (0,) * 26 + (1,)))
+    with pytest.raises(ConfigError, match=r"^\[k:Q\] = 56 is above the limit of 54$"):
+        check_tower(FieldTower(base_disc=1, extension_poly=(-2,) + (0,) * 27 + (1,)))
+    check_precision(2, 1)
+    with pytest.raises(ConfigError):
+        check_precision(1, 1)
+    assert MAX_DEGREE**3 * 252**2 <= MAX_FIELD_WORK < (MAX_DEGREE + 2) ** 3 * 252**2
