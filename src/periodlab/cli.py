@@ -315,7 +315,11 @@ def cmd_field_check(args) -> Report:
         nab, _ = cmfield.disc_constant_upper(emb, basis=k_basis, max_denominator=args.max_den)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad field.k_basis: {exc}") from None
-    report.add("nabla_constant", complex(nab), complex(nab))
+    except ReconstructionFailed as exc:
+        nab = None
+        report.add("nabla_constant", True, f"error: {exc}", verdict=False)
+    else:
+        report.add("nabla_constant", complex(nab), complex(nab))
     # the identity uses the power basis: hand over nab when it is that one
     power_nabla = nab if k_basis is None else None
     try:

@@ -86,11 +86,13 @@ def shell_sum(n: int, k: int, a: Cyc, q: int) -> LaurentRatio:
     if m == 0:
         return one
     # sum_{t>=1} q^{mt} (aX)^t  and  sum_{t>=1} q^{m(t-1)} (aX)^t:
-    # c X / (1 - q^m a X) for c = q^m a and c = a
+    # c X / (1 - q^m a X) for c = q^m a and c = a; the two share their
+    # denominator, so they are summed first and the shell t = 0 added last
     scaled = a * q**m
     den = XPoly.const(a.n, 1) - XPoly.monomial(a.n, 1, scaled)
-    return (one + LaurentRatio(XPoly.monomial(a.n, 1, scaled), den)
-            - LaurentRatio(XPoly.monomial(a.n, 1, a), den))
+    shells = (LaurentRatio(XPoly.monomial(a.n, 1, scaled), den)
+              - LaurentRatio(XPoly.monomial(a.n, 1, a), den))
+    return one + shells
 
 
 def nonarch_intertwining(n: int, k: int, a: Cyc, q: int) -> IntertwineResult:

@@ -3,9 +3,11 @@
 ``X`` plays the role of q^{-s} in unramified local L-factor ratios, so a
 ratio of two polynomials in X with cyclotomic coefficients stores an
 L-factor quotient exactly.  A ratio keeps the numerator and denominator
-it was built from, and equality of ratios is decided by cross
-multiplication.  The gcd-reduced form over the field of coefficients,
-with a normalized denominator, is computed only to print a ratio.
+it was built from.  Two ratios whose denominators are equal polynomials
+are added, subtracted and compared through their numerators over that
+one denominator; other ratios cross-multiply.  The gcd-reduced form over
+the field of coefficients, with a normalized denominator, is computed
+only to print a ratio.
 """
 
 from __future__ import annotations
@@ -34,6 +36,15 @@ class XPoly:
         self.coeffs = cs
 
     @staticmethod
+    def _of(n: int, coeffs: dict[int, Cyc]) -> "XPoly":
+        """From ``Cyc`` coefficients at nonnegative degrees, as the
+        arithmetic below builds them; zero coefficients are dropped."""
+        out = object.__new__(XPoly)
+        out.n = n
+        out.coeffs = {d: c for d, c in coeffs.items() if not c.is_zero()}
+        return out
+
+    @staticmethod
     def const(n: int, c) -> "XPoly":
         return XPoly(n, {0: c if isinstance(c, Cyc) else Cyc.rational(c, n)})
 
@@ -51,25 +62,25 @@ class XPoly:
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
             out[d] = out[d] + c if d in out else c
-        return XPoly(self.n, out)
-
-    def __neg__(self) -> "XPoly":
-        return XPoly(self.n, {d: -c for d, c in self.coeffs.items()})
+        return XPoly._of(self.n, out)
 
     def __sub__(self, other: "XPoly") -> "XPoly":
-        return self + (-other)
+        out = dict(self.coeffs)
+        for d, c in other.coeffs.items():
+            out[d] = out[d] - c if d in out else -c
+        return XPoly._of(self.n, out)
 
     def __mul__(self, other) -> "XPoly":
         # XPoly first: isinstance misses on Fraction run its ABCMeta hook
         if not isinstance(other, XPoly) and isinstance(other, (Cyc, int, Fraction)):
-            return XPoly(self.n, {d: c * other for d, c in self.coeffs.items()})
+            return XPoly._of(self.n, {d: c * other for d, c in self.coeffs.items()})
         out: dict[int, Cyc] = {}
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
                 d = d1 + d2
                 p = c1 * c2
                 out[d] = out[d] + p if d in out else p
-        return XPoly(self.n, out)
+        return XPoly._of(self.n, out)
 
     __rmul__ = __mul__
 
@@ -106,7 +117,7 @@ class XPoly:
                     rem.pop(key, None)
                 else:
                     rem[key] = val
-        return XPoly(self.n, quot), XPoly(self.n, rem)
+        return XPoly._of(self.n, quot), XPoly._of(self.n, rem)
 
     def gcd(self, other: "XPoly") -> "XPoly":
         a, b = self, other
@@ -117,7 +128,7 @@ class XPoly:
         return a * a.leading().inverse()  # monic
 
     def galois(self, j: int) -> "XPoly":
-        return XPoly(self.n, {d: c.galois(j) for d, c in self.coeffs.items()})
+        return XPoly._of(self.n, {d: c.galois(j) for d, c in self.coeffs.items()})
 
     def evaluate(self, x: complex) -> complex:
         return sum(c.to_complex() * x**d for d, c in self.coeffs.items())
@@ -142,8 +153,9 @@ class LaurentRatio:
     """A quotient of two ``XPoly`` values; the denominator is nonzero.
 
     The stored pair is not reduced, so two ratios of one rational
-    function may store different pairs; ``==`` compares them by cross
-    multiplication and ``repr`` prints the unique reduced form.
+    function may store different pairs; ``==`` compares the numerators
+    when the denominators are equal and cross-multiplies otherwise, and
+    ``repr`` prints the unique reduced form.
     """
 
     __slots__ = ("num", "den")
@@ -177,19 +189,24 @@ class LaurentRatio:
         return LaurentRatio(self.num * other.num, self.den * other.den)
 
     def __add__(self, other: "LaurentRatio") -> "LaurentRatio":
+        if self.den == other.den:
+            return LaurentRatio(self.num + other.num, self.den)
         return LaurentRatio(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
     def __sub__(self, other: "LaurentRatio") -> "LaurentRatio":
-        # negate the factor, not the product: fewer coefficients to negate
+        if self.den == other.den:
+            return LaurentRatio(self.num - other.num, self.den)
         return LaurentRatio(
-            self.num * other.den + (-other.num) * self.den, self.den * other.den
+            self.num * other.den - other.num * self.den, self.den * other.den
         )
 
     def __eq__(self, other):
         if not isinstance(other, LaurentRatio):
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def galois(self, j: int) -> "LaurentRatio":

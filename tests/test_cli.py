@@ -99,6 +99,25 @@ def test_bad_k_basis_exits_2(k_basis, tmp_path, capsys):
     assert captured.err.startswith("error: bad field.k_basis: ") and captured.err.count("\n") == 1
 
 
+def test_unreconstructed_nabla_is_a_failing_record(capsys):
+    """The basis 1/2, theta/3 of x^2 - 2 over Q(i) has N(disc(k/k1)) = 4/81,
+    beyond --max-den 30: nabla_constant fails its record and the run exits
+    1, while the identity, on the power basis, still passes."""
+    data = str(Path(__file__).resolve().parent / "data" / "k_basis_halves_thirds.json")
+    code = main(["--config", data, "field-check", "--max-den", "30"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    records = {r["name"]: r for r in json.loads(captured.out)["records"]}
+    assert [name for name, r in records.items() if r["verdict"] != "pass"] == ["nabla_constant"]
+    assert records["nabla_constant"]["got"].startswith(
+        "error: value 0.049382716049382716049 not within 1.0e-25 of a rational with denominator <= 30"
+    )
+    assert records["disc_over_q"]["got"] == "1024"
+    code, out = run_cli(["--config", data, "field-check", "--max-den", "81"], capsys)
+    assert code == 0
+    assert {r["name"]: r["got"] for r in json.loads(out)["records"]}["nabla_constant"] == "0.222222222222222+0i"
+
+
 def test_determinism(config_file, capsys):
     _, out1 = run_cli(["--config", config_file, "balanced", "--oracle"], capsys)
     _, out2 = run_cli(["--config", config_file, "balanced", "--oracle"], capsys)

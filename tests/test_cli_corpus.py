@@ -8,7 +8,8 @@ prime-power q, every field command over Q(i) and Q(i, 2^(1/3)), and
 ``intertwine-arch`` off the README's run, in both output formats, plus
 one refused run at each work bound, and ``intertwine-arch`` at slice
 dimensions 2 to 5 (the last refused) in records format and one table
-case.  A config path in a case is relative to the repository root.  On
+case, and one ``field-check`` whose nabla_constant fails its record.  A
+config path in a case is relative to the repository root.  On
 a mismatch, the test id names the case, so it can be rerun by hand for a
 full diff.  Re-record only for a deliberate change of a report, with
 ``PYTHONPATH=src python tests/test_cli_corpus.py``; it prints each case it
@@ -129,6 +130,8 @@ COMMANDS = (
 CASES = [" ".join(["--format", fmt] + argv) for argv in COMMANDS for fmt in FORMATS]
 # 11,664 points: one format is enough
 CASES.append("--format records --config configs/grid_n2.json balanced")
+# a k_basis whose norm of disc(k/k1), 4/81, is beyond --max-den: a failing record
+CASES.append("--format records --config tests/data/k_basis_halves_thirds.json field-check --max-den 30")
 CASES += [" ".join(["--format", "records"] + argv) for argv in ARCH_SLICES]
 CASES.append(" ".join(["--format", "table"] + ARCH_SLICES[4]))
 

@@ -1,7 +1,9 @@
-"""LaurentRatio keeps the pair it is built from: equality is cross
-multiplication and the printed form is the reduced one, whichever pair
+"""LaurentRatio keeps the pair it is built from: ratios with equal
+denominators add, subtract and compare their numerators, other ratios
+cross-multiply, and the printed form is the reduced one, whichever pair
 a rational function was built from."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -72,3 +74,70 @@ def test_shell_sum_prints_as_product_formula_on_criterion_1_grid():
 @pytest.mark.parametrize("n,k,j,q", [(2, 1, 1, 2), (3, 1, 97, 3), (4, 2, 335, 5), (4, 4, 5, 2)])
 def test_shell_sum_prints_as_product_formula_over_q_zeta_336(n, k, j, q):
     assert_shell_sum_prints_as_product_formula(n, k, Cyc.zeta(336, j), q)
+
+
+# -- the shared-denominator shortcuts against explicit cross multiplication -----
+
+
+def sparse_poly(rng: random.Random, n: int) -> XPoly:
+    """Up to three nonzero terms of degree <= 3, each coefficient a sum of
+    one or two c * zeta^e with e drawn from all of 0..N-1, so that
+    exponents at or above phi(N) stay unreduced in the stored map."""
+    coeffs = {}
+    for d in rng.sample(range(4), rng.randint(1, 3)):
+        c = Cyc.rational(0, n)
+        for _ in range(rng.randint(1, 2)):
+            c = c + Cyc.zeta(n, rng.randrange(n)) * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+        coeffs[d] = c
+    return XPoly(n, coeffs)
+
+
+def restated(p: XPoly) -> XPoly:
+    """p stored in another form: times const(1), and at even N each
+    coefficient plus the zero 1 + zeta^(N/2) as two more stored terms."""
+    n = p.n
+    if n % 2:
+        return XPoly.const(n, 1) * p
+    zero = Cyc.rational(1, n) + Cyc.zeta(n, n // 2)
+    return XPoly.const(n, 1) * XPoly(n, {d: c + zero for d, c in p.coeffs.items()})
+
+
+def same_function(r: LaurentRatio, num: XPoly, den: XPoly) -> bool:
+    """r == num / den, decided by cross multiplication of XPoly values."""
+    return r.num * den == num * r.den
+
+
+@pytest.mark.parametrize("n", [1, 12, 336])
+def test_shared_denominator_shortcuts_agree_with_cross_multiplication(n):
+    """Each check is a bool, so that a failure prints no ratio: ``repr``
+    reduces by a gcd, which at N = 336 inverts dense coefficients."""
+    rng = random.Random(2600 + n)
+    two = Cyc.rational(2, n)
+    for case in range(25):
+        a, b, d = sparse_poly(rng, n), sparse_poly(rng, n), sparse_poly(rng, n)
+        checks = []
+        for d2 in (d, restated(d)):
+            r, s = LaurentRatio(a, d), LaurentRatio(b, d2)
+            total, diff = r + s, r - s
+            checks += [
+                d2 == d,
+                total.den == d and diff.den == d,  # the shortcut keeps one denominator
+                same_function(total, a * d2 + b * d, d * d2),
+                same_function(diff, a * d2 - b * d, d * d2),
+                (r == s) == (a * d2 == b * d) == (a == b),
+            ]
+        same, restated_same = LaurentRatio(a, d), LaurentRatio(a, restated(d))
+        # one function over two denominators takes the cross multiplication
+        doubled, other = LaurentRatio(a * two, d * two), LaurentRatio(b, d)
+        cross = doubled + other
+        checks += [
+            # equal denominators: unequal numerators are unequal ratios
+            (LaurentRatio(a, d) != LaurentRatio(b, restated(d))) == (a != b),
+            same == restated_same,
+            (same - restated_same).num.is_zero(),
+            doubled == same,
+            doubled != LaurentRatio(a + XPoly.const(n, 1), d),
+            cross.den == d * two * d,
+            same_function(cross, a * two + b * two, d * two),
+        ]
+        assert all(checks), (n, case, checks)

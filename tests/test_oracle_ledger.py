@@ -9,25 +9,33 @@ commands but field-check, recorded when they ran on ``build_field``'s
 numeric embeddings, must print the same bytes on the exact layout with
 every root finder broken.
 
-Two pairs get no row:
+The row "weyl-line-weights" checks the torus weights of the Kostant
+lines at one embedding against the Weyl character formula, which is
+Kostant's theorem at the level of Euler characteristics:
 
-* Weyl elements: the closed form and the exhaustive scan both run inside
-  ``weylkostant.distinguished_weyl``, so neither can be broken without the
-  other until a factorized certificate separates the two routes.
-* Gauss sums: the Hasse-Davenport and Jacobi relations compare outputs of
-  ``lfactors.gauss_sum`` with each other; there is no second route to keep
-  apart from the first.
+    sum_{w in S_n} (-1)^{l(w)} x^{w.L} = ch F_L * prod_{i<j} (1 - x_j / x_i),
+
+with L the line's base weight, the dual of ``highest_weight_from_eta``,
+and ch F_L from semistandard tableaux (``charpeel.character``).  L + rho
+is regular, so the weights w.L are distinct and the identity fixes every
+line's weight and degree parity.
+
+Gauss sums get no row: the Hasse-Davenport and Jacobi relations compare
+outputs of ``lfactors.gauss_sum`` with each other; there is no second
+route to keep apart from the first.
 """
 
+import itertools
 import json
 import operator
 
 import mpmath
 import pytest
 
-from periodlab import charpeel, cmfield, intertwine, lfactors, quadrature, weights
+from periodlab import charpeel, cmfield, intertwine, lfactors, quadrature, weights, weylkostant
 from periodlab.cmfield import build_field, disc_constant_upper, disc_over_q
 from periodlab.cyclotomic import Cyc
+from periodlab.towers import FieldTower, Layout
 
 from oracles import exact_tower_discriminants
 from test_cmfield import ALL_TOWERS
@@ -82,6 +90,39 @@ def scalar_rule(fast):
     return [quadrature.exp_sinh_halfline(lambda x: x * (1.0 + x * x) ** -3.0, 1e-10)[0]]
 
 
+QI_LAYOUT = Layout(FieldTower(base_disc=1, extension_poly=(0, 1)))  # k = Q(i)
+# (n, eta at the embedding read); both sides of eta at every n <= 6
+WEYL_CASES = [(n, eta) for n in range(2, 7) for eta in (-3, 0, n, n + 2)]
+
+
+def signed_line_weights(n, eta):
+    """sum of (-1)^degree x^(torus weight at embedding 0) over the lines of
+    S_n at embedding 0, the conjugate embedding held at the identity."""
+    w = weights.weight_system_from_eta(n, {0: eta, 1: n - eta})
+    identity = tuple(range(1, n + 1))
+    out = {}
+    for perm in itertools.permutations(identity):
+        line = weylkostant.make_line(weylkostant.WeylElement((perm, identity)), w, QI_LAYOUT)
+        key = line.torus_weight[0]
+        out[key] = out.get(key, 0) + (-1) ** line.degree
+    return {e: c for e, c in out.items() if c}
+
+
+def weyl_character_side(n, eta):
+    """ch F_L * prod_{i<j} (1 - x_j / x_i) for L = (-mu_n, ..., -mu_1)."""
+    mu = weights.highest_weight_from_eta(eta, n)
+    poly = charpeel.character(tuple(-x for x in reversed(mu)), n)
+    for i, j in itertools.combinations(range(n), 2):
+        shift = [0] * n
+        shift[i], shift[j] = -1, 1
+        nxt = dict(poly)
+        for e, c in poly.items():
+            key = tuple(a + b for a, b in zip(e, shift))
+            nxt[key] = nxt.get(key, 0) - c
+        poly = {e: c for e, c in nxt.items() if c}
+    return poly
+
+
 def close(fast, oracle):
     return all(abs(o - f) <= 1e-8 * abs(f) for f, o in zip(fast, oracle))
 
@@ -108,6 +149,14 @@ ROWS = {
         lambda: [weights.balanced_at(*point) for point in POINTS],
         lambda fast: [charpeel.balanced_at_oracle(*point) for point in POINTS],
         [(weights, "balanced_at"), (weights, "_is_horizontal_strip"), (weights, "is_balanced")],
+        ("weights.highest_weight_from_eta",),
+        operator.eq,
+    ),
+    "weyl-line-weights": (
+        lambda: [signed_line_weights(*case) for case in WEYL_CASES],
+        lambda fast: [weyl_character_side(*case) for case in WEYL_CASES],
+        [(weylkostant, "_line_weight_component"), (weylkostant, "make_line"),
+         (weylkostant, "inverted_pairs")],
         ("weights.highest_weight_from_eta",),
         operator.eq,
     ),
