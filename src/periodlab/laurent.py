@@ -119,13 +119,44 @@ class XPoly:
                     rem[key] = val
         return XPoly._of(self.n, quot), XPoly._of(self.n, rem)
 
+    def _pseudo_rem(self, den: "XPoly") -> "XPoly":
+        """The remainder of lead(den)^m * self by den, for the least m that
+        needs no division: each step scales by lead(den) and cancels the
+        top term, so no coefficient is inverted; ``den`` is nonzero."""
+        lead, dd = den.leading(), den.degree()
+        rem = dict(self.coeffs)
+        while rem:
+            d = max(rem)
+            if d < dd:
+                break
+            c = rem.pop(d)
+            rem = {k: v * lead for k, v in rem.items()}
+            for dj, cj in den.coeffs.items():
+                if dj == dd:
+                    continue
+                key = d - dd + dj
+                val = rem[key] - c * cj if key in rem else -(c * cj)
+                if val.is_zero():
+                    rem.pop(key, None)
+                else:
+                    rem[key] = val
+        return XPoly._of(self.n, rem)
+
     def gcd(self, other: "XPoly") -> "XPoly":
+        """The monic gcd, 1 when constant: remainders by pseudo-division,
+        then one inversion of the last remainder's leading coefficient."""
         a, b = self, other
         while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
+            a, b = b, a._pseudo_rem(b)
         if a.is_zero():
             return a
-        return a * a.leading().inverse()  # monic
+        one = Cyc.rational(1, self.n)
+        if a.degree() == 0:
+            return XPoly._of(self.n, {0: one})
+        inv = a.leading().inverse()
+        monic = {d: c * inv for d, c in a.coeffs.items()}
+        monic[a.degree()] = one
+        return XPoly._of(self.n, monic)
 
     def galois(self, j: int) -> "XPoly":
         return XPoly._of(self.n, {d: c.galois(j) for d, c in self.coeffs.items()})

@@ -7,7 +7,8 @@ Contents:
   embeddings), carrying its torus weight and wedge monomial;
 * the distinguished bottom-degree element w(k), built from the cycle
   closed form per embedding and certified unique by an exhaustive scan
-  against the induced-character torus weight;
+  that compares each candidate's torus weight, and builds no line, with
+  the induced-character target;
 * formal wedge monomials of nilpotent covectors with the sign calculus
   for Galois relabeling, including the transfer sign of the generator
   monomials;
@@ -320,8 +321,10 @@ def distinguished_weyl(
     Per embedding the element is the inverse cycle (k ... n) where eta <= 0
     and the cycle (1 ... k) where eta >= n.  The certificate scans all
     absolute Weyl elements of bottom degree (or the full group when
-    ``full_scan``) and checks that exactly one line's torus weight matches
-    the induced character target at every embedding.
+    ``full_scan``) and checks that exactly one of them has the induced
+    character target as its torus weight at every embedding.  Each
+    candidate's torus weight comes from ``_line_weight_component``, the
+    formula ``make_line`` uses; no line, wedge monomial or sort is built.
     """
     n = w.n
     if not 1 <= k <= n:
@@ -355,7 +358,11 @@ def distinguished_weyl(
         )
     for cand in candidates:
         scanned += 1
-        if make_line(cand, w, emb).torus_weight == target:
+        weight = tuple(
+            _line_weight_component(c, inverted_pairs(c), eta[pos], n)
+            for pos, c in enumerate(cand.components)
+        )
+        if weight == target:
             matches.append(cand)
     if len(matches) != 1:
         raise UniquenessFailed(

@@ -8,7 +8,8 @@ prime-power q, every field command over Q(i) and Q(i, 2^(1/3)), and
 ``intertwine-arch`` off the README's run, in both output formats, plus
 one refused run at each work bound, and ``intertwine-arch`` at slice
 dimensions 2 to 5 (the last refused) in records format and one table
-case, and one ``field-check`` whose nabla_constant fails its record.  A
+case, one ``field-check`` whose nabla_constant fails its record, and
+``find-wk`` on an eta that is not two-sided, which certifies no element.  A
 config path in a case is relative to the repository root.  On
 a mismatch, the test id names the case, so it can be rerun by hand for a
 full diff.  Re-record only for a deliberate change of a report, with
@@ -80,6 +81,8 @@ FIELD = (
        for cfg, n, etas in FIND_WK for eta in etas for k in range(1, n + 1)
        for scan in ([], ["--full-scan"])]
     + [QI + ["find-wk", "--n", "2", "--k", "1", "--eta", "1,1"]]  # no closed form: refused, exit 2
+    # not two-sided: no bottom-degree match, and a full-scan match of the wrong length (exit 1)
+    + [QI + ["find-wk", "--n", "2", "--k", "1", "--eta", "0,0"] + scan for scan in ([], ["--full-scan"])]
     + [QI + ["wedge-sign", "--n", "3", "--k", "2", "--g", g] for g in ("id", "conj", "1,0")]
     + [QIC + ["wedge-sign", "--n", "2", "--k", "1", "--g", g] for g in ("conj", "1,2,0,4,5,3")]
     + [cfg + ["constant-term", "--n", "3", "--ord0", ord0] + flip

@@ -4,6 +4,7 @@ cross-multiply, and the printed form is the reduced one, whichever pair
 a rational function was built from."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -141,3 +142,27 @@ def test_shared_denominator_shortcuts_agree_with_cross_multiplication(n):
             same_function(cross, a * two + b * two, d * two),
         ]
         assert all(checks), (n, case, checks)
+
+
+def test_reduced_form_inverts_no_remainder_coefficient():
+    """A coprime pair at N = 336 whose Euclidean remainders have dense
+    leading coefficients: inverting each one by its 95-conjugate norm
+    product ran for minutes.  The gcd takes pseudo-remainders, which only
+    multiply, so the print is immediate."""
+    rng = random.Random(2936)
+    a, d = sparse_poly(rng, 336), sparse_poly(rng, 336)
+    r = LaurentRatio(a, d)
+    t0 = time.perf_counter()
+    text = repr(r)
+    assert time.perf_counter() - t0 < 5.0
+    num, den = r._reduced()
+    assert text == f"[{num!r}] / [{den!r}]"
+    assert same_function(r, num, den)
+    assert a.gcd(d) == XPoly.const(336, 1)
+
+
+def test_gcd_is_monic_and_cancels_a_common_factor():
+    assert P.gcd(F) == XPoly.const(N, 1)
+    g = (P * F).gcd(P * G)
+    assert g == P * Fraction(1, 5)
+    assert XPoly(N).gcd(XPoly(N)).is_zero()

@@ -27,7 +27,10 @@ from periodlab.weylkostant import (
     wedge_sigma_sign,
 )
 
+from periodlab.errors import UniquenessFailed
+
 from oracles import admissible_permutations, coset_reps
+from test_acceptance import _case_pm_etas
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +149,71 @@ def test_distinguished_weyl_full_scan_agrees(emb2):
     b, cert = distinguished_weyl(w, emb2, 1, full_scan=True)
     assert a == b
     assert cert["scanned"] == 4
+
+
+def assert_scan_matches_lines(w, emb, k):
+    """The scan's certificate against make_line over the same bottom-degree
+    candidates: one line has the target torus weight, and it is the
+    returned element."""
+    n = w.n
+    c_n = weylkostant.bottom_degree(n, emb)
+    target = weylkostant._restricted_target(w, emb, k)
+    lines = [
+        weylkostant.make_line(WeylElement(components=c), w, emb)
+        for c in weylkostant._elements_of_length(n, emb.degree, c_n)
+    ]
+    el, cert = distinguished_weyl(w, emb, k)
+    assert [line.element for line in lines if line.torus_weight == target] == [el], (n, k, w.eta())
+    assert cert["scanned"] == len(lines) == weyl_count(n, emb.degree, c_n)
+    assert cert["matches"] == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_scan_agrees_with_make_line_deg2(emb2, n):
+    """Every degree-2 point of criterion 3's grid."""
+    for eta in _case_pm_etas(emb2, n):
+        w = weight_system_from_eta(n, eta)
+        for k in range(1, n + 1):
+            assert_scan_matches_lines(w, emb2, k)
+
+
+def test_scan_agrees_with_make_line_deg4(emb4):
+    """Every third eta of criterion 3's n = 3 grid over the degree-4 field,
+    134 with both orientations of each pair, k taken in turn."""
+    etas = list(_case_pm_etas(emb4, 3))[::3]
+    assert len(etas) == 134
+    for index, eta in enumerate(etas):
+        assert_scan_matches_lines(weight_system_from_eta(3, eta), emb4, 1 + index % 3)
+
+
+def test_broken_line_weight_breaks_the_scan(emb4, monkeypatch):
+    """The scan reads the torus weight through _line_weight_component, so
+    swapping its inversion shift leaves no element to certify."""
+
+    unshifted = weylkostant._line_weight_component
+
+    def swapped(oneline, pairs, eta_value, n):
+        weight = list(unshifted(oneline, [], eta_value, n))
+        for (i, j) in pairs:
+            weight[i - 1] += 1
+            weight[j - 1] -= 1
+        return tuple(weight)
+
+    w = weight_system_from_eta(3, aligned_eta(emb4, 3))
+    distinguished_weyl(w, emb4, 2)
+    monkeypatch.setattr(weylkostant, "_line_weight_component", swapped)
+    with pytest.raises(UniquenessFailed, match="scan found 0 matching elements"):
+        distinguished_weyl(w, emb4, 2)
+
+
+def test_distinguished_weyl_deg6(emb6):
+    """x^3 - 2 over Q(i), n = 3: 3,599 bottom-degree candidates per k."""
+    w = weight_system_from_eta(3, aligned_eta(emb6, 3))
+    for k in (1, 2, 3):
+        el, cert = distinguished_weyl(w, emb6, k)
+        assert cert["scanned"] == 3599
+        assert cert["matches"] == 1
+        assert el.length() == cert["bottom_degree"] == 6
 
 
 # -- wedge monomials ------------------------------------------------------------------
