@@ -22,10 +22,9 @@ convolutions over fields containing a CM subfield:
                      monomials and Galois relabeling signs;
 * ``cyclotomic``  -- exact arithmetic in cyclotomic fields Q(zeta_N);
 * ``laurent``     -- polynomials and ratios in X = q^{-s} over Q(zeta_N);
-                     ratios with equal denominators add, subtract and
-                     compare their numerators, other ratios
-                     cross-multiply, and the reduced form is computed
-                     only to print a ratio;
+                     ratios with equal denominators compare their
+                     numerators, other ratios cross-multiply, and the
+                     reduced form is computed only to print a ratio;
 * ``lfactors``    -- exact local L-factor ratios, Gamma_C shift ratios,
                      finite-field Gauss sums, vanishing-order tokens and
                      the normalizing factor they select;

@@ -11,11 +11,15 @@ small even at a prime N, where zeta^{N-1} is dense in the power basis.
 The canonical form -- integer numerators over one positive denominator,
 in lowest terms, in the power basis 1, zeta, ..., zeta^{phi(N)-1} reduced
 modulo Phi_N -- is computed on demand, at most once per element.  It
-decides equality, hashing and rationality, and it is what ``repr``, the
-complex float shadow (``to_complex``) and the read-only ``nums``/``den``
-view show.  The inverse is the Galois norm quotient
-x^{-1} = prod_{j != 1} sigma_j(x) / N(x), whose denominator N(x) is
-rational; one stored term c * zeta^e inverts in closed form.
+decides hashing and rationality, and equality of elements stored in
+different forms; it is what ``repr``, the complex float shadow
+(``to_complex``) and the read-only ``nums``/``den`` view show.  Two
+elements with identical stored maps and denominators compare equal
+without it: equality compares the stored forms first and computes the
+canonical ones only when those differ.  The inverse is the Galois norm
+quotient x^{-1} = prod_{j != 1} sigma_j(x) / N(x), whose
+denominator N(x) is rational; one stored term c * zeta^e inverts in
+closed form.
 
 Supported structure maps: the Galois action, complex conjugation, the
 norm-squared z * conj(z), and inversion.
@@ -190,6 +194,8 @@ class Cyc:
 
     @staticmethod
     def rational(r, n: int = 1) -> "Cyc":
+        if isinstance(r, int):
+            return Cyc._make(n, {0: int(r)}, 1)
         r = Fraction(r)
         return Cyc._make(n, {0: r.numerator}, r.denominator)
 
@@ -309,7 +315,12 @@ class Cyc:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Cyc.rational(other, self.n)
-        return self.n == other.n and self._canonical() == other._canonical()
+        if self.n != other.n:
+            return False
+        # identical stored forms are one element; different ones may be too
+        if self._den == other._den and self._terms == other._terms:
+            return True
+        return self._canonical() == other._canonical()
 
     def __hash__(self):
         return hash((self.n,) + self._canonical())

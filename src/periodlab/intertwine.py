@@ -7,8 +7,10 @@ last row.  The intertwining integral over the (n-k)-dimensional
 unipotent slice is evaluated exactly by shell decomposition: the
 integration lattice is partitioned by the valuation vector, each shell
 contributes its volume times (aX)^t, and the resulting geometric series
-are summed in closed form as rational functions in X = q^{-s}.  The
-result is compared with the product-formula target
+are summed in closed form as rational functions in X = q^{-s}: the
+shell t = 0 and the two series over t >= 1 are summed as numerators over
+the one denominator 1 - q^{n-k} aX.  The result is compared with the
+product-formula target
 
     (1 - aX) / (1 - a q^{n-k} X).
 
@@ -77,22 +79,21 @@ def shell_sum(n: int, k: int, a: Cyc, q: int) -> LaurentRatio:
     integral has volume 1 and the shell at level t >= 1 has volume
     q^{mt} - q^{m(t-1)} (m = n - k integration coordinates).  Summing the
     two geometric series gives the value; the summation is an identity of
-    rational functions regardless of convergence.
+    rational functions regardless of convergence.  The shell t = 0 and
+    the two series are summed as numerators over the one denominator
+    1 - q^m aX.
     """
     from .laurent import LaurentRatio, XPoly
 
     m = n - k
-    one = LaurentRatio.one(a.n)
     if m == 0:
-        return one
-    # sum_{t>=1} q^{mt} (aX)^t  and  sum_{t>=1} q^{m(t-1)} (aX)^t:
-    # c X / (1 - q^m a X) for c = q^m a and c = a; the two share their
-    # denominator, so they are summed first and the shell t = 0 added last
-    scaled = a * q**m
-    den = XPoly.const(a.n, 1) - XPoly.monomial(a.n, 1, scaled)
-    shells = (LaurentRatio(XPoly.monomial(a.n, 1, scaled), den)
-              - LaurentRatio(XPoly.monomial(a.n, 1, a), den))
-    return one + shells
+        return LaurentRatio.one(a.n)
+    # sum_{t>=1} q^{mt} (aX)^t = q^m aX / den and
+    # sum_{t>=1} q^{m(t-1)} (aX)^t = aX / den over den = 1 - q^m aX; the
+    # shell t = 0 is den / den
+    scaled = XPoly.monomial(a.n, 1, a * q**m)
+    den = XPoly.const(a.n, 1) - scaled
+    return LaurentRatio(den + scaled - XPoly.monomial(a.n, 1, a), den)
 
 
 def nonarch_intertwining(n: int, k: int, a: Cyc, q: int) -> IntertwineResult:

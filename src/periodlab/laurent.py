@@ -3,11 +3,11 @@
 ``X`` plays the role of q^{-s} in unramified local L-factor ratios, so a
 ratio of two polynomials in X with cyclotomic coefficients stores an
 L-factor quotient exactly.  A ratio keeps the numerator and denominator
-it was built from.  Two ratios whose denominators are equal polynomials
-are added, subtracted and compared through their numerators over that
-one denominator; other ratios cross-multiply.  The gcd-reduced form over
-the field of coefficients, with a normalized denominator, is computed
-only to print a ratio.
+it was built from.  Ratios multiply and compare: two ratios whose
+denominators are equal polynomials are compared through their numerators
+over that one denominator, other ratios cross-multiply.  The gcd-reduced
+form over the field of coefficients, with a normalized denominator, is
+computed only to print a ratio.
 """
 
 from __future__ import annotations
@@ -46,11 +46,13 @@ class XPoly:
 
     @staticmethod
     def const(n: int, c) -> "XPoly":
-        return XPoly(n, {0: c if isinstance(c, Cyc) else Cyc.rational(c, n)})
+        return XPoly.monomial(n, 0, c)
 
     @staticmethod
     def monomial(n: int, deg: int, c) -> "XPoly":
-        return XPoly(n, {deg: c if isinstance(c, Cyc) else Cyc.rational(c, n)})
+        if deg < 0:
+            raise ValueError("negative degree")
+        return XPoly._of(n, {deg: c if isinstance(c, Cyc) else Cyc.rational(c, n)})
 
     def degree(self) -> int:
         return max(self.coeffs) if self.coeffs else -1
@@ -218,20 +220,6 @@ class LaurentRatio:
 
     def __mul__(self, other: "LaurentRatio") -> "LaurentRatio":
         return LaurentRatio(self.num * other.num, self.den * other.den)
-
-    def __add__(self, other: "LaurentRatio") -> "LaurentRatio":
-        if self.den == other.den:
-            return LaurentRatio(self.num + other.num, self.den)
-        return LaurentRatio(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: "LaurentRatio") -> "LaurentRatio":
-        if self.den == other.den:
-            return LaurentRatio(self.num - other.num, self.den)
-        return LaurentRatio(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
 
     def __eq__(self, other):
         if not isinstance(other, LaurentRatio):

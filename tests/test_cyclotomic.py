@@ -282,6 +282,59 @@ def test_is_zero_agrees_with_canonical_form():
     assert three.is_zero()
 
 
+STORAGE_ORDERS = [1, 12, 336, 1009]
+
+
+def equal_and_hash_alike(x: Cyc, y: Cyc) -> bool:
+    return x == y and y == x and not x != y and hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("n", STORAGE_ORDERS)
+def test_equality_and_hash_across_storage(n):
+    """Elements stored in different forms compare equal and hash alike;
+    identical stored forms compare equal before either is reduced."""
+    f = len(cyclotomic_polynomial(n)) - 1
+    for e in sorted({f, (f + n - 1) // 2, n - 1, n}):
+        power = Cyc.zeta(n, e)
+        reduced = Cyc(n, power.nums)
+        assert equal_and_hash_alike(power, reduced), (n, e)
+    # one stored form in two fields: the orders are compared first
+    assert Cyc.rational(2, n) != Cyc.rational(2, n + 1)
+    if n % 2 == 0:
+        zero = Cyc.rational(1, n) + Cyc.zeta(n, n // 2)
+        assert len(zero._terms) == 2
+        assert equal_and_hash_alike(zero, Cyc.rational(0, n)) and zero == 0
+    for one in (Cyc.rational(1, n), 1, Fraction(1)):
+        x = Cyc.zeta(n, n - 1) * Fraction(3, 4) + Cyc.zeta(n, 1) * Fraction(-5, 6)
+        product = x * one
+        assert product == x and product._form is None and x._form is None, (n, one)
+        assert equal_and_hash_alike(product, x)
+
+
+@pytest.mark.parametrize("n", STORAGE_ORDERS[1:])
+def test_distinct_elements_with_one_denominator_are_unequal(n):
+    half = Fraction(1, 2)
+    pairs = [
+        (Cyc.zeta(n, 1), Cyc.zeta(n, 2)),
+        (Cyc.zeta(n, 1) * half, (Cyc.zeta(n, 1) + Cyc.zeta(n, 2)) * half),
+        (Cyc.zeta(n, n - 1) * 3, Cyc.zeta(n, n - 1) * 2),
+        (Cyc.rational(1, n), Cyc.rational(0, n) + Cyc.zeta(n, n // 2 + 1)),
+    ]
+    for x, y in pairs:
+        assert x._den == y._den and x._terms != y._terms
+        assert x != y and y != x and not x == y, (n, x, y)
+
+
+@pytest.mark.parametrize("n", STORAGE_ORDERS)
+def test_rational_from_int_fraction_and_bool(n):
+    for value, forms in ((3, (3, Fraction(3))), (1, (True, 1, Fraction(1)))):
+        built = [Cyc.rational(r, n) for r in forms]
+        for x in built:
+            assert all(type(a) is int for a in x._terms.values())
+            assert equal_and_hash_alike(x, built[0]) and repr(x) == repr(built[0]) == str(value)
+    assert Cyc.rational(False, n).is_zero() and Cyc.rational(0, n) == 0
+
+
 def test_order_bound_admits_every_order_to_2000_and_20011():
     for n in range(1, 2001):
         check_order(n)

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import random
 import time
 
 import mpmath
@@ -8,6 +9,7 @@ import pytest
 
 from periodlab.cyclotomic import Cyc
 from periodlab.errors import AuditFailed, ConfigError, QuadratureNotConverged
+from periodlab import intertwine
 from periodlab.intertwine import (
     arch_intertwining,
     arch_section,
@@ -15,7 +17,7 @@ from periodlab.intertwine import (
     nonarch_intertwining,
     shell_sum,
 )
-from periodlab.laurent import LaurentRatio
+from periodlab.laurent import LaurentRatio, XPoly
 from periodlab.lfactors import VanishingToken, gamma_ratio, unramified_lratio
 from periodlab import quadrature
 
@@ -77,6 +79,65 @@ def test_nonarch_intertwining_verdicts():
         for j in (0, 1, 5, 7):
             res = nonarch_intertwining(3, 1, Cyc.zeta(12, j), q)
             assert res.verdict
+
+
+def exact_arith_sample(seed: int = 2901) -> list:
+    """Two seeded exponents j per (n, k, q) of the exact-arith grid:
+    N = 336, 1 <= k < n <= 4, q in {2, 3, 5}."""
+    rng = random.Random(seed)
+    return [(n, k, q, j)
+            for n in (2, 3, 4) for k in range(1, n) for q in (2, 3, 5)
+            for j in rng.sample(range(1, 336), 2)]
+
+
+def coefficients(ratio: LaurentRatio) -> list:
+    return list(ratio.num.coeffs.values()) + list(ratio.den.coeffs.values())
+
+
+def test_nonarch_verdict_needs_no_canonical_form():
+    """The value and the target store one pair of polynomials, so the
+    verdict comes from the stored forms: no coefficient reduces modulo
+    Phi_336."""
+    for n, k, q, j in exact_arith_sample():
+        res = nonarch_intertwining(n, k, Cyc.zeta(336, j), q)
+        assert res.verdict, (n, k, q, j)
+        assert all(c._form is None for c in coefficients(res.value) + coefficients(res.target)), \
+            (n, k, q, j)
+
+
+def shell_sum_with(numerator):
+    """A shell sum whose numerator over den = 1 - q^m aX is
+    numerator(den, q^m aX, a); the true one is den + q^m aX - aX."""
+    def shell_sum(n, k, a, q):
+        scaled = XPoly.monomial(a.n, 1, a * q ** (n - k))
+        den = XPoly.const(a.n, 1) - scaled
+        return LaurentRatio(numerator(den, scaled, a), den)
+    return shell_sum
+
+
+@pytest.mark.parametrize("numerator", [
+    pytest.param(lambda den, scaled, a: scaled - XPoly.monomial(a.n, 1, a), id="no-shell-zero"),
+    pytest.param(lambda den, scaled, a: den + scaled, id="no-minus-aX"),
+    # the X coefficients of the numerators differ but share one denominator
+    pytest.param(lambda den, scaled, a: den + scaled - XPoly.monomial(a.n, 1, a * a), id="a-squared"),
+])
+def test_broken_shell_sum_fails_the_verdict(numerator, monkeypatch):
+    monkeypatch.setattr(intertwine, "shell_sum", shell_sum_with(numerator))
+    for n, k, q, j in exact_arith_sample():
+        assert not nonarch_intertwining(n, k, Cyc.zeta(336, j), q).verdict, (n, k, q, j)
+
+
+def test_restated_shell_sum_passes_through_the_canonical_form(monkeypatch):
+    """An X coefficient stored as a + 1 + zeta^168, the same element in
+    another form, still equals the target's a: the comparison falls back
+    to the canonical form."""
+    zero = Cyc.rational(1, 336) + Cyc.zeta(336, 168)
+    restated = shell_sum_with(lambda den, scaled, a: den + scaled - XPoly.monomial(a.n, 1, a + zero))
+    monkeypatch.setattr(intertwine, "shell_sum", restated)
+    for n, k, q, j in exact_arith_sample():
+        res = nonarch_intertwining(n, k, Cyc.zeta(336, j), q)
+        assert res.verdict, (n, k, q, j)
+        assert res.value.num.coeffs[1]._form is not None
 
 
 # -- archimedean -----------------------------------------------------------------------

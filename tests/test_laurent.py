@@ -1,7 +1,7 @@
 """LaurentRatio keeps the pair it is built from: ratios with equal
-denominators add, subtract and compare their numerators, other ratios
-cross-multiply, and the printed form is the reduced one, whichever pair
-a rational function was built from."""
+denominators compare their numerators, other ratios cross-multiply, and
+the printed form is the reduced one, whichever pair a rational function
+was built from."""
 
 import random
 import time
@@ -53,6 +53,13 @@ def test_is_one_on_unreduced_pair():
     assert LaurentRatio(F, G) != LaurentRatio.one(F.n)
 
 
+def test_monomials_of_negative_degree_are_refused():
+    assert XPoly.const(N, 0).is_zero() and XPoly.monomial(N, 2, ZETA) == poly(0, 0, ZETA)
+    for c in (1, 0, ZETA):
+        with pytest.raises(ValueError, match="negative degree"):
+            XPoly.monomial(N, -1, c)
+
+
 def test_ratios_are_unhashable():
     with pytest.raises(TypeError):
         hash(LaurentRatio(F, G))
@@ -77,7 +84,7 @@ def test_shell_sum_prints_as_product_formula_over_q_zeta_336(n, k, j, q):
     assert_shell_sum_prints_as_product_formula(n, k, Cyc.zeta(336, j), q)
 
 
-# -- the shared-denominator shortcuts against explicit cross multiplication -----
+# -- the shared-denominator shortcut against explicit cross multiplication ------
 
 
 def sparse_poly(rng: random.Random, n: int) -> XPoly:
@@ -116,30 +123,19 @@ def test_shared_denominator_shortcuts_agree_with_cross_multiplication(n):
     two = Cyc.rational(2, n)
     for case in range(25):
         a, b, d = sparse_poly(rng, n), sparse_poly(rng, n), sparse_poly(rng, n)
-        checks = []
+        checks = [(a + b) - b == a, a - b == a + b * Cyc.rational(-1, n)]
         for d2 in (d, restated(d)):
             r, s = LaurentRatio(a, d), LaurentRatio(b, d2)
-            total, diff = r + s, r - s
-            checks += [
-                d2 == d,
-                total.den == d and diff.den == d,  # the shortcut keeps one denominator
-                same_function(total, a * d2 + b * d, d * d2),
-                same_function(diff, a * d2 - b * d, d * d2),
-                (r == s) == (a * d2 == b * d) == (a == b),
-            ]
+            checks += [d2 == d, (r == s) == (a * d2 == b * d) == (a == b)]
         same, restated_same = LaurentRatio(a, d), LaurentRatio(a, restated(d))
         # one function over two denominators takes the cross multiplication
-        doubled, other = LaurentRatio(a * two, d * two), LaurentRatio(b, d)
-        cross = doubled + other
+        doubled = LaurentRatio(a * two, d * two)
         checks += [
             # equal denominators: unequal numerators are unequal ratios
             (LaurentRatio(a, d) != LaurentRatio(b, restated(d))) == (a != b),
             same == restated_same,
-            (same - restated_same).num.is_zero(),
             doubled == same,
             doubled != LaurentRatio(a + XPoly.const(n, 1), d),
-            cross.den == d * two * d,
-            same_function(cross, a * two + b * two, d * two),
         ]
         assert all(checks), (n, case, checks)
 
