@@ -91,9 +91,6 @@ class XPoly:
             return NotImplemented
         return self.n == other.n and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))))
-
     def leading(self) -> Cyc:
         if self.is_zero():
             raise ValueError("zero polynomial")

@@ -23,6 +23,7 @@ nearest its exact value.  This module loads neither mpmath nor
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -65,11 +66,15 @@ def _squarefree(n: int) -> bool:
 
 def inversions(seq) -> int:
     """Number of pairs a < b with seq[a] > seq[b]; its parity is the sign
-    of the permutation that sorts ``seq``."""
+    of the permutation that sorts ``seq``.  Walks ``seq`` from the right,
+    counting the entries already seen that are below each one by
+    bisection of the sorted list of them."""
     count = 0
-    for a, x in enumerate(seq):
-        for y in seq[a + 1:]:
-            count += x > y
+    seen: list = []
+    for x in reversed(seq):
+        at = bisect_left(seen, x)
+        count += at
+        seen.insert(at, x)
     return count
 
 

@@ -6,9 +6,10 @@ Contents:
   absolute Weyl group (a product of symmetric groups indexed by the
   embeddings), carrying its torus weight and wedge monomial;
 * the distinguished bottom-degree element w(k), built from the cycle
-  closed form per embedding and certified unique by an exhaustive scan
-  that compares each candidate's torus weight, and builds no line, with
-  the induced-character target;
+  closed form per embedding and certified unique by an exhaustive scan:
+  every candidate is visited, and its torus weight is compared with the
+  induced-character target one embedding at a time, so a candidate is
+  dropped at its first embedding that differs; no line is built;
 * formal wedge monomials of nilpotent covectors with the sign calculus
   for Galois relabeling, including the transfer sign of the generator
   monomials;
@@ -245,10 +246,12 @@ MAX_WEYL_CANDIDATES = 10**5
 # take under 2 s on a 2-vCPU host (n = 4, p = 19 over a degree-4 field:
 # 1.7 s); n = 8, p = 7 over Q(i) (55,320 lines) is refused.
 MAX_KOSTANT_ENTRIES = 250_000
-# Most labels of one generator monomial: sorting it counts its inversions
-# in O(labels^2), five times per wedge-sign run.  Fitted by timing fresh
-# wedge-sign processes: 2,997 labels (n = 1,000 over a degree-6 field, or
-# n = 112 over a degree-54 one) take 1.1-1.8 s on a 2-vCPU host.
+# Most labels of one generator monomial: sorting it counts its inversions,
+# five times per wedge-sign run.  Fitted to the pairwise count, which took
+# 1.5-2.5 s per fresh wedge-sign process at 2,997 labels (n = 1,000 over a
+# degree-6 field, or n = 112 over a degree-54 one) on a 2-vCPU host; with
+# the count by bisection those runs take 0.15-0.22 s.  The bound is kept,
+# so the same inputs are refused.
 MAX_WEDGE_LABELS = 3000
 
 
@@ -323,8 +326,12 @@ def distinguished_weyl(
     absolute Weyl elements of bottom degree (or the full group when
     ``full_scan``) and checks that exactly one of them has the induced
     character target as its torus weight at every embedding.  Each
-    candidate's torus weight comes from ``_line_weight_component``, the
-    formula ``make_line`` uses; no line, wedge monomial or sort is built.
+    candidate is compared one embedding at a time, with the weight
+    ``_line_weight_component`` gives (the formula ``make_line`` uses), and
+    is dropped at its first embedding whose weight differs from the
+    target; it matches only when every embedding agrees.  Every candidate
+    is visited, so ``scanned`` and ``matches`` are exact counts.  No line,
+    wedge monomial or sort is built.
     """
     n = w.n
     if not 1 <= k <= n:
@@ -358,11 +365,10 @@ def distinguished_weyl(
         )
     for cand in candidates:
         scanned += 1
-        weight = tuple(
-            _line_weight_component(c, inverted_pairs(c), eta[pos], n)
-            for pos, c in enumerate(cand.components)
-        )
-        if weight == target:
+        for pos, c in enumerate(cand.components):
+            if _line_weight_component(c, inverted_pairs(c), eta[pos], n) != target[pos]:
+                break
+        else:
             matches.append(cand)
     if len(matches) != 1:
         raise UniquenessFailed(

@@ -6,6 +6,8 @@ No command runs these.  Each takes another route than the code it checks:
   embeddings through ``EmbeddingSet.is_admissible``;
 * ``coset_reps`` filters all n! permutations for the minimal-length
   representatives of the (n-1, 1) parabolic;
+* ``inversions`` compares every pair of entries, where
+  ``towers.inversions`` bisects a sorted list of the entries seen;
 * ``trivial_multiplicity`` peels the full product of all four characters
   down to the trivial weight, where ``charpeel`` peels the product of
   three against the dual of the largest factor;
@@ -37,6 +39,15 @@ def coset_reps(n):
         p for p in itertools.permutations(range(1, n + 1))
         if all(p[i] < p[i + 1] for i in range(n - 2))
     ]
+
+
+def inversions(seq):
+    """Number of pairs a < b with seq[a] > seq[b], pair by pair."""
+    count = 0
+    for a, x in enumerate(seq):
+        for y in seq[a + 1:]:
+            count += x > y
+    return count
 
 
 def trivial_multiplicity(factors, n):

@@ -61,8 +61,9 @@ def test_monomials_of_negative_degree_are_refused():
 
 
 def test_ratios_are_unhashable():
-    with pytest.raises(TypeError):
-        hash(LaurentRatio(F, G))
+    for value in (LaurentRatio(F, G), F):
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 def assert_shell_sum_prints_as_product_formula(n, k, a, q):

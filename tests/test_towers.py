@@ -1,6 +1,7 @@
 """The exact side of a tower against the numeric one: the index layout
 against the data read off ``build_field``'s images, the Sturm count
-against ``mpmath.polyroots`` and the double Delta against mpmath's."""
+against ``mpmath.polyroots`` and the double Delta against mpmath's; and
+the inversion count against the pair-by-pair oracle."""
 
 import random
 from fractions import Fraction
@@ -15,11 +16,13 @@ from periodlab.towers import (
     Layout,
     check_tower,
     delta_double,
+    inversions,
     lower_norm,
     real_root_count,
     sturm_chain,
 )
 
+from oracles import inversions as pairwise_inversions
 from test_cmfield import ALL_TOWERS
 
 # x^k - c over Q(sqrt -d): a fixed sample of the 132 towers with c in
@@ -197,3 +200,22 @@ def test_check_tower_bounds_the_degree():
     with pytest.raises(ConfigError):
         check_precision(1, 1)
     assert MAX_DEGREE**3 * 252**2 <= MAX_FIELD_WORK < (MAX_DEGREE + 2) ** 3 * 252**2
+
+
+def test_inversions_equals_the_pairwise_count():
+    """Seeded: the empty and one-element sequences, a random and the
+    reversed permutation of each length up to 30, and label triples
+    drawn from few values, so that many entries tie."""
+    rng = random.Random(2030)
+    cases = [(), (7,), [(1, 2, 0)]]
+    for length in range(31):
+        perm = list(range(length))
+        cases.append(perm[::-1])
+        rng.shuffle(perm)
+        cases.append(perm)
+    for _ in range(200):
+        cases.append([(rng.randrange(3), rng.randrange(1, 4), rng.randrange(2))
+                      for _ in range(rng.randrange(40))])
+    for seq in cases:
+        assert inversions(seq) == pairwise_inversions(seq), seq
+    assert inversions(list(range(30))[::-1]) == 30 * 29 // 2

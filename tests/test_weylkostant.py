@@ -27,7 +27,7 @@ from periodlab.weylkostant import (
     wedge_sigma_sign,
 )
 
-from periodlab.errors import UniquenessFailed
+from periodlab.errors import ConfigError, UniquenessFailed
 
 from oracles import admissible_permutations, coset_reps
 from test_acceptance import _case_pm_etas
@@ -143,12 +143,39 @@ def test_distinguished_weyl_lengths(emb2, emb4):
                 assert el.length() == (n - 1) * (emb.degree // 2)
 
 
-def test_distinguished_weyl_full_scan_agrees(emb2):
+def test_distinguished_weyl_full_scan_agrees(emb2, emb4):
+    """The full scan returns the bottom-degree route's element: at n = 2
+    over Q(i), and at n = 3 over the degree-4 field on two-sided points in
+    both orientations of each conjugate pair, every k."""
     w = weight_system_from_eta(2, {0: 0, 1: 3})
     a, _ = distinguished_weyl(w, emb2, 1)
     b, cert = distinguished_weyl(w, emb2, 1, full_scan=True)
     assert a == b
     assert cert["scanned"] == 4
+    (p, pbar), (q, qbar) = emb4.pairs()
+    for one, two in [((0, 3), (-4, 4)), ((-2, 4), (0, 3))]:
+        for at_p, at_q in itertools.product((one, one[::-1]), (two, two[::-1])):
+            w = weight_system_from_eta(3, {p: at_p[0], pbar: at_p[1], q: at_q[0], qbar: at_q[1]})
+            for k in (1, 2, 3):
+                a, _ = distinguished_weyl(w, emb4, k)
+                b, cert = distinguished_weyl(w, emb4, k, full_scan=True)
+                assert a == b, (w.eta(), k)
+                assert cert["scanned"] == 6**4 and cert["matches"] == 1
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_distinguished_weyl_refuses_k_out_of_range(emb2, k):
+    with pytest.raises(ConfigError, match="k out of range"):
+        distinguished_weyl(weight_system_from_eta(2, aligned_eta(emb2, 2)), emb2, k)
+
+
+def test_wrong_closed_form_is_caught_by_the_scan(emb4, monkeypatch):
+    """The scan does not read cycle_oneline, so it still finds its one
+    match, and a wrong closed form is reported against it."""
+    w = weight_system_from_eta(3, aligned_eta(emb4, 3))
+    monkeypatch.setattr(weylkostant, "cycle_oneline", lambda a, b, n: tuple(range(1, n + 1)))
+    with pytest.raises(UniquenessFailed, match="closed form disagrees with the scan match"):
+        distinguished_weyl(w, emb4, 2)
 
 
 def assert_scan_matches_lines(w, emb, k):
