@@ -9,7 +9,9 @@ Contents:
   closed form per embedding and certified unique by an exhaustive scan:
   every candidate is visited, and its torus weight is compared with the
   induced-character target one embedding at a time, so a candidate is
-  dropped at its first embedding that differs; no line is built;
+  dropped at its first embedding that differs; no line is built, each
+  permutation's inverted pairs are computed once per certificate, and the
+  dual highest weight once per (eta, n) by a small process-wide cache;
 * formal wedge monomials of nilpotent covectors with the sign calculus
   for Galois relabeling, including the transfer sign of the generator
   monomials;
@@ -26,6 +28,7 @@ its monomial would hold more than MAX_WEDGE_LABELS labels.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .towers import GaloisPermutation, Layout, inversions
@@ -169,13 +172,18 @@ def _line_weight_component(
     result the dot-action weight w(L + rho) - rho, as a cross-check with
     the nilpotent-cohomology theorem confirms.
     """
-    mu = highest_weight_from_eta(eta_value, n)
-    base = tuple(-x for x in reversed(mu))
-    weight = [base[oneline[i] - 1] for i in range(n)]
+    base = _dual_highest_weight(eta_value, n)
+    weight = [base[i - 1] for i in oneline]
     for (i, j) in pairs:
         weight[i - 1] -= 1
         weight[j - 1] += 1
     return tuple(weight)
+
+
+@functools.lru_cache(maxsize=1024)
+def _dual_highest_weight(eta_value: int, n: int) -> tuple[int, ...]:
+    """(-mu_n, ..., -mu_1) for mu = highest_weight_from_eta(eta_value, n)."""
+    return tuple(-x for x in reversed(highest_weight_from_eta(eta_value, n)))
 
 
 def make_line(element: WeylElement, w: WeightSystem, emb: Layout) -> KostantLine:
@@ -198,11 +206,22 @@ def make_line(element: WeylElement, w: WeightSystem, emb: Layout) -> KostantLine
     )
 
 
-def _elements_of_length(n: int, count: int, total: int):
-    """All tuples of ``count`` permutations with inversion total ``total``."""
+@functools.lru_cache(maxsize=4)
+def _permutations_by_length(n: int) -> tuple[tuple[int, tuple[OneLine, ...]], ...]:
+    """(length, permutations of that length) pairs of S_n, each length in
+    the order it first occurs in ``itertools.permutations`` and each
+    permutation in that order within its length.  At most n = 8 is
+    enumerated (MAX_WEYL_CANDIDATES), so an entry holds up to 40,320
+    permutations."""
     by_len: dict[int, list[OneLine]] = {}
     for p in itertools.permutations(range(1, n + 1)):
         by_len.setdefault(inversions(p), []).append(p)
+    return tuple((ln, tuple(perms)) for ln, perms in by_len.items())
+
+
+def _elements_of_length(n: int, count: int, total: int):
+    """All tuples of ``count`` permutations with inversion total ``total``."""
+    by_len = _permutations_by_length(n)
     max_len = n * (n - 1) // 2
 
     def rec(remaining_slots, budget):
@@ -212,7 +231,7 @@ def _elements_of_length(n: int, count: int, total: int):
             return
         if budget > max_len * remaining_slots or budget < 0:
             return
-        for ln, perms in by_len.items():
+        for ln, perms in by_len:
             if ln > budget:
                 continue
             for tail in rec(remaining_slots - 1, budget - ln):
@@ -331,7 +350,10 @@ def distinguished_weyl(
     is dropped at its first embedding whose weight differs from the
     target; it matches only when every embedding agrees.  Every candidate
     is visited, so ``scanned`` and ``matches`` are exact counts.  No line,
-    wedge monomial or sort is built.
+    wedge monomial or sort is built.  A permutation's inverted pairs are
+    computed the first time the scan reaches it and kept in a table of at
+    most n! entries that lives for this call only; the dual highest weight
+    comes from a bounded cache keyed by (eta, n).
     """
     n = w.n
     if not 1 <= k <= n:
@@ -350,6 +372,7 @@ def distinguished_weyl(
     element = WeylElement(components=tuple(comps))
 
     target = _restricted_target(w, emb, k)
+    pairs_of: dict[OneLine, list[tuple[int, int]]] = {}
     matches = []
     scanned = 0
     if full_scan:
@@ -366,7 +389,10 @@ def distinguished_weyl(
     for cand in candidates:
         scanned += 1
         for pos, c in enumerate(cand.components):
-            if _line_weight_component(c, inverted_pairs(c), eta[pos], n) != target[pos]:
+            pairs = pairs_of.get(c)
+            if pairs is None:
+                pairs = pairs_of[c] = inverted_pairs(c)
+            if _line_weight_component(c, pairs, eta[pos], n) != target[pos]:
                 break
         else:
             matches.append(cand)

@@ -8,6 +8,14 @@ No command runs these.  Each takes another route than the code it checks:
   representatives of the (n-1, 1) parabolic;
 * ``inversions`` compares every pair of entries, where
   ``towers.inversions`` bisects a sorted list of the entries seen;
+* ``elements_of_length`` is the bottom-degree enumeration of
+  ``weylkostant._elements_of_length`` with its length table rebuilt on
+  every call (and lengths counted pair by pair), where the package takes
+  the table from a cache keyed by n; both must yield the same tuples in
+  the same order, since ``kostant`` prints its lines in that order;
+* ``transfer_sign`` is the sign law sgn(pi)^(n-1) of the generator
+  monomials' blocks, where ``weylkostant.omega_transfer_sign`` builds and
+  sorts both monomials.  It twists eta itself and imports nothing;
 * ``trivial_multiplicity`` peels the full product of all four characters
   down to the trivial weight, where ``charpeel`` peels the product of
   three against the dual of the largest factor;
@@ -48,6 +56,50 @@ def inversions(seq):
         for y in seq[a + 1:]:
             count += x > y
     return count
+
+
+def elements_of_length(n, count, total):
+    """All tuples of ``count`` permutations of 1..n with inversion total
+    ``total``, in the order ``weylkostant._elements_of_length`` yields
+    them, with the length table rebuilt on every call."""
+    by_len = {}
+    for p in itertools.permutations(range(1, n + 1)):
+        by_len.setdefault(inversions(p), []).append(p)
+    max_len = n * (n - 1) // 2
+
+    def rec(remaining_slots, budget):
+        if remaining_slots == 0:
+            if budget == 0:
+                yield ()
+            return
+        if budget > max_len * remaining_slots or budget < 0:
+            return
+        for ln, perms in by_len.items():
+            if ln > budget:
+                continue
+            for tail in rec(remaining_slots - 1, budget - ln):
+                for p in perms:
+                    yield (p,) + tail
+
+    yield from rec(count, total)
+
+
+def transfer_sign(eta, perm, n):
+    """Sign taking the relabeled generator monomial of ``eta`` (a dict from
+    embedding to eta) to the generator monomial of eta o g^-1, for the
+    admissible embedding permutation g = ``perm`` (a tuple, i -> perm[i]).
+
+    Each embedding with eta <= 0 carries one block of n - 1 labels (its
+    row and its conjugate's column), and the blocks stand in embedding
+    order.  An admissible g commutes with conjugation, so it moves whole
+    blocks: the source's i-th block lands on the twisted data's pi(i)-th.
+    Exchanging blocks of n - 1 labels gives sgn(pi)^((n-1)^2) =
+    sgn(pi)^(n-1) (Bourbaki, Algebra I, ch. III, section 7)."""
+    twisted = {perm[e]: value for e, value in eta.items()}
+    low = sorted(e for e, value in eta.items() if value <= 0)
+    twisted_low = sorted(e for e, value in twisted.items() if value <= 0)
+    pi = [twisted_low.index(perm[e]) for e in low]
+    return (-1) ** (inversions(pi) * (n - 1))
 
 
 def trivial_multiplicity(factors, n):

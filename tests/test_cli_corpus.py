@@ -8,8 +8,9 @@ prime-power q, every field command over Q(i) and Q(i, 2^(1/3)), and
 ``intertwine-arch`` off the README's run, in both output formats, plus
 one refused run at each work bound, and ``intertwine-arch`` at slice
 dimensions 2 to 5 (the last refused) in records format and one table
-case, one ``field-check`` whose nabla_constant fails its record, and
-``find-wk`` on an eta that is not two-sided, which certifies no element.  A
+case, one ``field-check`` whose nabla_constant fails its record, one whose
+identity_constant_rational fails (a 1e-200 k1 basis), and ``find-wk`` on
+an eta that is not two-sided, which certifies no element.  A
 config path in a case is relative to the repository root.  On
 a mismatch, the test id names the case, so it can be rerun by hand for a
 full diff.  Re-record only for a deliberate change of a report, with
@@ -137,6 +138,9 @@ CASES.append("--format records --config configs/grid_n2.json balanced")
 CASES.append("--format records --config tests/data/k_basis_halves_thirds.json field-check --max-den 30")
 CASES += [" ".join(["--format", "records"] + argv) for argv in ARCH_SLICES]
 CASES.append(" ".join(["--format", "table"] + ARCH_SLICES[4]))
+# a valid k1_basis of 1e-200 over Q(i): delta_constant underflows to 0 and
+# identity_constant_rational fails with "degenerate normalizing constant"
+CASES.append("--format records --config tests/data/k1_basis_1e-200.json field-check")
 
 
 def run(case: str) -> dict:

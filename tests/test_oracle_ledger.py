@@ -20,11 +20,20 @@ and ch F_L from semistandard tableaux (``charpeel.character``).  L + rho
 is regular, so the weights w.L are distinct and the identity fixes every
 line's weight and degree parity.
 
+The row "wedge-transfer-sign" checks ``omega_transfer_sign``, which
+builds both generator monomials and sorts their labels, against the block
+law sgn(pi)^(n-1): pi is the permutation g induces on the conjugate
+pairs, each listed by its eta <= 0 member in embedding order.  It covers
+the four towers of the acceptance suite, n = 2 to 5, every k, every
+admissible permutation and every orientation of the pairs; it tests the
+function, not criterion 6's stated law.
+
 Gauss sums get no row: the Hasse-Davenport and Jacobi relations compare
 outputs of ``lfactors.gauss_sum`` with each other; there is no second
 route to keep apart from the first.
 """
 
+import functools
 import itertools
 import json
 import operator
@@ -35,9 +44,10 @@ import pytest
 from periodlab import charpeel, cmfield, intertwine, lfactors, quadrature, weights, weylkostant
 from periodlab.cmfield import build_field, disc_constant_upper, disc_over_q
 from periodlab.cyclotomic import Cyc
-from periodlab.towers import FieldTower, Layout
+from periodlab.towers import FieldTower, GaloisPermutation, Layout
 
-from oracles import exact_tower_discriminants
+from oracles import admissible_permutations, exact_tower_discriminants, transfer_sign
+from test_acceptance import TOWERS
 from test_cmfield import ALL_TOWERS
 from test_golden_cli import CASES, GOLDEN, case_id, run
 from test_weights import peel_sample
@@ -123,6 +133,31 @@ def weyl_character_side(n, eta):
     return poly
 
 
+@functools.cache
+def wedge_cases():
+    """(layout, n, k, eta, perm) over every tower, n = 2 to 5, k, orientation of
+    the conjugate pairs and admissible permutation; the low and high values
+    vary with the pair so that no two pairs carry the same eta."""
+    cases = []
+    for tower in TOWERS.values():
+        emb = Layout(tower)
+        perms = [g.perm for g in admissible_permutations(emb)]
+        for n in range(2, 6):
+            for flips in itertools.product((False, True), repeat=len(emb.pairs())):
+                eta = {}
+                for index, ((i, j), flip) in enumerate(zip(emb.pairs(), flips)):
+                    low, high = -index, n + index
+                    eta[i], eta[j] = (high, low) if flip else (low, high)
+                cases += [(emb, n, k, eta, perm) for k in range(1, n + 1) for perm in perms]
+    return cases
+
+
+def fast_transfer_signs():
+    return [weylkostant.omega_transfer_sign(weights.weight_system_from_eta(n, eta), emb, k,
+                                            GaloisPermutation(perm))
+            for emb, n, k, eta, perm in wedge_cases()]
+
+
 def close(fast, oracle):
     return all(abs(o - f) <= 1e-8 * abs(f) for f, o in zip(fast, oracle))
 
@@ -158,6 +193,14 @@ ROWS = {
         [(weylkostant, "_line_weight_component"), (weylkostant, "make_line"),
          (weylkostant, "inverted_pairs")],
         ("weights.highest_weight_from_eta",),
+        operator.eq,
+    ),
+    "wedge-transfer-sign": (
+        fast_transfer_signs,
+        lambda fast: [transfer_sign(eta, perm, n) for _emb, n, _k, eta, perm in wedge_cases()],
+        [(weylkostant.WedgeMonomial, "from_labels"), (weylkostant, "omega_monomial"),
+         (weylkostant, "sigma_on_monomial")],
+        ("towers.Layout",),
         operator.eq,
     ),
     "l-ratios": (

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -29,7 +30,7 @@ from periodlab.weylkostant import (
 
 from periodlab.errors import ConfigError, UniquenessFailed
 
-from oracles import admissible_permutations, coset_reps
+from oracles import admissible_permutations, coset_reps, elements_of_length
 from test_acceptance import _case_pm_etas
 
 
@@ -231,6 +232,80 @@ def test_broken_line_weight_breaks_the_scan(emb4, monkeypatch):
     monkeypatch.setattr(weylkostant, "_line_weight_component", swapped)
     with pytest.raises(UniquenessFailed, match="scan found 0 matching elements"):
         distinguished_weyl(w, emb4, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("count", [2, 4])
+def test_elements_of_length_order_is_the_rebuilt_tables(n, count):
+    """The cached length table yields the tuples of a table rebuilt on every
+    call, in the same order, at every total (and one past each end)."""
+    max_len = n * (n - 1) // 2
+    for total in range(-1, count * max_len + 2):
+        expected = list(elements_of_length(n, count, total))
+        assert list(weylkostant._elements_of_length(n, count, total)) == expected, total
+        assert len(expected) == weyl_count(n, count, total)
+
+
+def test_scan_computes_each_permutations_pairs_once(emb4, monkeypatch):
+    """One deg-4 certificate at n = 3: inverted_pairs runs once per distinct
+    permutation the scan reaches, and _line_weight_component once per
+    embedding up to each candidate's first mismatch, recounted here from
+    make_line's weights."""
+    w = weight_system_from_eta(3, aligned_eta(emb4, 3))
+    k = 2
+    target = weylkostant._restricted_target(w, emb4, k)
+    c_n = weylkostant.bottom_degree(3, emb4)
+    weight_calls, reached = 0, set()
+    for comps in elements_of_length(3, emb4.degree, c_n):
+        line = weylkostant.make_line(WeylElement(components=comps), w, emb4)
+        for pos, comp in enumerate(comps):
+            weight_calls += 1
+            reached.add(comp)
+            if line.torus_weight[pos] != target[pos]:
+                break
+    pairs_calls, weights_seen = [], []
+    pairs, weight = weylkostant.inverted_pairs, weylkostant._line_weight_component
+
+    def counted_pairs(c):
+        pairs_calls.append(c)
+        return pairs(c)
+
+    def counted_weight(*args):
+        weights_seen.append(args[0])
+        return weight(*args)
+
+    monkeypatch.setattr(weylkostant, "inverted_pairs", counted_pairs)
+    monkeypatch.setattr(weylkostant, "_line_weight_component", counted_weight)
+    el, cert = distinguished_weyl(w, emb4, k)
+    assert sorted(pairs_calls) == sorted(reached) == sorted(set(weights_seen))
+    assert len(weights_seen) == weight_calls
+    assert cert["scanned"] == weyl_count(3, emb4.degree, c_n) and cert["matches"] == 1
+    # a second certificate builds its own table
+    distinguished_weyl(w, emb4, k)
+    assert len(pairs_calls) == 2 * len(reached)
+
+
+def test_weylkostant_caches_are_bounded_and_keyed_by_integers(emb4):
+    """Every lru_cache in the module has a finite maxsize and takes integer
+    arguments only, so no cache holds a weight system, a candidate or a
+    verdict; and a certificate grows no module-level container."""
+    caches = {name: obj for name, obj in vars(weylkostant).items()
+              if hasattr(obj, "cache_parameters")}
+    assert caches
+    for name, cached in caches.items():
+        assert cached.cache_parameters()["maxsize"] is not None, name
+        params = inspect.signature(cached.__wrapped__).parameters.values()
+        assert all(param.annotation == "int" for param in params), name
+
+    def sizes():
+        return {name: len(obj) for name, obj in vars(weylkostant).items()
+                if isinstance(obj, (dict, list, set))}
+
+    w = weight_system_from_eta(3, aligned_eta(emb4, 3))
+    before = sizes()
+    distinguished_weyl(w, emb4, 1)
+    distinguished_weyl(w, emb4, 3, full_scan=True)
+    assert sizes() == before
 
 
 def test_distinguished_weyl_deg6(emb6):
