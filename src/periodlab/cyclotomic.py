@@ -39,6 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConfigError
+from .intpoly import pseudo_divmod
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -83,25 +84,6 @@ def check_order(n: int) -> int:
     return f
 
 
-def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials, ``den`` monic."""
-    num = list(num)
-    dn = len(den) - 1
-    if dn < 0 or den[-1] != 1:
-        raise ValueError("denominator must be monic")
-    quot = [0] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        quot[i - dn] = c
-        for j, d in enumerate(den):
-            num[i - dn + j] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the n-th cyclotomic polynomial;
@@ -113,7 +95,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly[0] = -1  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            q, r = _int_poly_divmod(poly, list(cyclotomic_polynomial(d)))
+            q, r = pseudo_divmod(poly, cyclotomic_polynomial(d))
             if r:
                 raise AssertionError("cyclotomic division not exact")
             poly = q

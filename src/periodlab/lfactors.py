@@ -129,27 +129,28 @@ class FiniteField:
         e = self.e
         if e == 1:
             return (0, 1)
-        # irreducible iff no monic factor of degree 1..e//2 divides it
+        # irreducible iff every monic factor of degree 1..e//2 leaves a remainder
         for tail in self._tuples(e):
             coeffs = tail + (1,)
-            if not any(
-                self._divides(factor + (1,), coeffs)
+            if all(
+                any(self._remainder(coeffs, factor + (1,)))
                 for d in range(1, e // 2 + 1)
                 for factor in self._tuples(d)
             ):
                 return coeffs
         raise AssertionError("no irreducible polynomial found")
 
-    def _divides(self, g, f) -> bool:
-        """Whether the monic g divides f over F_p (both low-to-high)."""
+    def _remainder(self, f, g) -> list[int]:
+        """f mod the monic g over F_p (both low-to-high), reduced mod p at
+        each step: the len(g) - 1 coefficients below the top of g."""
         p, d = self.p, len(g) - 1
         rem = list(f)
         for top in range(len(rem) - 1, d - 1, -1):
             c = rem[top]
             if c:
-                for j in range(d + 1):
+                for j in range(d):
                     rem[top - d + j] = (rem[top - d + j] - c * g[j]) % p
-        return not any(rem)
+        return rem[:d]
 
     def _tuples(self, length: int):
         """Coefficient tuples in lex order, the last coordinate fastest."""
@@ -163,15 +164,7 @@ class FiniteField:
                 continue
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce modulo the monic modulus
-        for i in range(len(prod) - 1, e - 1, -1):
-            c = prod[i]
-            if c == 0:
-                continue
-            prod[i] = 0
-            for j in range(e):
-                prod[i - e + j] = (prod[i - e + j] - c * self.modulus[j]) % p
-        return tuple(prod[:e])
+        return tuple(self._remainder(prod, self.modulus))
 
     def pow(self, a, k: int):
         out = self.one

@@ -13,10 +13,10 @@ root of any polynomial is needed to know them.  ``cmfield.build_field``
 attaches numeric images to this layout.
 
 ``check_tower`` decides without roots whether a declaration can be built:
-the degree bound, then a Sturm chain over the integers that tells
-whether f and k0_poly are squarefree and counts the real roots of
-k0_poly.  ``delta_double`` is the constant Delta as the complex double
-nearest its exact value.  This module loads neither mpmath nor
+the degree bound, then a Sturm chain over the integers (``intpoly``)
+that tells whether f and k0_poly are squarefree and counts the real
+roots of k0_poly.  ``delta_double`` is the constant Delta as the complex
+double nearest its exact value.  This module loads neither mpmath nor
 ``cyclotomic``.
 """
 
@@ -28,6 +28,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import ConfigError, ReduciblePolynomial
+from .intpoly import real_root_count, sturm_chain
 
 K1Pair = tuple[Fraction, Fraction]
 
@@ -236,49 +237,6 @@ def conjugation_permutation(emb: Layout) -> GaloisPermutation:
 
 
 # -- exact validation -----------------------------------------------------------
-
-def _sturm_remainder(a: list[int], b: list[int]) -> list[int]:
-    """-(c*a mod b) over its content, for the positive c = |lead b|^k that
-    keeps the division integral; high-to-low coefficients, [] for 0.  A
-    positive multiple of -rem(a, b), so a chain of these is a Sturm chain."""
-    lead, sign = abs(b[0]), 1 if b[0] > 0 else -1
-    a = list(a)
-    while len(a) >= len(b):
-        q = a[0] * sign
-        a = [lead * x - q * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
-        while a and a[0] == 0:
-            a.pop(0)
-    if not a:
-        return []
-    content = math.gcd(*a)
-    return [-x // content for x in a]
-
-
-def sturm_chain(poly: Sequence[int]) -> list[list[int]]:
-    """Sturm chain of a nonconstant integer polynomial (low-to-high), each
-    term high-to-low: poly, its derivative, then negated remainders.  The
-    last term is gcd(poly, poly') up to a constant factor."""
-    p = list(reversed(poly))
-    deg = len(p) - 1
-    chain = [p, [c * (deg - i) for i, c in enumerate(p[:-1])]]
-    while len(chain[-1]) > 1:
-        r = _sturm_remainder(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(r)
-    return chain
-
-
-def real_root_count(chain: list[list[int]]) -> int:
-    """Distinct real roots of the chain's polynomial (Sturm's theorem):
-    the sign changes at -infinity minus those at +infinity."""
-    def changes(signs):
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-    at_plus = [1 if p[0] > 0 else -1 for p in chain]
-    at_minus = [s if (len(p) - 1) % 2 == 0 else -s for s, p in zip(at_plus, chain)]
-    return changes(at_minus) - changes(at_plus)
-
 
 def check_tower(tower: FieldTower) -> None:
     """Refuse a declaration before any root is sought: ConfigError when

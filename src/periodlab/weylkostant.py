@@ -33,6 +33,7 @@ import itertools
 
 from .towers import GaloisPermutation, Layout, inversions
 from .errors import ConfigError, UniquenessFailed
+from .intpoly import mul
 from .weights import WeightSystem, highest_weight_from_eta, sigma_twist
 
 OneLine = tuple[int, ...]  # w(1), ..., w(n) with values in 1..n
@@ -300,19 +301,11 @@ def length_generating_function(n: int, emb_count: int) -> list[int]:
     poly = [1]
     for i in range(1, n):
         step = [1] * (i + 1)
-        poly = _poly_mul_int(poly, step)
+        poly = mul(poly, step)
     out = [1]
     for _ in range(emb_count):
-        out = _poly_mul_int(out, poly)
+        out = mul(out, poly)
     return out
-
-
-def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
-    res = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            res[i + j] += x * y
-    return res
 
 
 def bottom_degree(n: int, emb: Layout) -> int:
@@ -349,8 +342,9 @@ def distinguished_weyl(
     ``_line_weight_component`` gives (the formula ``make_line`` uses), and
     is dropped at its first embedding whose weight differs from the
     target; it matches only when every embedding agrees.  Every candidate
-    is visited, so ``scanned`` and ``matches`` are exact counts.  No line,
-    wedge monomial or sort is built.  A permutation's inverted pairs are
+    is visited, so ``scanned`` and ``matches`` are exact counts.  A
+    candidate stays a tuple of components: no ``WeylElement``, line, wedge
+    monomial or sort is built for it.  A permutation's inverted pairs are
     computed the first time the scan reaches it and kept in a table of at
     most n! entries that lives for this call only; the dual highest weight
     comes from a bounded cache keyed by (eta, n).
@@ -376,19 +370,14 @@ def distinguished_weyl(
     matches = []
     scanned = 0
     if full_scan:
-        candidates = (
-            WeylElement(components=c)
-            for c in itertools.product(
-                itertools.permutations(range(1, n + 1)), repeat=emb.degree
-            )
+        candidates = itertools.product(
+            itertools.permutations(range(1, n + 1)), repeat=emb.degree
         )
     else:
-        candidates = (
-            WeylElement(components=c) for c in _elements_of_length(n, emb.degree, c_n)
-        )
+        candidates = _elements_of_length(n, emb.degree, c_n)
     for cand in candidates:
         scanned += 1
-        for pos, c in enumerate(cand.components):
+        for pos, c in enumerate(cand):
             pairs = pairs_of.get(c)
             if pairs is None:
                 pairs = pairs_of[c] = inverted_pairs(c)
@@ -400,7 +389,7 @@ def distinguished_weyl(
         raise UniquenessFailed(
             f"scan found {len(matches)} matching elements (scanned {scanned})"
         )
-    if matches[0] != element:
+    if matches[0] != element.components:
         raise UniquenessFailed("closed form disagrees with the scan match")
     certificate = {
         "scanned": scanned,

@@ -719,13 +719,14 @@ def test_negative_value_as_separate_word(separate, joined, capsys):
 README_ARGV = {argv[2] if argv[0] == "--config" else argv[0]: argv for argv in README_COMMANDS}
 # Modules whose loading the table below pins; every other module is free.
 WATCHED = ("dataclasses", "fractions", "inspect", "mpmath", "numpy", "scipy")
-CYCLOTOMIC = ["cyclotomic", "errors", "fractions"]  # what exact arithmetic loads
-TOWERS = ["errors", "fractions", "towers"]  # what a config's index layout loads
+CYCLOTOMIC = ["cyclotomic", "errors", "fractions", "intpoly"]  # what exact arithmetic loads
+TOWERS = ["errors", "fractions", "intpoly", "towers"]  # what a config's index layout loads
 CMFIELD = ["cmfield", "mpmath"] + TOWERS  # what field-check's numeric field loads
 WEIGHTS = TOWERS + ["weights"]
 LOADED = {
     # one layer imported
     "errors": ["errors"],
+    "intpoly": ["intpoly"],
     "quadrature": ["errors", "quadrature"],
     "cyclotomic": CYCLOTOMIC,
     "laurent": CYCLOTOMIC + ["laurent"],

@@ -17,12 +17,48 @@ from periodlab.cyclotomic import Cyc, check_order, cyclotomic_polynomial, factor
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def _mobius(n: int) -> int:
+    """mu(n) by trial division."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def _mobius_product(n: int) -> tuple[int, ...]:
+    """prod_{d | n} (x^d - 1)^mu(n/d), low to high: the factors with
+    mu = 1 multiplied in, then those with mu = -1 divided out, each
+    division solving p = q (x^d - 1) from the bottom, q_j = q_{j-d} - p_j."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _mobius(n // d) == 1:
+            poly = [(poly[j - d] if j >= d else 0) - (poly[j] if j < len(poly) else 0)
+                    for j in range(len(poly) + d)]
+    for d in divisors:
+        if _mobius(n // d) == -1:
+            quot = []
+            for j in range(len(poly) - d):
+                quot.append((quot[j - d] if j >= d else 0) - poly[j])
+            assert all(poly[j] == (quot[j - d] if j >= d else 0)
+                       for j in range(len(quot), len(poly)))
+            poly = quot
+    return tuple(poly)
+
+
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    for n in [*range(1, 301), 336, 1980, 2000]:
+        assert cyclotomic_polynomial(n) == _mobius_product(n), n
 
 
 def test_factorize():

@@ -11,6 +11,7 @@ from mpmath import mp, mpc
 
 from periodlab.cmfield import MAX_FIELD_WORK, FieldTower, build_field, check_precision
 from periodlab.errors import ConfigError, ReduciblePolynomial
+from periodlab.intpoly import real_root_count, sturm_chain
 from periodlab.towers import (
     MAX_DEGREE,
     Layout,
@@ -18,8 +19,6 @@ from periodlab.towers import (
     delta_double,
     inversions,
     lower_norm,
-    real_root_count,
-    sturm_chain,
 )
 
 from oracles import inversions as pairwise_inversions
