@@ -7,11 +7,12 @@ Contents:
   embeddings), carrying its torus weight and wedge monomial;
 * the distinguished bottom-degree element w(k), built from the cycle
   closed form per embedding and certified unique by an exhaustive scan:
-  every candidate is visited, and its torus weight is compared with the
-  induced-character target one embedding at a time, so a candidate is
-  dropped at its first embedding that differs; no line is built, each
-  permutation's inverted pairs are computed once per certificate, and the
-  dual highest weight once per (eta, n) by a small process-wide cache;
+  a table built once per certificate holds, for each distinct eta value,
+  the permutations whose torus weight is the induced-character target;
+  every candidate is visited and looked up in it one embedding at a time,
+  so a candidate is dropped at its first embedding that misses; no line
+  is built, and the dual highest weight comes from a small process-wide
+  cache keyed by (eta, n);
 * formal wedge monomials of nilpotent covectors with the sign calculus
   for Galois relabeling, including the transfer sign of the generator
   monomials;
@@ -337,17 +338,20 @@ def distinguished_weyl(
     and the cycle (1 ... k) where eta >= n.  The certificate scans all
     absolute Weyl elements of bottom degree (or the full group when
     ``full_scan``) and checks that exactly one of them has the induced
-    character target as its torus weight at every embedding.  Each
-    candidate is compared one embedding at a time, with the weight
-    ``_line_weight_component`` gives (the formula ``make_line`` uses), and
-    is dropped at its first embedding whose weight differs from the
-    target; it matches only when every embedding agrees.  Every candidate
-    is visited, so ``scanned`` and ``matches`` are exact counts.  A
-    candidate stays a tuple of components: no ``WeylElement``, line, wedge
-    monomial or sort is built for it.  A permutation's inverted pairs are
-    computed the first time the scan reaches it and kept in a table of at
-    most n! entries that lives for this call only; the dual highest weight
-    comes from a bounded cache keyed by (eta, n).
+    character target as its torus weight at every embedding.
+
+    The target at an embedding depends only on its eta value, so the
+    weight is decided once per (distinct eta value, permutation a
+    candidate can hold): those of length at most the bottom degree, or
+    all of S_n when ``full_scan``.  Each decision computes the
+    permutation's inverted pairs once and the weight with
+    ``_line_weight_component`` (the formula ``make_line`` uses), and the
+    hits form a table that lives for this call only.  Each candidate is
+    then looked up one embedding at a time and dropped at its first miss;
+    it matches only when every embedding hits.  Every candidate is
+    visited, so ``scanned`` and ``matches`` are exact counts.  A
+    candidate stays a tuple of components: no ``WeylElement``, line,
+    wedge monomial or sort is built for it.
     """
     n = w.n
     if not 1 <= k <= n:
@@ -366,7 +370,16 @@ def distinguished_weyl(
     element = WeylElement(components=tuple(comps))
 
     target = _restricted_target(w, emb, k)
-    pairs_of: dict[OneLine, list[tuple[int, int]]] = {}
+    wanted = {eta[pos]: target[pos] for pos in range(emb.degree)}
+    hits: dict[int, set[OneLine]] = {value: set() for value in wanted}
+    for length, perms in _permutations_by_length(n):
+        if full_scan or length <= c_n:
+            for c in perms:
+                pairs = inverted_pairs(c)
+                for value, weight in wanted.items():
+                    if _line_weight_component(c, pairs, value, n) == weight:
+                        hits[value].add(c)
+    allowed = [hits[eta[pos]] for pos in range(emb.degree)]
     matches = []
     scanned = 0
     if full_scan:
@@ -377,11 +390,8 @@ def distinguished_weyl(
         candidates = _elements_of_length(n, emb.degree, c_n)
     for cand in candidates:
         scanned += 1
-        for pos, c in enumerate(cand):
-            pairs = pairs_of.get(c)
-            if pairs is None:
-                pairs = pairs_of[c] = inverted_pairs(c)
-            if _line_weight_component(c, pairs, eta[pos], n) != target[pos]:
+        for c, hit in zip(cand, allowed):
+            if c not in hit:
                 break
         else:
             matches.append(cand)

@@ -7,9 +7,12 @@ A pytest plugin, loaded by name (pytest collects ``test_*.py`` only, so a
 plain tier-1 run does not load it).  It installs one trace function with
 ``sys.settrace`` and ``threading.settrace`` when pytest configures, and
 records the lines run in frames whose code lives under src/periodlab.
-At the end of the session it counts the ``ast`` statements of each module,
-docstrings left out, and prints the count per module and each statement
-that never ran, as ``module:line  source``.
+It reads a module's source when the trace first meets a frame of it,
+which is when the module is imported, so a source edited during the run
+is reported as it ran.  At the end of the session it counts the ``ast``
+statements of each module (from that snapshot, or from the file of a
+module never run), docstrings left out, and prints the count per module
+and each statement that never ran, as ``module:line  source``.
 
 A statement has run when a line event fell on one of its header lines
 (from its first decorator or keyword to the line before its body) or when
@@ -30,6 +33,7 @@ PREFIX = str(PACKAGE) + "/"
 BODIES = ("body", "orelse", "finalbody", "handlers", "cases")
 
 lines_run: dict[str, set[int]] = {}
+sources: dict[str, str] = {}  # each module's source when first met
 
 
 def _local(frame, event, arg):
@@ -42,7 +46,9 @@ def _global(frame, event, arg):
     filename = frame.f_code.co_filename
     if not filename.startswith(PREFIX):
         return None
-    lines_run.setdefault(filename, set())
+    if filename not in lines_run:
+        lines_run[filename] = set()
+        sources[filename] = Path(filename).read_text(encoding="utf-8")
     return _local
 
 
@@ -69,8 +75,9 @@ def _header(node) -> range:
     return range(first, min(c.lineno for c in inner) if inner else node.end_lineno + 1)
 
 
-def never_run(path: Path, run: set[int]) -> tuple[list, list]:
-    """The counted statements of one module, and those of them that never ran."""
+def never_run(source: str, run: set[int]) -> tuple[list, list]:
+    """The counted statements of one module's source, and those of them
+    that never ran."""
     counted, missed = [], []
 
     def visit(node, parent) -> bool:
@@ -83,7 +90,7 @@ def never_run(path: Path, run: set[int]) -> tuple[list, list]:
                 missed.append(node)
         return ran
 
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = ast.parse(source)
     for node in tree.body:
         visit(node, tree)
     return counted, missed
@@ -94,21 +101,28 @@ def pytest_configure(config):
     threading.settrace(_global)
 
 
+def report(package: Path = PACKAGE) -> list[str]:
+    """The summary: the total, the count per module, and each statement
+    that never ran, against each module's source as it ran."""
+    totals, missed_by = Counter(), {}
+    for path in sorted(package.glob("*.py")):
+        source = sources.get(str(path)) or path.read_text(encoding="utf-8")
+        counted, missed = never_run(source, lines_run.get(str(path), set()))
+        totals[path.stem] = len(counted)
+        missed_by[path.stem] = (source.splitlines(), missed)
+    lines = [f"{sum(len(m) for _, m in missed_by.values())} of {sum(totals.values())} "
+             "statements never ran"]
+    lines += [f"  {stem}: {len(missed)} of {totals[stem]}"
+              for stem, (_, missed) in missed_by.items()]
+    for stem, (source_lines, missed) in missed_by.items():
+        lines += [f"{stem}:{node.lineno}  {source_lines[node.lineno - 1].strip()}"
+                  for node in missed]
+    return lines
+
+
 def pytest_terminal_summary(terminalreporter):
     sys.settrace(None)
     threading.settrace(None)
-    write = terminalreporter.write_line
-    totals, missed_by = Counter(), {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        counted, missed = never_run(path, lines_run.get(str(path), set()))
-        totals[path.stem] = len(counted)
-        missed_by[path.stem] = (path, missed)
     terminalreporter.section("statement reach")
-    write(f"{sum(len(m) for _, m in missed_by.values())} of {sum(totals.values())} "
-          "statements never ran")
-    for stem, (path, missed) in missed_by.items():
-        write(f"  {stem}: {len(missed)} of {totals[stem]}")
-    for stem, (path, missed) in missed_by.items():
-        source = path.read_text(encoding="utf-8").splitlines()
-        for node in missed:
-            write(f"{stem}:{node.lineno}  {source[node.lineno - 1].strip()}")
+    for line in report():
+        terminalreporter.write_line(line)

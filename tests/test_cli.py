@@ -222,6 +222,7 @@ ARGUMENT_ERRORS = [
     # orders that cyclotomic.check_order refuses
     ["lratio", "--n", "3", "--k", "1", "--a", "2002,1", "--q", "2"],
     ["intertwine-nonarch", "--n", "3", "--k", "1", "--a", "2310,1", "--q", "2"],
+    ["--config", QI_CONFIG, "wedge-sign", "--n", "2", "--k", "1", "--g", "abc"],
 ]
 
 
@@ -296,6 +297,10 @@ CONFIG_ERRORS = {
     "peel-work-above-limit": _qi_config(n=2, points=[{"mu": {"0": [2000, 0], "1": [2000, 0]},
                                                       "nu": {"0": [0, -2000], "1": [0, -2000]},
                                                       "chi": {"0": 0, "1": 1}}]),
+    # a config without one of the sections a command reads
+    "no-field-section": {"weights": CONFIG["weights"]},
+    "no-weights-section": {"field": CONFIG["field"]},
+    "weights-without-points-or-grid": _qi_config(n=2),
 }
 # the commands of a CONFIG_ERRORS case, when they are not balanced alone:
 # a tower refused before balanced builds its layout is refused, for the same
@@ -322,7 +327,7 @@ CONFIG_ERROR_COMMANDS = {
     "k0-poly-square": BOTH,
     "extension-poly-fourth-power": BOTH,
 }
-# the reason the error line of each tower case must give
+# the reason the error line of each tower case, and of each missing section, must give
 TOWER_REASONS = {
     "precision-digits-4": "precision 4 is below 18",
     "d-1e18-plus-3": "d = 1000000000000000003 is above the limit",
@@ -343,6 +348,9 @@ TOWER_REASONS = {
     "k1-basis-1/1000": "the prefactor of term_1 is not a finite nonzero complex double",
     "k1-basis-1e200": "the prefactor of term_1 is not a finite nonzero complex double",
     "k1-basis-1e30": "discriminant over Q is about 4.0e+120, more than 50 digits can reconstruct",
+    "no-field-section": "config lacks a 'field' section",
+    "no-weights-section": "config lacks a 'weights' section",
+    "weights-without-points-or-grid": "weights section needs 'points' or 'grid'",
 }
 
 

@@ -31,6 +31,7 @@ from periodlab.weylkostant import (
 from periodlab.errors import ConfigError, UniquenessFailed
 
 from oracles import admissible_permutations, coset_reps, elements_of_length
+from oracles import inversions as oracle_inversions
 from test_acceptance import _case_pm_etas
 
 
@@ -246,43 +247,52 @@ def test_elements_of_length_order_is_the_rebuilt_tables(n, count):
         assert len(expected) == weyl_count(n, count, total)
 
 
-def test_scan_computes_each_permutations_pairs_once(emb4, monkeypatch):
-    """One deg-4 certificate at n = 3: inverted_pairs runs once per distinct
-    permutation the scan reaches, and _line_weight_component once per
-    embedding up to each candidate's first mismatch, recounted here from
-    make_line's weights."""
-    w = weight_system_from_eta(3, aligned_eta(emb4, 3))
-    k = 2
-    target = weylkostant._restricted_target(w, emb4, k)
-    c_n = weylkostant.bottom_degree(3, emb4)
-    weight_calls, reached = 0, set()
-    for comps in elements_of_length(3, emb4.degree, c_n):
-        line = weylkostant.make_line(WeylElement(components=comps), w, emb4)
-        for pos, comp in enumerate(comps):
-            weight_calls += 1
-            reached.add(comp)
-            if line.torus_weight[pos] != target[pos]:
-                break
-    pairs_calls, weights_seen = [], []
+def test_scan_computes_each_permutations_pairs_once(emb2, emb4, monkeypatch):
+    """The certificate decides each (distinct eta value, permutation a
+    candidate can hold) once, before its candidate loop: one
+    _line_weight_component call per pair, and one inverted_pairs call per
+    permutation.  A permutation can hold a component when its length is at
+    most the bottom degree (all of S_n for a full scan); the set is
+    recounted here with the oracle's inversions."""
+    pairs_calls, weight_calls = [], []
     pairs, weight = weylkostant.inverted_pairs, weylkostant._line_weight_component
 
     def counted_pairs(c):
         pairs_calls.append(c)
         return pairs(c)
 
-    def counted_weight(*args):
-        weights_seen.append(args[0])
-        return weight(*args)
+    def counted_weight(oneline, inverted, eta_value, n):
+        weight_calls.append((oneline, eta_value))
+        return weight(oneline, inverted, eta_value, n)
 
     monkeypatch.setattr(weylkostant, "inverted_pairs", counted_pairs)
     monkeypatch.setattr(weylkostant, "_line_weight_component", counted_weight)
-    el, cert = distinguished_weyl(w, emb4, k)
-    assert sorted(pairs_calls) == sorted(reached) == sorted(set(weights_seen))
-    assert len(weights_seen) == weight_calls
-    assert cert["scanned"] == weyl_count(3, emb4.degree, c_n) and cert["matches"] == 1
-    # a second certificate builds its own table
-    distinguished_weyl(w, emb4, k)
-    assert len(pairs_calls) == 2 * len(reached)
+    cases = [
+        # eta values 0 and 3, each at two of the four embeddings
+        (emb4, weight_system_from_eta(3, aligned_eta(emb4, 3)), 2, False),
+        # four distinct eta values
+        (emb4, weight_system_from_eta(3, {0: -1, 2: 3, 1: 4, 3: 0}), 1, False),
+        # bottom degree 3 < 6: 15 of the 24 permutations of S_4
+        (emb2, weight_system_from_eta(4, {0: 0, 1: 4}), 2, False),
+        (emb2, weight_system_from_eta(4, {0: -2, 1: 5}), 3, True),
+    ]
+    for emb, w, k, full_scan in cases:
+        n = w.n
+        c_n = weylkostant.bottom_degree(n, emb)
+        held = [p for p in itertools.permutations(range(1, n + 1))
+                if full_scan or oracle_inversions(p) <= c_n]
+        values = set(w.eta().values())
+        pairs_calls.clear()
+        weight_calls.clear()
+        el, cert = distinguished_weyl(w, emb, k, full_scan=full_scan)
+        assert sorted(pairs_calls) == sorted(held), (n, full_scan)
+        assert sorted(weight_calls) == sorted(itertools.product(held, values)), (n, full_scan)
+        assert cert["scanned"] == weyl_count(n, emb.degree, None if full_scan else c_n)
+        assert cert["matches"] == 1
+        # a second certificate builds its own table
+        distinguished_weyl(w, emb, k, full_scan=full_scan)
+        assert len(pairs_calls) == 2 * len(held)
+        assert len(weight_calls) == 2 * len(held) * len(values)
 
 
 def test_weylkostant_caches_are_bounded_and_keyed_by_integers(emb4):
@@ -341,6 +351,7 @@ def test_records_equal_and_hashed_by_value():
     assert w == WeylElement(components=((2, 1), (1, 2))) and w != WeylElement(components=(b, a))
     assert len({w, WeylElement(components=(a, b)), WeylElement(components=(b, a))}) == 2
     assert w != (a, b)
+    assert m != m.labels and m.labels != m
 
 
 def test_wedge_sigma_sign_identity_and_singleton(emb2):
@@ -350,6 +361,9 @@ def test_wedge_sigma_sign_identity_and_singleton(emb2):
     single = WedgeMonomial.from_labels([(1, 2, 0)])
     for g in admissible_permutations(emb2):
         assert wedge_sigma_sign(single, g, emb2) == 1
+    unsorted = WedgeMonomial(sign=1, labels=((1, 2, 1), (1, 2, 0)))
+    with pytest.raises(ValueError, match="monomial labels are not sorted"):
+        wedge_sigma_sign(unsorted, identity_permutation(emb2), emb2)
 
 
 def test_wedge_cocycle(emb4):
