@@ -26,7 +26,8 @@ convolutions over fields containing a CM subfield:
 * ``laurent``     -- polynomials and ratios in X = q^{-s} over Q(zeta_N);
                      ratios with equal denominators compare their
                      numerators, other ratios cross-multiply, and the
-                     reduced form is computed only to print a ratio;
+                     reduced form is computed only to print a ratio, by
+                     one pseudo-division that inverts no coefficient;
 * ``lfactors``    -- exact local L-factor ratios, Gamma_C shift ratios,
                      finite-field Gauss sums, vanishing-order tokens and
                      the normalizing factor they select;

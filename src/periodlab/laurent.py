@@ -7,7 +7,8 @@ it was built from.  Ratios multiply and compare: two ratios whose
 denominators are equal polynomials are compared through their numerators
 over that one denominator, other ratios cross-multiply.  The gcd-reduced
 form over the field of coefficients, with a normalized denominator, is
-computed only to print a ratio.
+computed only to print a ratio, with one pseudo-division that inverts no
+coefficient: its remainders give the gcd, its quotients the reduced pair.
 """
 
 from __future__ import annotations
@@ -22,27 +23,10 @@ class XPoly:
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: dict[int, Cyc] | None = None) -> None:
+    def __init__(self, n: int, coeffs: dict[int, Cyc]) -> None:
+        """Degrees are nonnegative; zero coefficients are dropped."""
         self.n = n
-        cs = {}
-        for d, c in (coeffs or {}).items():
-            # Cyc first: isinstance misses on Fraction run its ABCMeta hook
-            if not isinstance(c, Cyc) and isinstance(c, (int, Fraction)):
-                c = Cyc.rational(c, n)
-            if not c.is_zero():
-                if d < 0:
-                    raise ValueError("negative degree")
-                cs[d] = c
-        self.coeffs = cs
-
-    @staticmethod
-    def _of(n: int, coeffs: dict[int, Cyc]) -> "XPoly":
-        """From ``Cyc`` coefficients at nonnegative degrees, as the
-        arithmetic below builds them; zero coefficients are dropped."""
-        out = object.__new__(XPoly)
-        out.n = n
-        out.coeffs = {d: c for d, c in coeffs.items() if not c.is_zero()}
-        return out
+        self.coeffs = {d: c for d, c in coeffs.items() if not c.is_zero()}
 
     @staticmethod
     def const(n: int, c) -> "XPoly":
@@ -52,7 +36,7 @@ class XPoly:
     def monomial(n: int, deg: int, c) -> "XPoly":
         if deg < 0:
             raise ValueError("negative degree")
-        return XPoly._of(n, {deg: c if isinstance(c, Cyc) else Cyc.rational(c, n)})
+        return XPoly(n, {deg: c if isinstance(c, Cyc) else Cyc.rational(c, n)})
 
     def degree(self) -> int:
         return max(self.coeffs) if self.coeffs else -1
@@ -64,25 +48,25 @@ class XPoly:
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
             out[d] = out[d] + c if d in out else c
-        return XPoly._of(self.n, out)
+        return XPoly(self.n, out)
 
     def __sub__(self, other: "XPoly") -> "XPoly":
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
             out[d] = out[d] - c if d in out else -c
-        return XPoly._of(self.n, out)
+        return XPoly(self.n, out)
 
     def __mul__(self, other) -> "XPoly":
         # XPoly first: isinstance misses on Fraction run its ABCMeta hook
         if not isinstance(other, XPoly) and isinstance(other, (Cyc, int, Fraction)):
-            return XPoly._of(self.n, {d: c * other for d, c in self.coeffs.items()})
+            return XPoly(self.n, {d: c * other for d, c in self.coeffs.items()})
         out: dict[int, Cyc] = {}
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
                 d = d1 + d2
                 p = c1 * c2
                 out[d] = out[d] + p if d in out else p
-        return XPoly._of(self.n, out)
+        return XPoly(self.n, out)
 
     __rmul__ = __mul__
 
@@ -96,69 +80,48 @@ class XPoly:
             raise ValueError("zero polynomial")
         return self.coeffs[self.degree()]
 
-    def divmod(self, den: "XPoly") -> tuple["XPoly", "XPoly"]:
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        inv_lead = den.leading().inverse()
-        dd = den.degree()
+    def pseudo_divmod(self, den: "XPoly") -> tuple["XPoly", "XPoly"]:
+        """(q, r) with lead(den)^m * self = q * den + r and deg r < deg den,
+        for a nonzero ``den``, where m, the number of terms of q, counts the
+        steps: each scales by lead(den) and cancels a nonzero top term, so
+        no coefficient is inverted.  A monic ``den`` divides exactly."""
+        lead, dd = den.leading(), den.degree()
         rem = dict(self.coeffs)
         quot: dict[int, Cyc] = {}
         while rem:
             d = max(rem)
             if d < dd:
                 break
-            c = rem[d] * inv_lead
+            c = rem.pop(d)
+            if c.is_zero():
+                continue
+            rem = {k: v * lead for k, v in rem.items()}
+            quot = {k: v * lead for k, v in quot.items()}
             quot[d - dd] = c
             for dj, cj in den.coeffs.items():
-                key = d - dd + dj
-                val = rem.get(key, Cyc.rational(0, self.n)) - c * cj
-                if val.is_zero():
-                    rem.pop(key, None)
-                else:
-                    rem[key] = val
-        return XPoly._of(self.n, quot), XPoly._of(self.n, rem)
-
-    def _pseudo_rem(self, den: "XPoly") -> "XPoly":
-        """The remainder of lead(den)^m * self by den, for the least m that
-        needs no division: each step scales by lead(den) and cancels the
-        top term, so no coefficient is inverted; ``den`` is nonzero."""
-        lead, dd = den.leading(), den.degree()
-        rem = dict(self.coeffs)
-        while rem:
-            d = max(rem)
-            if d < dd:
-                break
-            c = rem.pop(d)
-            rem = {k: v * lead for k, v in rem.items()}
-            for dj, cj in den.coeffs.items():
-                if dj == dd:
-                    continue
-                key = d - dd + dj
-                val = rem[key] - c * cj if key in rem else -(c * cj)
-                if val.is_zero():
-                    rem.pop(key, None)
-                else:
-                    rem[key] = val
-        return XPoly._of(self.n, rem)
+                if dj != dd:
+                    key = d - dd + dj
+                    rem[key] = rem[key] - c * cj if key in rem else -(c * cj)
+        return XPoly(self.n, quot), XPoly(self.n, rem)
 
     def gcd(self, other: "XPoly") -> "XPoly":
         """The monic gcd, 1 when constant: remainders by pseudo-division,
         then one inversion of the last remainder's leading coefficient."""
         a, b = self, other
         while not b.is_zero():
-            a, b = b, a._pseudo_rem(b)
+            a, b = b, a.pseudo_divmod(b)[1]
         if a.is_zero():
             return a
         one = Cyc.rational(1, self.n)
         if a.degree() == 0:
-            return XPoly._of(self.n, {0: one})
+            return XPoly(self.n, {0: one})
         inv = a.leading().inverse()
         monic = {d: c * inv for d, c in a.coeffs.items()}
         monic[a.degree()] = one
-        return XPoly._of(self.n, monic)
+        return XPoly(self.n, monic)
 
     def galois(self, j: int) -> "XPoly":
-        return XPoly._of(self.n, {d: c.galois(j) for d, c in self.coeffs.items()})
+        return XPoly(self.n, {d: c.galois(j) for d, c in self.coeffs.items()})
 
     def evaluate(self, x: complex) -> complex:
         return sum(c.to_complex() * x**d for d, c in self.coeffs.items())
@@ -209,8 +172,8 @@ class LaurentRatio:
             return num, XPoly.const(den.n, 1)
         g = num.gcd(den)
         if g.degree() > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
+            num = num.pseudo_divmod(g)[0]
+            den = den.pseudo_divmod(g)[0]
         const = den.coeffs.get(0)
         inv = const.inverse() if const is not None else den.leading().inverse()
         return num * inv, den * inv

@@ -176,15 +176,11 @@ def balanced_at(
     if eta_value <= 0:
         lam = tuple(x - chi for x in dual(nu))
         base = mu
-        size = -eta_value
     elif eta_value >= n:
         lam = tuple(x - (1 - chi) for x in nu)
         base = dual(mu)
-        size = eta_value - n
     else:
         raise ConfigError(f"eta = {eta_value} strictly between 0 and {n}")
-    if sum(lam) - sum(base) != size:
-        return False
     return _is_horizontal_strip(lam, base)
 
 

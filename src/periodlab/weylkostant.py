@@ -11,8 +11,8 @@ Contents:
   the permutations whose torus weight is the induced-character target;
   every candidate is visited and looked up in it one embedding at a time,
   so a candidate is dropped at its first embedding that misses; no line
-  is built, and the dual highest weight comes from a small process-wide
-  cache keyed by (eta, n);
+  is built, and the dual highest weight is computed once per distinct
+  eta value of the certificate;
 * formal wedge monomials of nilpotent covectors with the sign calculus
   for Galois relabeling, including the transfer sign of the generator
   monomials;
@@ -162,10 +162,10 @@ class KostantLine:
 
 
 def _line_weight_component(
-    oneline: OneLine, pairs: list[tuple[int, int]], eta_value: int, n: int
+    oneline: OneLine, pairs: list[tuple[int, int]], base: tuple[int, ...]
 ) -> tuple[int, ...]:
     """Torus weight of the line attached to w at one embedding, given w's
-    inverted pairs.
+    inverted pairs and the dual highest weight of the embedding's eta.
 
     The line is spanned by the dual wedge of the covectors at w's
     inversions, tensored with w applied to the highest weight vector of
@@ -174,7 +174,6 @@ def _line_weight_component(
     result the dot-action weight w(L + rho) - rho, as a cross-check with
     the nilpotent-cohomology theorem confirms.
     """
-    base = _dual_highest_weight(eta_value, n)
     weight = [base[i - 1] for i in oneline]
     for (i, j) in pairs:
         weight[i - 1] -= 1
@@ -182,7 +181,6 @@ def _line_weight_component(
     return tuple(weight)
 
 
-@functools.lru_cache(maxsize=1024)
 def _dual_highest_weight(eta_value: int, n: int) -> tuple[int, ...]:
     """(-mu_n, ..., -mu_1) for mu = highest_weight_from_eta(eta_value, n)."""
     return tuple(-x for x in reversed(highest_weight_from_eta(eta_value, n)))
@@ -198,7 +196,8 @@ def make_line(element: WeylElement, w: WeightSystem, emb: Layout) -> KostantLine
     for pos in range(emb.degree):
         comp = element.component(pos)
         pairs = inverted_pairs(comp)
-        weights.append(_line_weight_component(comp, pairs, eta[pos], n))
+        base = _dual_highest_weight(eta[pos], n)
+        weights.append(_line_weight_component(comp, pairs, base))
         labels.extend((i, j, pos) for (i, j) in pairs)
     return KostantLine(
         element=element,
@@ -345,7 +344,8 @@ def distinguished_weyl(
     candidate can hold): those of length at most the bottom degree, or
     all of S_n when ``full_scan``.  Each decision computes the
     permutation's inverted pairs once and the weight with
-    ``_line_weight_component`` (the formula ``make_line`` uses), and the
+    ``_line_weight_component`` (the formula ``make_line`` uses) from the
+    eta value's dual highest weight, computed once per call, and the
     hits form a table that lives for this call only.  Each candidate is
     then looked up one embedding at a time and dropped at its first miss;
     it matches only when every embedding hits.  Every candidate is
@@ -371,13 +371,14 @@ def distinguished_weyl(
 
     target = _restricted_target(w, emb, k)
     wanted = {eta[pos]: target[pos] for pos in range(emb.degree)}
+    bases = {value: _dual_highest_weight(value, n) for value in wanted}
     hits: dict[int, set[OneLine]] = {value: set() for value in wanted}
     for length, perms in _permutations_by_length(n):
         if full_scan or length <= c_n:
             for c in perms:
                 pairs = inverted_pairs(c)
                 for value, weight in wanted.items():
-                    if _line_weight_component(c, pairs, value, n) == weight:
+                    if _line_weight_component(c, pairs, bases[value]) == weight:
                         hits[value].add(c)
     allowed = [hits[eta[pos]] for pos in range(emb.degree)]
     matches = []

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodlab import cmfield, cyclotomic, intertwine, lfactors, weights, weylkostant
-from periodlab.cli import main
+from periodlab.cli import fmt_value, main
 from periodlab.errors import ConfigError, PrecisionExhausted
 from oracles import exact_tower_discriminants
 from test_golden_cli import GOLDEN, README_COMMANDS, case_id
@@ -223,6 +223,8 @@ ARGUMENT_ERRORS = [
     ["lratio", "--n", "3", "--k", "1", "--a", "2002,1", "--q", "2"],
     ["intertwine-nonarch", "--n", "3", "--k", "1", "--a", "2310,1", "--q", "2"],
     ["--config", QI_CONFIG, "wedge-sign", "--n", "2", "--k", "1", "--g", "abc"],
+    # no --config: an empty config, which lacks the field section
+    ["find-wk", "--n", "2", "--k", "1"],
 ]
 
 
@@ -301,6 +303,9 @@ CONFIG_ERRORS = {
     "no-field-section": {"weights": CONFIG["weights"]},
     "no-weights-section": {"field": CONFIG["field"]},
     "weights-without-points-or-grid": _qi_config(n=2),
+    # a k basis is read exactly only over k0 = Q
+    "k-basis-over-declared-k0": {"field": {"d": 1, "k0_poly": [-2, 0, 1], "extension_poly": [-3, 0, 1],
+                                           "k_basis": [[1], [0, 1]]}},
 }
 # the commands of a CONFIG_ERRORS case, when they are not balanced alone:
 # a tower refused before balanced builds its layout is refused, for the same
@@ -326,6 +331,7 @@ CONFIG_ERROR_COMMANDS = {
     "extension-poly-square": BOTH,
     "k0-poly-square": BOTH,
     "extension-poly-fourth-power": BOTH,
+    "k-basis-over-declared-k0": [["field-check"]],
 }
 # the reason the error line of each tower case, and of each missing section, must give
 TOWER_REASONS = {
@@ -351,6 +357,7 @@ TOWER_REASONS = {
     "no-field-section": "config lacks a 'field' section",
     "no-weights-section": "config lacks a 'weights' section",
     "weights-without-points-or-grid": "weights section needs 'points' or 'grid'",
+    "k-basis-over-declared-k0": "bad field.k_basis: exact elements require k0 = Q",
 }
 
 
@@ -1012,3 +1019,11 @@ def test_refusal_inside_a_check_exits_2(module, name, argv, monkeypatch, capsys)
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: refused\n"
+
+
+def test_unrenderable_value_is_refused():
+    """A report value of no JSON-friendly type is a programming error, not
+    a config error."""
+    assert fmt_value({"b": (1.5, None), "a": 1j}) == {"a": "0+1i", "b": ["1.5", None]}
+    with pytest.raises(TypeError, match="no report rendering for object"):
+        fmt_value(object())

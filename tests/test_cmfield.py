@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from periodlab import cmfield
 from periodlab.cmfield import (
     FieldTower,
     build_field,
@@ -19,7 +20,7 @@ from periodlab.towers import (
     identity_permutation,
     lower_norm,
 )
-from periodlab.errors import ConfigError, ReduciblePolynomial
+from periodlab.errors import ConfigError, ReconstructionFailed, ReduciblePolynomial
 
 from oracles import admissible_permutations, exact_tower_discriminants, int_det, poly_disc
 
@@ -317,3 +318,12 @@ def test_index_layout_invariants(tower):
             keys = [(mp.re(emb.embeddings[i].theta_image), mp.im(emb.embeddings[i].theta_image))
                     for i in members]
             assert keys == sorted(keys)
+
+
+def test_rational_refuses_a_value_that_is_not_real(built):
+    """The reconstruction reads a real part only when the imaginary part is
+    within the tolerance."""
+    emb = built[QI]
+    assert cmfield._rational(emb, mp.mpc(3, 0) / 4, "value", 10)[0] == Fraction(3, 4)
+    with pytest.raises(ReconstructionFailed, match="value is not real"):
+        cmfield._rational(emb, mp.mpc(3, 1) / 4, "value", 10)

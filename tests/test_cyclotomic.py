@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -391,3 +392,22 @@ def test_order_bound_refuses_before_work(n):
     with pytest.raises(ValueError, match="order work limit"):
         Cyc.rational(1, n) == Cyc.rational(2, n)
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_foreign_operands_negative_powers_and_refusals():
+    """A float operand is refused by the operator protocol, a rational on
+    the left subtracts, a negative power inverts, and galois and
+    rational_value refuse what they cannot do."""
+    z = Cyc.zeta(12)
+    for op in (operator.add, operator.mul):
+        with pytest.raises(TypeError):
+            op(z, 1.5)
+    assert z.__eq__(1.5) is NotImplemented and z != 1.5
+    assert 1 - z == Cyc.rational(1, 12) - z and Fraction(1, 2) - z == -(z - Fraction(1, 2))
+    assert z ** -2 == Cyc.zeta(12, 10)
+    x = z + 2
+    assert x ** -2 * x * x == 1
+    with pytest.raises(ValueError, match="4 not coprime to 12"):
+        z.galois(4)
+    with pytest.raises(ValueError, match="element is not rational"):
+        z.rational_value()

@@ -617,3 +617,21 @@ def test_constant_term_prefactors():
     # i^1 * 2i = -2; prefactors are (-2)^(k-3)
     assert abs(entries[0].prefactor - 0.25) < 1e-12
     assert abs(entries[1].prefactor + 0.5) < 1e-12
+
+
+def test_nonarch_k_out_of_range_and_foreign_entry_comparison():
+    with pytest.raises(ConfigError, match="k out of range"):
+        nonarch_intertwining(2, 3, Cyc.zeta(12), 2)
+    entry = assemble_constant_term(3, VanishingToken(order_zero=0), 2j, 2)[0]
+    assert entry.__eq__(vars(entry)) is NotImplemented and entry != vars(entry)
+
+
+def test_quad_refuses_an_integrand_zero_at_every_node():
+    with pytest.raises(QuadratureNotConverged, match="underflows at every node"):
+        quadrature.quad(lambda u: 0.0, [0])
+
+
+def test_three_level_error_of_equal_levels_is_rounding():
+    """A level sum equal to the one before it is known to the rounding of
+    a double, not better."""
+    assert quadrature._three_level_error(1.5, 1.0 + 1j, 1.0 + 1j, 5, 9) == quadrature.ROUNDING

@@ -18,8 +18,10 @@ N = 12
 
 
 def poly(*coeffs) -> XPoly:
-    """c0 + c1 X + ... with coefficients in Q(zeta_12)."""
-    return XPoly(N, dict(enumerate(coeffs)))
+    """c0 + c1 X + ... with coefficients in Q(zeta_12), given as ``Cyc``
+    values or rationals."""
+    return XPoly(N, {d: c if isinstance(c, Cyc) else Cyc.rational(c, N)
+                     for d, c in enumerate(coeffs)})
 
 
 ZETA = Cyc.zeta(N, 1)
@@ -162,4 +164,62 @@ def test_gcd_is_monic_and_cancels_a_common_factor():
     assert P.gcd(F) == XPoly.const(N, 1)
     g = (P * F).gcd(P * G)
     assert g == P * Fraction(1, 5)
-    assert XPoly(N).gcd(XPoly(N)).is_zero()
+    assert XPoly(N, {}).gcd(XPoly(N, {})).is_zero()
+
+
+# -- pseudo-division -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [7, 12])
+def test_pseudo_divmod_identity_on_sparse_polynomials(n):
+    """lead(den)^m * num = q * den + r with deg r < deg den, where m is the
+    number of terms of q, checked by multiplication only for seeded sparse
+    polynomials over Q(zeta_7) and Q(zeta_12) and non-monic divisors, and
+    pinned for a dividend whose top term after one step is an exact zero;
+    a monic divisor of degree 4 gives the exact quotient and remainder."""
+    rng = random.Random(3400 + n)
+    for case in range(30):
+        num = sparse_poly(rng, n) * sparse_poly(rng, n) + sparse_poly(rng, n)
+        den = sparse_poly(rng, n)
+        while den.is_zero():  # at even N a coefficient may cancel
+            den = sparse_poly(rng, n)
+        if den.leading() == 1:
+            den = den * Cyc.zeta(n, 1)
+        lead = den.leading()
+        assert lead != 1
+        q, r = num.pseudo_divmod(den)
+        m = len(q.coeffs)
+        assert m <= max(num.degree() - den.degree() + 1, 0), (n, case)
+        assert num * lead ** m == q * den + r, (n, case)
+        assert r.degree() < den.degree(), (n, case)
+        # a X den + low cancels its X^deg(den) term in the first step, so
+        # the zero left there is skipped, not a second step
+        a = Cyc.zeta(n, case) * (case + 1)
+        low = XPoly(n, {d: c for d, c in sparse_poly(rng, n).coeffs.items() if d < den.degree()})
+        assert (XPoly.monomial(n, 1, a) * den + low).pseudo_divmod(den) == (
+            XPoly.monomial(n, 1, a * lead), low * lead), (n, case)
+
+        f, rest = sparse_poly(rng, n), sparse_poly(rng, n)
+        monic = sparse_poly(rng, n) + XPoly.monomial(n, 4, 1)
+        assert (f * monic + rest).pseudo_divmod(monic) == (f, rest), (n, case)
+        assert (f * monic).pseudo_divmod(monic) == (f, XPoly(n, {})), (n, case)
+
+
+def test_pseudo_divmod_below_the_divisor_degree_and_by_zero():
+    assert G.pseudo_divmod(P) == (XPoly(N, {}), G)
+    assert XPoly(N, {}).pseudo_divmod(G) == (XPoly(N, {}), XPoly(N, {}))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        G.pseudo_divmod(XPoly(N, {}))
+
+
+def test_refusals_and_foreign_comparisons():
+    """A zero or foreign-field denominator is refused; a polynomial or a
+    ratio compared with another type is unequal to it."""
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        LaurentRatio(F, XPoly(N, {}))
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        LaurentRatio(F, XPoly.const(7, 1))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        XPoly(N, {}).leading()
+    assert F.__eq__(1) is NotImplemented and F != 1
+    assert LaurentRatio(F, G).__eq__(F) is NotImplemented and LaurentRatio(F, G) != F

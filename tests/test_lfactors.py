@@ -310,3 +310,10 @@ def test_normalizing_factor_branches():
     assert normalizing_factor(VanishingToken(order_zero=1), 2) == (
         "compensated", "i^1 * Delta * L(s)/L(s-1)"
     )
+
+
+def test_lratio_k_out_of_range_and_negative_gamma_steps_refused():
+    with pytest.raises(ConfigError, match="k out of range"):
+        unramified_lratio(3, 0, Cyc.zeta(12), 2)
+    with pytest.raises(ConfigError, match="negative step count"):
+        gamma_ratio(2, -1, 1.0)

@@ -375,3 +375,16 @@ def test_builder_refused_before_work(build):
 
 def test_rank_limit_is_admitted():
     assert weight_system_from_eta(1000, {0: 0, 1: 1000}).n == 1000
+
+
+def test_foreign_comparison_eta_gap_unit_powers_and_non_partitions():
+    w = ws(2, (0, 0), (0, 0), (0, 0), (0, 0), 0, 1)
+    assert w.__eq__(w.eta()) is NotImplemented and w != w.eta()
+    with pytest.raises(ConfigError, match="eta = 1 strictly between 0 and 2"):
+        balanced_at((0, 0), (0, 0), 0, 1, 2)
+    assert [arch_unit_value(1, e) for e in range(-1, 5)] == [
+        (0, -1), (1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]
+    assert arch_unit_value(-1, 1) == (0, -1)
+    for shape in ((1, 2), (1, -1)):
+        with pytest.raises(ValueError, match="is not a partition"):
+            schur_polynomial(shape, 2)

@@ -221,8 +221,8 @@ def test_broken_line_weight_breaks_the_scan(emb4, monkeypatch):
 
     unshifted = weylkostant._line_weight_component
 
-    def swapped(oneline, pairs, eta_value, n):
-        weight = list(unshifted(oneline, [], eta_value, n))
+    def swapped(oneline, pairs, base):
+        weight = list(unshifted(oneline, [], base))
         for (i, j) in pairs:
             weight[i - 1] += 1
             weight[j - 1] -= 1
@@ -250,23 +250,30 @@ def test_elements_of_length_order_is_the_rebuilt_tables(n, count):
 def test_scan_computes_each_permutations_pairs_once(emb2, emb4, monkeypatch):
     """The certificate decides each (distinct eta value, permutation a
     candidate can hold) once, before its candidate loop: one
-    _line_weight_component call per pair, and one inverted_pairs call per
-    permutation.  A permutation can hold a component when its length is at
-    most the bottom degree (all of S_n for a full scan); the set is
-    recounted here with the oracle's inversions."""
-    pairs_calls, weight_calls = [], []
+    _line_weight_component call per pair, one inverted_pairs call per
+    permutation, and one dual highest weight per distinct eta value.  A
+    permutation can hold a component when its length is at most the
+    bottom degree (all of S_n for a full scan); the set is recounted here
+    with the oracle's inversions."""
+    pairs_calls, weight_calls, dual_calls = [], [], []
     pairs, weight = weylkostant.inverted_pairs, weylkostant._line_weight_component
+    dual = weylkostant._dual_highest_weight
 
     def counted_pairs(c):
         pairs_calls.append(c)
         return pairs(c)
 
-    def counted_weight(oneline, inverted, eta_value, n):
-        weight_calls.append((oneline, eta_value))
-        return weight(oneline, inverted, eta_value, n)
+    def counted_weight(oneline, inverted, base):
+        weight_calls.append((oneline, base))
+        return weight(oneline, inverted, base)
+
+    def counted_dual(eta_value, n):
+        dual_calls.append(eta_value)
+        return dual(eta_value, n)
 
     monkeypatch.setattr(weylkostant, "inverted_pairs", counted_pairs)
     monkeypatch.setattr(weylkostant, "_line_weight_component", counted_weight)
+    monkeypatch.setattr(weylkostant, "_dual_highest_weight", counted_dual)
     cases = [
         # eta values 0 and 3, each at two of the four embeddings
         (emb4, weight_system_from_eta(3, aligned_eta(emb4, 3)), 2, False),
@@ -281,18 +288,23 @@ def test_scan_computes_each_permutations_pairs_once(emb2, emb4, monkeypatch):
         c_n = weylkostant.bottom_degree(n, emb)
         held = [p for p in itertools.permutations(range(1, n + 1))
                 if full_scan or oracle_inversions(p) <= c_n]
-        values = set(w.eta().values())
+        # one dual highest weight per distinct eta value
+        values = {dual(v, n) for v in w.eta().values()}
+        assert len(values) == len(set(w.eta().values()))
         pairs_calls.clear()
         weight_calls.clear()
+        dual_calls.clear()
         el, cert = distinguished_weyl(w, emb, k, full_scan=full_scan)
         assert sorted(pairs_calls) == sorted(held), (n, full_scan)
         assert sorted(weight_calls) == sorted(itertools.product(held, values)), (n, full_scan)
+        assert sorted(dual_calls) == sorted(set(w.eta().values()))
         assert cert["scanned"] == weyl_count(n, emb.degree, None if full_scan else c_n)
         assert cert["matches"] == 1
         # a second certificate builds its own table
         distinguished_weyl(w, emb, k, full_scan=full_scan)
         assert len(pairs_calls) == 2 * len(held)
         assert len(weight_calls) == 2 * len(held) * len(values)
+        assert len(dual_calls) == 2 * len(values)
 
 
 def test_weylkostant_caches_are_bounded_and_keyed_by_integers(emb4):
