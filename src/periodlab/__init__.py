@@ -20,8 +20,8 @@ convolutions over fields containing a CM subfield:
 * ``weylkostant`` -- Weyl-group combinatorics: nilpotent-cohomology
                      lines, the distinguished bottom-degree element, wedge
                      monomials and Galois relabeling signs;
-* ``intpoly``     -- integer polynomials: product, pseudo-division and
-                     Sturm chains;
+* ``intpoly``     -- integers and integer polynomials: factorization,
+                     product, pseudo-division and Sturm chains;
 * ``cyclotomic``  -- exact arithmetic in cyclotomic fields Q(zeta_N);
 * ``laurent``     -- polynomials and ratios in X = q^{-s} over Q(zeta_N);
                      ratios with equal denominators compare their

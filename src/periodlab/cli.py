@@ -470,8 +470,9 @@ def cmd_lratio(args) -> Report:
     report = Report("lratio", {"n": args.n, "k": args.k, "a": [order, index], "q": args.q})
     ratio = lfactors.unramified_lratio(args.n, args.k, a, args.q)
     report.add("ratio", repr(ratio), repr(ratio))
+    # L(s-1)/L(s) of the twist with value a q^(n-i-1) is L(s-n+i)/L(s-n+i+1)
     steps = [
-        lfactors.single_step_ratio(args.n, i, a, args.q)
+        lfactors.unramified_lratio(2, 1, a * args.q ** (args.n - i - 1), args.q)
         for i in range(args.k, args.n)
     ]
     tele = functools.reduce(operator.mul, steps, lfactors.unramified_lratio(args.n, args.n, a, args.q))

@@ -26,9 +26,10 @@ norm-squared z * conj(z), and inversion.
 
 ``check_order`` is the package's one bound on the order N: it refuses an
 N whose work is above MAX_ORDER_WORK, before any O(N) work, and returns
-phi(N).  ``Cyc.zeta`` and ``cyclotomic_polynomial`` call it, and so do
-the Gauss sums and the CLI's local-ratio commands; the canonical form and
-the float shadow go through ``cyclotomic_polynomial``.
+phi(N) from the factorization of N (``intpoly.factorize``).
+``Cyc.zeta`` and ``cyclotomic_polynomial`` call it, and so do the Gauss
+sums and the CLI's local-ratio commands; the canonical form and the float
+shadow go through ``cyclotomic_polynomial``.
 """
 
 from __future__ import annotations
@@ -39,21 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConfigError
-from .intpoly import pseudo_divmod
-
-
-def factorize(n: int) -> dict[int, int]:
-    """{prime: exponent} of an integer n >= 1, by trial division up to sqrt(n)."""
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = 1
-    return out
+from .intpoly import factorize, pseudo_divmod
 
 
 # Bound on the work Q(zeta_N) may take, fitted by timing.  With f = phi(N),

@@ -1,8 +1,10 @@
-"""Integer polynomials as coefficient lists, low degree first, [] for 0:
-the product, one pseudo-division (exact division by a monic divisor, as
-for the cyclotomic polynomials) and Sturm chains, which count distinct
-real roots with no root sought.  Standard library only (von zur Gathen &
-Gerhard, *Modern Computer Algebra*, ch. 2-3 and 6; Cohen 1993, 3.1-3.3).
+"""Integers and integer polynomials.  An integer's factorization by trial
+division; integer polynomials as coefficient lists, low degree first, []
+for 0: the product, one pseudo-division (exact division by a monic
+divisor, as for the cyclotomic polynomials and the moduli of finite
+fields) and Sturm chains, which count distinct real roots with no root
+sought.  Standard library only (von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 2-3 and 6; Cohen 1993, 3.1-3.3).
 """
 
 from __future__ import annotations
@@ -11,14 +13,30 @@ import math
 from collections.abc import Sequence
 
 
+def factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of an integer n >= 1, by trial division up to sqrt(n)."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The product a * b."""
+    """The product a * b, skipping the zero coefficients of ``a``."""
     if not a or not b:
         return []
     res = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            res[i + j] += x * y
+        if not x:
+            continue
+        for j, y in enumerate(b, i):
+            res[j] += x * y
     return res
 
 
@@ -40,8 +58,8 @@ def pseudo_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], li
             quot = [scale * x for x in quot]
         t *= sign
         quot[i - dn] = t
-        for j, d in enumerate(den):
-            rem[i - dn + j] -= t * d
+        for j, d in enumerate(den, i - dn):
+            rem[j] -= t * d
     while rem and rem[-1] == 0:
         rem.pop()
     return quot, rem

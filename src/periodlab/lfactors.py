@@ -15,8 +15,9 @@ steps 2*pi/(s + m - t); these are evaluated in floating point.
 Gauss sums are the conductor-exponent-one specialization: a finite sum
 over the units of a residue field, exact in Q(zeta_{lcm(q-1, p)}).
 
-``cyclotomic`` and ``laurent`` are imported by the functions that build
-exact values, so ``gamma_ratio``'s callers load no exact arithmetic.
+``cyclotomic``, ``laurent`` and ``intpoly`` are imported by the functions
+that build exact values, so ``gamma_ratio``'s callers load no exact
+arithmetic.
 """
 
 from __future__ import annotations
@@ -28,19 +29,6 @@ from .errors import ConfigError
 
 
 # -- unramified ratios ---------------------------------------------------------
-
-
-def single_step_ratio(n: int, i: int, a: Cyc, q: int) -> LaurentRatio:
-    """L(s - n + i) / L(s - n + i + 1) = (1 - a q^{n-i-1} X)/(1 - a q^{n-i} X)."""
-    from fractions import Fraction
-
-    from .laurent import LaurentRatio, XPoly
-
-    field = a.n
-    one = XPoly.const(field, 1)
-    num = one - XPoly.monomial(field, 1, a * Fraction(q) ** (n - i - 1))
-    den = one - XPoly.monomial(field, 1, a * Fraction(q) ** (n - i))
-    return LaurentRatio(num, den)
 
 
 def unramified_lratio(n: int, k: int, a: Cyc, q: int) -> LaurentRatio:
@@ -116,8 +104,11 @@ class FiniteField:
     """
 
     def __init__(self, q: int) -> None:
-        from .cyclotomic import factorize
+        from .intpoly import factorize, mul, pseudo_divmod
 
+        # the product and division of F_p[x] are intpoly's, bound here once:
+        # an import inside ``mul`` would cost about as much as the product
+        self._poly_mul, self._poly_divmod = mul, pseudo_divmod
         self.q = q
         ((self.p, self.e),) = factorize(q).items()
         self.modulus = self._find_modulus()
@@ -129,42 +120,29 @@ class FiniteField:
         e = self.e
         if e == 1:
             return (0, 1)
-        # irreducible iff every monic factor of degree 1..e//2 leaves a remainder
+        # irreducible iff every monic factor of degree 1..e//2 leaves a
+        # remainder over F_p: the remainder over Z, reduced mod p
         for tail in self._tuples(e):
             coeffs = tail + (1,)
             if all(
-                any(self._remainder(coeffs, factor + (1,)))
+                any(c % self.p for c in self._poly_divmod(coeffs, factor + (1,))[1])
                 for d in range(1, e // 2 + 1)
                 for factor in self._tuples(d)
             ):
                 return coeffs
         raise AssertionError("no irreducible polynomial found")
 
-    def _remainder(self, f, g) -> list[int]:
-        """f mod the monic g over F_p (both low-to-high), reduced mod p at
-        each step: the len(g) - 1 coefficients below the top of g."""
-        p, d = self.p, len(g) - 1
-        rem = list(f)
-        for top in range(len(rem) - 1, d - 1, -1):
-            c = rem[top]
-            if c:
-                for j in range(d):
-                    rem[top - d + j] = (rem[top - d + j] - c * g[j]) % p
-        return rem[:d]
-
     def _tuples(self, length: int):
         """Coefficient tuples in lex order, the last coordinate fastest."""
         return itertools.product(range(self.p), repeat=length)
 
     def mul(self, a, b):
-        p, e = self.p, self.e
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-        return tuple(self._remainder(prod, self.modulus))
+        """a * b: the product over Z, divided exactly by the monic modulus;
+        the remainder reduced mod p and padded to e coefficients."""
+        _, rem = self._poly_divmod(self._poly_mul(a, b), self.modulus)
+        p = self.p
+        rem = [c % p for c in rem]
+        return tuple(rem + [0] * (self.e - len(rem)))
 
     def pow(self, a, k: int):
         out = self.one
@@ -179,7 +157,7 @@ class FiniteField:
     def _find_generator(self):
         """First element, in enumeration order, with a^((q-1)/r) != 1 for
         every prime r dividing q - 1."""
-        from .cyclotomic import factorize
+        from .intpoly import factorize
 
         exponents = [(self.q - 1) // r for r in factorize(self.q - 1)]
         for a in self._tuples(self.e):
@@ -203,7 +181,8 @@ class GaussSumSpec:
     GF(q)^x, additive character x -> zeta_p^{trace(x)}."""
 
     def __init__(self, q: int, chi_order: int, chi_index: int = 1) -> None:
-        from .cyclotomic import check_order, factorize
+        from .cyclotomic import check_order
+        from .intpoly import factorize
 
         try:
             # N = lcm(q - 1, p) is p (q - 1), and the order work of p M is at
@@ -224,7 +203,7 @@ class GaussSumSpec:
         self.chi_index = chi_index
 
     def is_trivial(self) -> bool:
-        return (self.chi_index % self.chi_order) == 0 or self.chi_order == 1
+        return self.chi_index % self.chi_order == 0
 
 
 def gauss_sum(spec: GaussSumSpec) -> tuple[Cyc, complex]:
@@ -238,7 +217,7 @@ def gauss_sum(spec: GaussSumSpec) -> tuple[Cyc, complex]:
 
     field = FiniteField(spec.q)
     p, q = field.p, field.q
-    ncyc = (q - 1) * p // math.gcd(q - 1, p)
+    ncyc = math.lcm(q - 1, p)
     # chi(gen) is a (q-1)-th root of unity: rewrite it as zeta_{q-1}^j
     j = (spec.chi_index * (q - 1)) // spec.chi_order
     step = (j * (ncyc // (q - 1))) % ncyc

@@ -12,12 +12,13 @@ the restriction to k1 is i // m and the CM type is the "+" fibers, and no
 root of any polynomial is needed to know them.  ``cmfield.build_field``
 attaches numeric images to this layout.
 
-``check_tower`` decides without roots whether a declaration can be built:
-the degree bound, then a Sturm chain over the integers (``intpoly``)
-that tells whether f and k0_poly are squarefree and counts the real
-roots of k0_poly.  ``delta_double`` is the constant Delta as the complex
-double nearest its exact value.  This module loads neither mpmath nor
-``cyclotomic``.
+A declared d is squarefree when every exponent of its factorization
+(``intpoly.factorize``) is 1.  ``check_tower`` decides without roots
+whether a declaration can be built: the degree bound, then a Sturm chain
+over the integers (``intpoly``) that tells whether f and k0_poly are
+squarefree and counts the real roots of k0_poly.  ``delta_double`` is the
+constant Delta as the complex double nearest its exact value.  This
+module loads neither mpmath nor ``cyclotomic``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import ConfigError, ReduciblePolynomial
-from .intpoly import real_root_count, sturm_chain
+from .intpoly import factorize, real_root_count, sturm_chain
 
 K1Pair = tuple[Fraction, Fraction]
 
@@ -51,18 +52,6 @@ def _integer(value, what: str) -> int:
     if exact.denominator != 1:
         raise ConfigError(f"{what} {value!r} is not an integer")
     return exact.numerator
-
-
-def _squarefree(n: int) -> bool:
-    """Whether n >= 1 has no square prime factor, by trial division up to sqrt(n)."""
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return False
-        p += 1
-    return True
 
 
 def inversions(seq) -> int:
@@ -91,7 +80,7 @@ class FieldTower:
     ) -> None:
         if base_disc > MAX_BASE_DISC:
             raise ConfigError(f"d = {base_disc} is above the limit of {MAX_BASE_DISC}")
-        if base_disc <= 0 or not _squarefree(base_disc):
+        if base_disc <= 0 or any(e > 1 for e in factorize(base_disc).values()):
             raise ConfigError(f"d = {base_disc} must be a squarefree positive integer")
         if not extension_poly or extension_poly[-1] != 1:
             raise ConfigError("extension polynomial must be monic (trailing coefficient 1)")

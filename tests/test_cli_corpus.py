@@ -63,6 +63,18 @@ GAUSS = [
     (32, 31, 1),
     (43, 42, 11),
     (49, 16, 3),
+    # prime powers p^e, e >= 2, at the full character order: these pin the
+    # modulus and the generator FiniteField chooses
+    (16, 15, 1),
+    (27, 26, 1),
+    (64, 63, 1),
+    (81, 80, 1),
+    (121, 120, 1),
+    (125, 124, 1),
+    (128, 127, 1),
+    (243, 242, 1),
+    (256, 255, 1),
+    (512, 511, 1),
 ]
 QI = ["--config", "configs/qi.json"]
 QIC = ["--config", "configs/qic.json"]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodlab.cyclotomic import Cyc, check_order, cyclotomic_polynomial, factorize
+from periodlab.cyclotomic import Cyc, check_order, cyclotomic_polynomial
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -60,20 +60,6 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     for n in [*range(1, 301), 336, 1980, 2000]:
         assert cyclotomic_polynomial(n) == _mobius_product(n), n
-
-
-def test_factorize():
-    """The factorization multiplies back, with prime keys, for every n <= 2000."""
-    assert factorize(1) == {}
-    assert factorize(1000003) == {1000003: 1}
-    assert factorize(2**10 * 3**5 * 7) == {2: 10, 3: 5, 7: 1}
-    for n in range(1, 2001):
-        f = factorize(n)
-        assert all(p > 1 and all(p % d for d in range(2, p)) for p in f)
-        product = 1
-        for p, e in f.items():
-            product *= p**e
-        assert product == n
 
 
 def test_zeta_powers_and_reduction():

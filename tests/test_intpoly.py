@@ -1,11 +1,18 @@
 """``intpoly`` against a reference over Q written here: polynomials as
 lists of ``Fraction`` coefficients, low degree first, [] for 0, with
-schoolbook product and long division by a field element."""
+schoolbook product and long division by a field element.  The
+factorization multiplies back, and the squarefree rule of a tower's d
+that rests on it agrees with a trial division by squares written here."""
 
+import math
 import random
 from fractions import Fraction
 
-from periodlab.intpoly import mul, pseudo_divmod
+import pytest
+
+from periodlab.errors import ConfigError
+from periodlab.intpoly import factorize, mul, pseudo_divmod
+from periodlab.towers import MAX_BASE_DISC, FieldTower
 
 
 def _trim(a):
@@ -104,3 +111,49 @@ def test_pseudo_divmod_edge_cases():
     # one step cancels x^2 and none x, so c = 2: 2(1 + x^2) = (-x)(-2x) + 2
     assert pseudo_divmod([1, 0, 1], [0, -2]) == ([0, -1], [2])
 
+
+def test_factorize():
+    """The factorization multiplies back, with prime keys, for every n <= 2000."""
+    assert factorize(1) == {}
+    assert factorize(1000003) == {1000003: 1}
+    assert factorize(2**10 * 3**5 * 7) == {2: 10, 3: 5, 7: 1}
+    for n in range(1, 2001):
+        f = factorize(n)
+        assert all(p > 1 and all(p % d for d in range(2, p)) for p in f)
+        product = 1
+        for p, e in f.items():
+            product *= p**e
+        assert product == n
+
+
+def _squarefree(d):
+    """No k >= 2 with k^2 dividing d."""
+    return all(d % (k * k) for k in range(2, math.isqrt(d) + 1))
+
+
+def _accepted(d):
+    try:
+        FieldTower(base_disc=d, extension_poly=(0, 1))
+    except ConfigError as exc:
+        assert str(exc) == f"d = {d} must be a squarefree positive integer"
+        return False
+    return True
+
+
+# near MAX_BASE_DISC = 10^12: the largest prime below it; 4 p for the largest
+# prime p below 10^12 / 4, refused only after the trial division reaches
+# sqrt(p); 999983 * 1000003, the primes either side of 10^6; 999983^2
+NEAR_THE_LIMIT = [999999999989, 4 * 249999999973, 999983 * 1000003, 999983**2, MAX_BASE_DISC]
+
+
+@pytest.mark.parametrize("d", NEAR_THE_LIMIT)
+def test_squarefree_rule_near_the_limit(d):
+    assert d <= MAX_BASE_DISC
+    assert _accepted(d) == _squarefree(d)
+
+
+def test_squarefree_rule_below_ten_thousand():
+    """d is accepted iff every exponent of factorize(d) is 1."""
+    assert [d for d in range(1, 10**4 + 1) if _accepted(d)] == [
+        d for d in range(1, 10**4 + 1) if _squarefree(d)
+    ]

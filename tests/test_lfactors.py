@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodlab.cyclotomic import Cyc, factorize
+from periodlab.cyclotomic import Cyc
 from periodlab.errors import ConfigError
+from periodlab.intpoly import factorize
 from periodlab.laurent import LaurentRatio
 from periodlab.lfactors import (
     FiniteField,
@@ -18,7 +19,6 @@ from periodlab.lfactors import (
     gamma_ratio,
     gauss_sum,
     normalizing_factor,
-    single_step_ratio,
     unramified_lratio,
 )
 
@@ -46,7 +46,8 @@ def test_telescoping():
     for n in (2, 3, 4):
         for k in range(1, n + 1):
             a = Cyc.zeta(12, 7)
-            steps = [single_step_ratio(n, i, a, 5) for i in range(k, n)]
+            # L(s-1)/L(s) of the twist with value a 5^(n-i-1) is L(s-n+i)/L(s-n+i+1)
+            steps = [unramified_lratio(2, 1, a * 5 ** (n - i - 1), 5) for i in range(k, n)]
             prod = functools.reduce(operator.mul, steps, unramified_lratio(n, n, a, 5))
             assert prod == unramified_lratio(n, k, a, 5)
 
@@ -282,6 +283,41 @@ def test_jacobi_factorization(q):
         g1, g2, g12 = (gauss_sum(GaussSumSpec(q=q, chi_order=q - 1, chi_index=j))[0]
                        for j in (j1, j2, j1 + j2))
         assert g1 * g2 == jacobi * g12, (j1, j2)
+
+
+def _galois_law_failures() -> list[tuple[int, int, int]]:
+    """(q, j, c) where sigma_c(G(chi)) = chi^c(c) G(chi^c) fails, for a seeded
+    sample of 24 pairs per field: chi(gen^t) = zeta_{q-1}^{jt}, and c prime
+    to N = lcm(q - 1, p), read in F_p inside GF(q).  sigma_c sends
+    chi^-1(x) psi(x) to (chi^c)^-1(x) psi(c x), since c trace(x) = trace(c x)."""
+    rng = random.Random(25)
+    failures = []
+    for q in (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49):
+        field = FiniteField(q)
+        logs = _discrete_logs(field)
+        n = math.lcm(q - 1, field.p)
+        units = [c for c in range(1, n) if math.gcd(c, n) == 1]
+        sums = {}
+
+        def gauss(j):
+            j %= q - 1
+            if j not in sums:
+                sums[j] = gauss_sum(GaussSumSpec(q=q, chi_order=q - 1, chi_index=j))[0]
+            return sums[j]
+
+        for _ in range(24):
+            j, c = rng.randrange(q - 1), rng.choice(units)
+            t = logs[(c % field.p,) + field.zero[1:]]  # c = gen^t
+            chi_c_at_c = Cyc.zeta(n, n // (q - 1) * j * c * t % n)
+            if gauss(j).galois(c) != chi_c_at_c * gauss(j * c):
+                failures.append((q, j, c))
+    return failures
+
+
+def test_galois_law():
+    """The exact Galois law of Gauss sums; it pins the argument of G(chi),
+    which |G|^2 = q leaves free, and fails with chi in place of chi^-1."""
+    assert _galois_law_failures() == []
 
 
 def test_first_coordinate_for_trace_is_rejected(monkeypatch):

@@ -3,11 +3,15 @@
 Each row computes the fast path's values first.  Then it patches the fast
 path's private helpers to raise and runs the oracle, which must reach the
 same values without them.  A row names the helpers that both routes share
-on purpose; they stay intact.  The row "exact-layout" reads its first
-values from the golden data instead: the README runs of the five config
-commands but field-check, recorded when they ran on ``build_field``'s
-numeric embeddings, must print the same bytes on the exact layout with
-every root finder broken.
+on purpose; they stay intact.  A second run traces both routes with
+``sys.setprofile``: the ``periodlab`` functions that both run must be
+among the declared shares, where a class covers its methods, and each
+declared share must run on both, so a shared helper that the break list
+misses still fails its row.  The row "exact-layout" reads its first
+values from the golden data instead, so it shares nothing: the README
+runs of the five config commands but field-check, recorded when they ran
+on ``build_field``'s numeric embeddings, must print the same bytes on the
+exact layout with every root finder broken.
 
 The row "weyl-line-weights" checks the torus weights of the Kostant
 lines at one embedding against the Weyl character formula, which is
@@ -28,15 +32,16 @@ the four towers of the acceptance suite, n = 2 to 5, every k, every
 admissible permutation and every orientation of the pairs; it tests the
 function, not criterion 6's stated law.
 
-Gauss sums get no row: the Hasse-Davenport and Jacobi relations compare
-outputs of ``lfactors.gauss_sum`` with each other; there is no second
-route to keep apart from the first.
+Gauss sums get no row: the Hasse-Davenport and Jacobi relations and the
+Galois law compare outputs of ``lfactors.gauss_sum`` with each other;
+there is no second route to keep apart from the first.
 """
 
 import functools
 import itertools
 import json
 import operator
+import sys
 
 import mpmath
 import pytest
@@ -170,21 +175,21 @@ ROWS = {
         lambda fast: [exact_tower_discriminants(tower) for tower in ALL_TOWERS],
         [(cmfield, "_trace_values"), (cmfield, "_product_values"), (cmfield, "_basis_values"),
          (cmfield, "_rational"), (cmfield, "build_field"), (mpmath.mp, "det")],
-        (),
+        ("towers.FieldTower.k0_degree", "towers.FieldTower.theta_degree"),
         operator.eq,
     ),
     "exact-layout": (
         recorded_layout_runs,
         lambda fast: [run(fmt, argv) for fmt, argv in LAYOUT_CASES],
         [(cmfield, "build_field"), (cmfield, "_sorted_roots"), (mpmath.mp, "polyroots")],
-        ("towers.Layout", "towers.check_tower"),
+        (),
         operator.eq,
     ),
     "balanced": (
         lambda: [weights.balanced_at(*point) for point in POINTS],
         lambda fast: [charpeel.balanced_at_oracle(*point) for point in POINTS],
         [(weights, "balanced_at"), (weights, "_is_horizontal_strip"), (weights, "is_balanced")],
-        ("weights.highest_weight_from_eta",),
+        (),
         operator.eq,
     ),
     "weyl-line-weights": (
@@ -200,14 +205,13 @@ ROWS = {
         lambda fast: [transfer_sign(eta, perm, n) for _emb, n, _k, eta, perm in wedge_cases()],
         [(weylkostant.WedgeMonomial, "from_labels"), (weylkostant, "omega_monomial"),
          (weylkostant, "sigma_on_monomial")],
-        ("towers.Layout",),
+        (),
         operator.eq,
     ),
     "l-ratios": (
         lambda: [lfactors.unramified_lratio(*case) for case in LRATIO_CASES],
         lambda fast: [intertwine.shell_sum(*case) for case in LRATIO_CASES],
-        [(lfactors, "unramified_lratio"), (intertwine, "unramified_lratio"),
-         (lfactors, "single_step_ratio")],
+        [(lfactors, "unramified_lratio"), (intertwine, "unramified_lratio")],
         ("cyclotomic.Cyc", "laurent.XPoly", "laurent.LaurentRatio"),
         operator.eq,
     ),
@@ -239,3 +243,47 @@ def test_oracle_runs_without_the_fast_path(name, monkeypatch):
     for module, attr in breaks:
         monkeypatch.setattr(module, attr, broken)
     assert agree(expected, oracle(expected))
+
+
+def traced(thunk):
+    """thunk() and the "module.qualname" of each ``periodlab`` function that
+    runs in it, its caches cleared first so that a cached function runs too."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("periodlab."):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    seen = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            if module.startswith("periodlab."):
+                seen.add(f"{module[len('periodlab.'):]}.{frame.f_code.co_qualname}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = thunk()
+    finally:
+        sys.setprofile(previous)
+    return result, seen
+
+
+def covers(share: str, name: str) -> bool:
+    """A share names a function or a class, which covers its methods and
+    whatever they define."""
+    return name == share or name.startswith(share + ".")
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from 3.11")
+@pytest.mark.parametrize("name", ROWS)
+def test_routes_share_only_what_the_row_declares(name):
+    """The package functions that both the fast path and the oracle run
+    are the row's declared shares, and each declared share runs on both."""
+    fast, oracle, _breaks, shares, _agree = ROWS[name]
+    expected, fast_calls = traced(fast)
+    _, oracle_calls = traced(lambda: oracle(expected))
+    both = fast_calls & oracle_calls
+    assert sorted(f for f in both if not any(covers(s, f) for s in shares)) == []
+    assert [s for s in shares if not any(covers(s, f) for f in both)] == []
