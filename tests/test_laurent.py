@@ -3,6 +3,7 @@ denominators compare their numerators, other ratios cross-multiply, and
 the printed form is the reduced one, whichever pair a rational function
 was built from."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -223,3 +224,45 @@ def test_refusals_and_foreign_comparisons():
         XPoly(N, {}).leading()
     assert F.__eq__(1) is NotImplemented and F != 1
     assert LaurentRatio(F, G).__eq__(F) is NotImplemented and LaurentRatio(F, G) != F
+
+
+# -- stored forms -------------------------------------------------------------------
+
+
+def lowest_terms(x: Cyc) -> bool:
+    """x stores no zero term, over a positive denominator prime to its terms."""
+    return all(x._terms.values()) and x._den > 0 and math.gcd(x._den, *x._terms.values()) == 1
+
+
+def stores_no_zero(p: XPoly) -> bool:
+    return all(not c.is_zero() and lowest_terms(c) for c in p.coeffs.values())
+
+
+@pytest.mark.parametrize("n", [1, 12, 336])
+def test_operations_keep_the_stored_forms_the_fast_paths_rely_on(n):
+    """Negation and subtraction of Cyc skip the zero filter and the gcd of
+    the general sum, and XPoly drops a zero coefficient only in its
+    constructor: under forced cancellations, -x and x - y store no zero
+    term and stay in lowest terms, and XPoly's +, -, * and pseudo_divmod
+    store no zero coefficient.  At N = 12 and 336, 1 + zeta^(N/3) +
+    zeta^(2N/3) is a zero stored as three terms."""
+    rng = random.Random(4000 + n)
+    one = Cyc.rational(1, n)
+    hidden = Cyc._from_exponent_dict(n, {0: 1, n // 3: 1, 2 * n // 3: 1}) if n % 3 == 0 else one - one
+    assert hidden.is_zero()
+    for case in range(30):
+        f, g = sparse_poly(rng, n), sparse_poly(rng, n)
+        a, b = f.coeffs[max(f.coeffs)], g.coeffs[max(g.coeffs)] * Fraction(rng.randint(1, 9), 7)
+        cycs = [-a, -(a - b), a - a, a + (-a), -a + a, a - b, b - a, (a + b) - b - a,
+                a - Fraction(1, 3), 2 - a, a + hidden - a, -hidden]
+        assert all(lowest_terms(x) for x in cycs), (n, case)
+        assert not (a - a)._terms and not (a + (-a))._terms and not (-a + a)._terms
+        line, const = XPoly(n, {0: one, 1: -a}), XPoly.const(n, 1)  # 1 - aX, 1
+        zeros = [line + XPoly.monomial(n, 1, a) - const, line + XPoly(n, {1: a + hidden}) - const,
+                 line - line, line + line * -1, f - f, f * g - g * f]
+        assert all(p.is_zero() and not p.coeffs for p in zeros), (n, case)
+        polys = [f + g, f - g, f * g, f * line, XPoly(n, {0: hidden, 1: a})]
+        for den in (line, g):
+            polys += [*(f * den).pseudo_divmod(den), *f.pseudo_divmod(den)]
+        assert all(stores_no_zero(p) for p in polys), (n, case)
+        assert polys[4] == XPoly.monomial(n, 1, a)

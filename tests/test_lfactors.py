@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import operator
 import random
@@ -170,6 +171,23 @@ def test_finite_field_structure():
     f8 = FiniteField(8)
     assert f8.p == 2 and f8.e == 3
     assert _order(f8, f8.generator) == 7
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 81])
+def test_trace_is_the_sum_of_the_frobenius_images(q):
+    """trace(a) = a + a^p + ... + a^(p^(e-1)) for every a in GF(q), each
+    Frobenius image a^p a product of p factors, taken here one by one."""
+    field = FiniteField(q)
+    p = field.p
+    for a in itertools.product(range(p), repeat=field.e):
+        total, x = field.zero, a
+        for _ in range(field.e):
+            total = tuple((u + v) % p for u, v in zip(total, x))
+            y = field.one
+            for _ in range(p):
+                y = field.mul(y, x)
+            x = y
+        assert total[1:] == field.zero[1:] and field.trace(a) == total[0], (q, a)
 
 
 @pytest.mark.parametrize("q", [16, 32, 64, 81, 128, 243, 256])

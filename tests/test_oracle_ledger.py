@@ -32,15 +32,20 @@ the four towers of the acceptance suite, n = 2 to 5, every k, every
 admissible permutation and every orientation of the pairs; it tests the
 function, not criterion 6's stated law.
 
-Gauss sums get no row: the Hasse-Davenport and Jacobi relations and the
-Galois law compare outputs of ``lfactors.gauss_sum`` with each other;
-there is no second route to keep apart from the first.
+The row "gauss-sums-as-periods" checks ``lfactors.gauss_sum`` at prime q
+against the Gauss sum that the critical values of the character's
+Dirichlet L-function determine (``oracles.gauss_sum_from_l_value``):
+mpmath's Hurwitz zeta and Bernoulli polynomials, with no finite field.
+The Hasse-Davenport and Jacobi relations and the Galois law of
+``tests/test_lfactors.py`` compare outputs of ``gauss_sum`` with each
+other; this row is the second route.
 """
 
 import functools
 import itertools
 import json
 import operator
+import random
 import sys
 
 import mpmath
@@ -51,7 +56,8 @@ from periodlab.cmfield import build_field, disc_constant_upper, disc_over_q
 from periodlab.cyclotomic import Cyc
 from periodlab.towers import FieldTower, GaloisPermutation, Layout
 
-from oracles import admissible_permutations, exact_tower_discriminants, transfer_sign
+from oracles import (admissible_permutations, exact_tower_discriminants,
+                     gauss_sum_from_l_value, transfer_sign)
 from test_acceptance import TOWERS
 from test_cmfield import ALL_TOWERS
 from test_golden_cli import CASES, GOLDEN, case_id, run
@@ -167,6 +173,27 @@ def close(fast, oracle):
     return all(abs(o - f) <= 1e-8 * abs(f) for f, o in zip(fast, oracle))
 
 
+# (p, c, j): the character chi(gen^t) = zeta_{p-1}^{ct} of the lab's
+# generator and a j <= 4 of its parity, (-1)^c; a seeded sample of the 58
+# over the primes p <= 13
+GAUSS_CASES = random.Random(40).sample(
+    [(p, c, j) for p in (3, 5, 7, 11, 13) for c in range(1, p - 1)
+     for j in ((1, 3) if c % 2 else (2, 4))], 20)
+
+
+def gauss_sums_with_generators():
+    """(float shadow of gauss_sum, the generator of GF(p) as an integer)."""
+    return [(lfactors.gauss_sum(lfactors.GaussSumSpec(q=p, chi_order=p - 1, chi_index=c))[1],
+             lfactors.FiniteField(p).generator[0]) for p, c, _j in GAUSS_CASES]
+
+
+def gauss_sums_from_l_values(fast):
+    """gauss_sum returns sum chi(x)^-1 psi(x) = tau(conj chi), the oracle's
+    tau(psi) at psi = conj chi; it reads each generator as data."""
+    return [gauss_sum_from_l_value(p, gen, c, j)
+            for (p, c, j), (_value, gen) in zip(GAUSS_CASES, fast)]
+
+
 # name: (fast path, oracle of the fast values, helpers broken while the
 #        oracle runs, helpers both routes share on purpose, agreement)
 ROWS = {
@@ -214,6 +241,13 @@ ROWS = {
         [(lfactors, "unramified_lratio"), (intertwine, "unramified_lratio")],
         ("cyclotomic.Cyc", "laurent.XPoly", "laurent.LaurentRatio"),
         operator.eq,
+    ),
+    "gauss-sums-as-periods": (
+        gauss_sums_with_generators,
+        gauss_sums_from_l_values,
+        [(lfactors, "gauss_sum"), (lfactors, "FiniteField")],
+        (),
+        lambda fast, oracle: close([value for value, _gen in fast], oracle),
     ),
     "polar-check": (
         lambda: [quadrature.quad(radial(p, d), list(p), 1e-10)[0] for p, d in POLAR_CASES],
